@@ -9,6 +9,7 @@ to report noise levels before and after cleaning when it happens to exist.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -16,10 +17,10 @@ import numpy as np
 
 from .data import Dataset
 from .errors import EmptyCleanedSetError, ValidationError
-from .model import Featurizer, ModelParams, TrainConfig, evaluate, featurize_dataset, \
-    instance_losses
+from .model import Featurizer, ModelParams, TrainConfig, evaluate, \
+    evaluate_features, instance_losses
 from .noise import noise_level
-from .training import train_vanilla
+from .training import Featurized, _train_vanilla, train_vanilla
 from .util import derive_rng, run_indexed, stable_hash
 
 # Absolute cross-entropy cut-offs sized for fine-tuned large pretrained
@@ -119,10 +120,13 @@ def heldout_losses(train: Dataset, cfg: CleanConfig, train_cfg: TrainConfig,
     scored on the held-out fold. Fold trainings run concurrently when a
     worker limit is configured.
     """
-    n = len(train)
+    return _heldout(Featurized.of(featurizer, train, val), cfg, train_cfg)
+
+
+def _heldout(data: Featurized, cfg: CleanConfig, train_cfg: TrainConfig
+             ) -> tuple[np.ndarray, np.ndarray]:
+    n = len(data)
     fold_of = fold_partition(n, cfg.folds, cfg.seed)
-    x_all = featurize_dataset(featurizer, train)
-    y_all = train.observed()
 
     def one_fold(i: int) -> tuple[np.ndarray, np.ndarray]:
         held = np.flatnonzero(fold_of == i)
@@ -130,21 +134,14 @@ def heldout_losses(train: Dataset, cfg: CleanConfig, train_cfg: TrainConfig,
         if complement.size < 2:
             raise ValidationError(
                 f"fold {i}: training complement of {complement.size} is too small")
-        fold_train = train.select(complement)
         fold_cfg = replace(train_cfg, seed=_fold_seed(train_cfg, i))
-        params, _ = train_vanilla(fold_train, val, fold_cfg, featurizer)
-        return held, instance_losses(params, x_all[held], y_all[held], head=0)
+        params, _ = _train_vanilla(data.rows(complement), fold_cfg)
+        return held, instance_losses(params, data.x[held], data.y[held], head=0)
 
     losses = np.empty(n, dtype=np.float64)
     for held, fold_losses in run_indexed(one_fold, range(cfg.folds)):
         losses[held] = fold_losses
     return losses, fold_of
-
-
-def _filter(train: Dataset, losses: np.ndarray, threshold: float):
-    kept = np.flatnonzero(losses < threshold)  # strictly below; equality removes
-    removed = np.flatnonzero(losses >= threshold)
-    return train.select(kept), kept, removed
 
 
 def _report(train: Dataset, cleaned: Dataset, losses, fold_of, kept, removed,
@@ -166,6 +163,35 @@ def _report(train: Dataset, cleaned: Dataset, losses, fold_of, kept, removed,
     )
 
 
+def _clean_pass(train: Dataset, val: Dataset, cfg: CleanConfig,
+                train_cfg: TrainConfig, featurizer: Featurizer,
+                retrain: bool = False):
+    """Held-out losses once, then the threshold (tuned unless cfg fixes it),
+    then the cleaned set: (cleaned, report, diagnostics, model).
+
+    diagnostics is the tuning curve, None for a fixed threshold. model is
+    the vanilla model trained on the cleaned set with train_cfg, or None for
+    a fixed threshold without retrain. A tuned pass has already trained
+    exactly that model for the winning candidate, so it keeps it instead of
+    training it again.
+    """
+    data = Featurized.of(featurizer, train, val)
+    losses, fold_of = _heldout(data, cfg, train_cfg)
+    threshold, diagnostics, model = cfg.threshold, None, None
+    if threshold is None:
+        threshold, diagnostics, model = _tune(data, losses, cfg, train_cfg)
+    kept = np.flatnonzero(losses < threshold)  # strictly below; equality removes
+    removed = np.flatnonzero(losses >= threshold)
+    cleaned = train.select(kept)
+    report = _report(train, cleaned, losses, fold_of, kept, removed, threshold)
+    if len(cleaned) == 0:
+        raise EmptyCleanedSetError(
+            f"threshold {threshold} removed all {len(train)} instances")
+    if retrain and model is None:
+        model, _ = _train_vanilla(data.rows(kept), train_cfg)
+    return cleaned, report, diagnostics, model
+
+
 def clean_dataset(train: Dataset, cfg: CleanConfig, train_cfg: TrainConfig,
                   featurizer: Featurizer, val: Dataset
                   ) -> tuple[Dataset, CleaningReport]:
@@ -177,12 +203,7 @@ def clean_dataset(train: Dataset, cfg: CleanConfig, train_cfg: TrainConfig,
     if cfg.threshold is None:
         raise ValidationError("clean_dataset needs a fixed threshold; "
                               "run tune_threshold first")
-    losses, fold_of = heldout_losses(train, cfg, train_cfg, featurizer, val)
-    cleaned, kept, removed = _filter(train, losses, cfg.threshold)
-    report = _report(train, cleaned, losses, fold_of, kept, removed, cfg.threshold)
-    if len(cleaned) == 0:
-        raise EmptyCleanedSetError(
-            f"threshold {cfg.threshold} removed all {len(train)} instances")
+    cleaned, report, _, _ = _clean_pass(train, val, cfg, train_cfg, featurizer)
     return cleaned, report
 
 
@@ -204,32 +225,46 @@ def tune_threshold(train: Dataset, val: Dataset, cfg: CleanConfig,
 
     Fold models are trained once and reused across candidates, which is
     equivalent to running the full cleaning pass per candidate because the
-    fold partition and fold-model seeds do not depend on the threshold.
+    fold partition and fold-model seeds do not depend on the threshold. So
+    tuning costs the fold trainings plus one training per candidate (5 + 9
+    with the defaults). The harness's nc method and the CLI go further: one
+    pass computes the held-out losses once for tuning and cleaning, and the
+    winning candidate's model is the retrained model.
     """
-    losses, fold_of = heldout_losses(train, cfg, train_cfg, featurizer, val)
+    _, report, diagnostics, _ = _clean_pass(
+        train, val, replace(cfg, threshold=None), train_cfg, featurizer)
+    return report.threshold_used, diagnostics
+
+
+def _tune(data: Featurized, losses: np.ndarray, cfg: CleanConfig,
+          train_cfg: TrainConfig
+          ) -> tuple[float, list[ThresholdDiagnostic], ModelParams]:
+    """Best threshold, the tuning curve, and the best candidate's model."""
     if cfg.tuning_grid is not None:
         grid = sorted(cfg.tuning_grid)
     else:
         grid = sorted(float(t) for t in np.quantile(losses, cfg.tuning_quantiles))
+    # only the best model so far is kept alive; candidates may finish in any
+    # order, so the lock guards the compare-and-replace
+    best_key, best_params = None, None  # best_key = (accuracy, -index)
+    lock = threading.Lock()
 
-    def try_candidate(t: float) -> ThresholdDiagnostic:
-        cleaned, _, _ = _filter(train, losses, t)
-        if len(cleaned) == 0:
-            return ThresholdDiagnostic(float(t), 0, None)
-        params, _ = train_vanilla(cleaned, val, train_cfg, featurizer)
-        acc = evaluate(params, val, featurizer, head=0).accuracy
-        return ThresholdDiagnostic(float(t), len(cleaned), acc)
+    def try_candidate(i: int) -> ThresholdDiagnostic:
+        nonlocal best_key, best_params
+        kept = np.flatnonzero(losses < grid[i])
+        if kept.size == 0:
+            return ThresholdDiagnostic(float(grid[i]), 0, None)
+        params, _ = _train_vanilla(data.rows(kept), train_cfg)
+        acc = evaluate_features(params, data.x_val, data.y_val, head=0).accuracy
+        with lock:  # higher accuracy wins; ties go to the smaller threshold
+            if best_key is None or (acc, -i) > best_key:
+                best_key, best_params = (acc, -i), params
+        return ThresholdDiagnostic(float(grid[i]), int(kept.size), acc)
 
-    diagnostics = run_indexed(try_candidate, grid)
-    best = None
-    for diag in diagnostics:  # ascending thresholds: strict > keeps smaller t on ties
-        if diag.val_accuracy is None:
-            continue
-        if best is None or diag.val_accuracy > best.val_accuracy:
-            best = diag
-    if best is None:
+    diagnostics = run_indexed(try_candidate, range(len(grid)))
+    if best_key is None:
         raise EmptyCleanedSetError("every candidate threshold removed all instances")
-    return best.threshold, diagnostics
+    return diagnostics[-best_key[1]].threshold, diagnostics, best_params
 
 
 def retrain_on_cleaned(cleaned: Dataset, val: Dataset, train_cfg: TrainConfig,

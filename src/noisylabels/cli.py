@@ -9,17 +9,15 @@ NOISYLABELS_WORKERS caps concurrent runs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .cleaning import clean_dataset, tune_threshold
+from .cleaning import _clean_pass
 from .data import generate_synthetic_corpus, load_dataset, save_dataset
-from .ensembles import save_ensemble
-from .errors import MethodError, NoisyLabelsError, ValidationError
+from .errors import NoisyLabelsError, ValidationError
 from .harness import ExperimentConfig, _apply_noise, _build_labeler, _materialize, \
-    compare_methods, load_config, noise_matrices_csv, run_experiment, \
+    _read_json, compare_methods, noise_matrices_csv, run_experiment, \
     threshold_sweep_csv
 from .noise import NoiseSpec, RuleLabeler, inject_annotation_noise, \
     inject_rule_noise, inject_uniform_noise, noise_level, noise_matrix
@@ -56,7 +54,7 @@ def _cmd_noise(args) -> int:
     else:
         if not args.rules:
             raise ValidationError("feature_dependent noise needs --rules FILE")
-        spec = json.loads(Path(args.rules).read_text(encoding="utf-8"))
+        spec = _read_json(args.rules, "rules")
         labeler = _build_labeler({"rules": spec, "fallback": args.fallback,
                                   "seed": args.seed}, dataset)
         noised = inject_rule_noise(dataset, labeler)
@@ -77,7 +75,7 @@ def _report_summary(report) -> str:
 
 
 def _load_cli_config(args) -> tuple[ExperimentConfig, dict]:
-    raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    raw = _read_json(args.config, "config")
     cfg = ExperimentConfig.from_dict(raw)
     if getattr(args, "method", None):
         cfg = replace(cfg, method=args.method)
@@ -105,14 +103,12 @@ def _cmd_clean(args) -> int:
     tcfg = replace(mat.train_cfg, seed=cfg.base_seed)
     out_dir = Path(args.out_dir or raw.get("output") or "cleaning_out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    if ccfg.threshold is None:
-        threshold, diagnostics = tune_threshold(train, val, ccfg, tcfg,
-                                                mat.featurizer)
-        ccfg = replace(ccfg, threshold=threshold)
+    cleaned, report, diagnostics, _ = _clean_pass(train, val, ccfg, tcfg,
+                                                  mat.featurizer)
+    if diagnostics is not None:
         (out_dir / "threshold_sweep.csv").write_text(
             threshold_sweep_csv(diagnostics), encoding="utf-8")
-        print(f"tuned threshold: {threshold}")
-    cleaned, report = clean_dataset(train, ccfg, tcfg, mat.featurizer, val)
+        print(f"tuned threshold: {report.threshold_used}")
     save_dataset(cleaned, out_dir / "cleaned.jsonl", "jsonl")
     report.save(out_dir / "cleaning_report.json")
     if train.has_gold():
@@ -138,7 +134,9 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    raw = _read_json(args.config, "config")
+    if not isinstance(raw, dict):
+        raise ValidationError("config root must be a JSON object")
     if "experiments" not in raw or not isinstance(raw["experiments"], list):
         raise ValidationError("compare config needs an 'experiments' list")
     shared = {k: v for k, v in raw.items() if k not in ("experiments", "output")}
@@ -161,21 +159,20 @@ def _cmd_plotdata(args) -> int:
         cfg, _ = _load_cli_config(args)
         mat = _materialize(cfg)
         train, val = _apply_noise(mat, cfg, cfg.base_seed)
-        ccfg = replace(cfg.cleaning, seed=cfg.base_seed)
+        # the sweep is always tuned, even when the config fixes a threshold
+        ccfg = replace(cfg.cleaning, seed=cfg.base_seed, threshold=None)
         tcfg = replace(mat.train_cfg, seed=cfg.base_seed)
-        threshold, diagnostics = tune_threshold(train, val, ccfg, tcfg,
-                                                mat.featurizer)
+        cleaned, _, diagnostics, _ = _clean_pass(train, val, ccfg, tcfg,
+                                                 mat.featurizer)
         (out_dir / "threshold_sweep.csv").write_text(
             threshold_sweep_csv(diagnostics), encoding="utf-8")
         wrote.append("threshold_sweep.csv")
         if train.has_gold():
-            cleaned, _ = clean_dataset(train, replace(ccfg, threshold=threshold),
-                                       tcfg, mat.featurizer, val)
             (out_dir / "noise_matrices.csv").write_text(
                 noise_matrices_csv(train, cleaned), encoding="utf-8")
             wrote.append("noise_matrices.csv")
     if args.report:
-        payload = json.loads(Path(args.report).read_text(encoding="utf-8"))
+        payload = _read_json(args.report, "report")
         lines = ["run,seed,accuracy"]
         for i, run in enumerate(payload.get("per_run", [])):
             if "accuracy" in run:

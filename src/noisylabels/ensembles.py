@@ -29,8 +29,8 @@ from .model import (
     predict_probs,
     save_model,
 )
-from .training import CetaConfig, CoteachSchedule, train_ceta, train_coteaching, \
-    train_vanilla
+from .training import CetaConfig, CoteachSchedule, Featurized, _train_ceta, \
+    _train_coteaching, _train_vanilla
 from .util import derive_rng, run_indexed
 
 logger = logging.getLogger(__name__)
@@ -181,7 +181,8 @@ def train_homogeneous(train: Dataset, val: Dataset, spec: EnsembleSpec,
     """One vanilla run per grid config, all on the full training set."""
     if spec.kind != "homogeneous":
         raise ValidationError("spec.kind must be 'homogeneous'")
-    jobs = [lambda cfg=cfg: train_vanilla(train, val, cfg, featurizer)[0]
+    data = Featurized.of(featurizer, train, val)
+    jobs = [lambda cfg=cfg: _train_vanilla(data, cfg)[0]
             for cfg in spec.hyperparameter_grid]
     labels = [f"member{i}" for i in range(spec.member_count)]
     return _collect_survivors(jobs, labels)
@@ -193,14 +194,15 @@ def train_heterogeneous(train: Dataset, val: Dataset, spec: EnsembleSpec,
     consensus-trained members contribute head-averaged probabilities."""
     if spec.kind != "heterogeneous":
         raise ValidationError("spec.kind must be 'heterogeneous'")
+    data = Featurized.of(featurizer, train, val)
 
     def job(i: int, method: str):
         cfg = replace(spec.base_config, seed=spec.base_config.seed + i)
         if method == "vanilla":
-            return train_vanilla(train, val, cfg, featurizer)[0]
+            return _train_vanilla(data, cfg)[0]
         if method == "coteaching":
-            return train_coteaching(train, val, cfg, spec.coteach, featurizer)[0]
-        return train_ceta(train, val, cfg, spec.ceta, featurizer)[0]
+            return _train_coteaching(data, cfg, spec.coteach)[0]
+        return _train_ceta(data, cfg, spec.ceta)[0]
 
     jobs = [lambda i=i, m=m: job(i, m) for i, m in enumerate(spec.member_methods)]
     return _collect_survivors(jobs, list(spec.member_methods))
@@ -224,11 +226,12 @@ def train_boosting(train: Dataset, val: Dataset, spec: EnsembleSpec,
         raise ValidationError("spec.kind must be 'boosting'")
     seeds = spec.member_seeds or tuple(spec.seed + i
                                        for i in range(spec.member_count))
+    data = Featurized.of(featurizer, train, val)
 
     def job(member_seed: int):
         subset = boosting_subset(len(train), spec.subset_fraction, member_seed)
         cfg = replace(spec.base_config, seed=member_seed)
-        return train_vanilla(train.select(subset), val, cfg, featurizer)[0]
+        return _train_vanilla(data.rows(subset), cfg)[0]
 
     jobs = [lambda s=s: job(s) for s in seeds]
     return _collect_survivors(jobs, [f"seed{s}" for s in seeds])
@@ -255,12 +258,17 @@ def predict_ensemble(members: list[ModelParams], dataset: Dataset,
         if member.n_labels != k:
             raise ValidationError(
                 f"member {i} predicts {member.n_labels} labels, dataset has {k}")
-    x = featurize_dataset(featurizer, dataset)
+    return _predict_features(members, featurize_dataset(featurizer, dataset),
+                             dataset.observed())
+
+
+def _predict_features(members: list[ModelParams], x, y: np.ndarray
+                      ) -> tuple[float, EnsemblePredictions]:
     member_probs = np.stack([predict_probs(m, x, head="averaged")
                              for m in members])
     averaged = member_probs.mean(axis=0)
     predicted = averaged.argmax(axis=1)
-    accuracy = float(np.mean(predicted == dataset.observed()))
+    accuracy = float(np.mean(predicted == y))
     return accuracy, EnsemblePredictions(member_probs, averaged, predicted)
 
 

@@ -18,13 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .cleaning import CleanConfig, clean_dataset, retrain_on_cleaned, tune_threshold
+from .cleaning import CleanConfig, _clean_pass
 from .data import Dataset, SplitSpec, generate_synthetic_corpus, load_dataset, \
     split_dataset
-from .ensembles import COMPACT_GRID, EnsembleSpec, LARGE_MODEL_GRID, predict_ensemble, \
-    sample_grid_configs, train_boosting, train_heterogeneous, train_homogeneous
+from .ensembles import COMPACT_GRID, EnsembleSpec, LARGE_MODEL_GRID, \
+    _predict_features, sample_grid_configs, train_boosting, train_heterogeneous, \
+    train_homogeneous
 from .errors import MethodError, ValidationError
-from .model import Featurizer, TrainConfig, evaluate
+from .model import Featurizer, TrainConfig, evaluate_features, featurize_dataset
 from .noise import LabelRule, NoiseSpec, RuleLabeler, inject_annotation_noise, \
     inject_rule_noise, inject_uniform_noise, noise_level, noise_matrix
 from .presets import PRESET_NAMES, Preset, get_preset
@@ -166,14 +167,19 @@ class ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    return ExperimentConfig.from_dict(_read_json(path, "config"))
+
+
+def _read_json(path: str | Path, what: str):
+    """Parsed JSON file; a missing or malformed file raises ValidationError
+    naming `what` (say "config")."""
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"no such config file: {path}")
+    if not path.is_file():
+        raise ValidationError(f"no such {what} file: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config is not valid JSON: {exc}") from None
-    return ExperimentConfig.from_dict(raw)
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +325,23 @@ class ExperimentReport:
 
 
 def _run_method(cfg: ExperimentConfig, mat: _Materialized, train: Dataset,
-                val: Dataset, run_seed: int) -> dict:
-    """Train one method for one run and evaluate on the clean test split."""
+                val: Dataset, run_seed: int, x_test) -> dict:
+    """Train one method for one run and evaluate on the clean test split,
+    whose features x_test the caller computed once for all runs."""
     tcfg = replace(mat.train_cfg, seed=run_seed)
     feat = mat.featurizer
+    y_test = mat.test.observed()
     record: dict = {}
     if cfg.method == "vanilla":
         params, _ = train_vanilla(train, val, tcfg, feat)
-        accuracy = evaluate(params, mat.test, feat, head=0).accuracy
+        accuracy = evaluate_features(params, x_test, y_test, head=0).accuracy
     elif cfg.method == "coteaching":
         net1, _, _ = train_coteaching(train, val, tcfg, cfg.coteaching, feat)
-        accuracy = evaluate(net1, mat.test, feat, head=0).accuracy
+        accuracy = evaluate_features(net1, x_test, y_test, head=0).accuracy
     elif cfg.method == "ceta":
         params, _ = train_ceta(train, val, tcfg, cfg.ceta, feat)
-        accuracy = evaluate(params, mat.test, feat, head="averaged").accuracy
+        accuracy = evaluate_features(params, x_test, y_test,
+                                     head="averaged").accuracy
     elif cfg.method in ("hme", "hte", "boosting"):
         if cfg.method == "hme":
             grid = sample_grid_configs(cfg.ensemble.grid_lists(),
@@ -351,15 +360,15 @@ def _run_method(cfg: ExperimentConfig, mat: _Materialized, train: Dataset,
                                 subset_fraction=cfg.ensemble.subset_fraction,
                                 base_config=tcfg, seed=run_seed)
             members = train_boosting(train, val, spec, feat)
-        accuracy, _ = predict_ensemble(members, mat.test, feat)
+        accuracy, _ = _predict_features(members, x_test, y_test)
         record["n_members"] = len(members)
     elif cfg.method == "nc":
-        ccfg = replace(cfg.cleaning, seed=run_seed)
-        if ccfg.threshold is None:
-            threshold, _ = tune_threshold(train, val, ccfg, tcfg, feat)
-            ccfg = replace(ccfg, threshold=threshold)
-        cleaned, report = clean_dataset(train, ccfg, tcfg, feat, val)
-        _, accuracy = retrain_on_cleaned(cleaned, val, tcfg, feat, mat.test)
+        # same result as tune_threshold -> clean_dataset -> retrain_on_cleaned,
+        # with the held-out losses and the winner's training done once
+        cleaned, report, _, params = _clean_pass(
+            train, val, replace(cfg.cleaning, seed=run_seed), tcfg, feat,
+            retrain=True)
+        accuracy = evaluate_features(params, x_test, y_test, head=0).accuracy
         record.update({
             "threshold_used": report.threshold_used,
             "cleaned_size": len(cleaned),
@@ -379,20 +388,22 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute cfg.runs seeded repetitions and aggregate accuracy.
 
     Run r uses seed base_seed + r for training and for regenerating seeded
-    noise. A failing run is recorded (the report is marked partial) without
-    aborting the remaining runs.
+    noise. A run whose method fails (MethodError) is recorded and the report
+    marked partial, without aborting the remaining runs; any other exception
+    propagates. The test split is featurized once for all runs; a tuned nc
+    run trains the fold models and one model per threshold candidate (5 + 9
+    with the defaults) and reuses the winner as the retrained model.
     """
     started = time.perf_counter()
     mat = _materialize(cfg)
+    x_test = featurize_dataset(mat.featurizer, mat.test)
 
     def one_run(r: int) -> dict:
         run_seed = cfg.base_seed + r
         try:
             train, val = _apply_noise(mat, cfg, run_seed)
-            return _run_method(cfg, mat, train, val, run_seed)
-        except Exception as exc:  # noqa: BLE001 - reported per run
-            if isinstance(exc, (ValidationError, KeyboardInterrupt)):
-                raise
+            return _run_method(cfg, mat, train, val, run_seed, x_test)
+        except MethodError as exc:
             return {"seed": run_seed, "error": f"{type(exc).__name__}: {exc}"}
 
     per_run = run_indexed(one_run, range(cfg.runs))

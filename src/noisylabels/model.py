@@ -8,7 +8,6 @@ classifiers over a single encoder; vanilla training uses one head.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -333,15 +332,19 @@ def sgd_step(
 
 def apply_grads(params: ModelParams, grads: Grads, lr_effective: float,
                 weight_decay: float) -> None:
-    if not math.isfinite(float(grads.encoder.sum())):
+    """In-place SGD update with L2 decay on the weight matrices.
+
+    Every gradient is checked before any parameter changes, so a
+    DivergenceError leaves params untouched.
+    """
+    arrays = [grads.encoder] + [a for pair in grads.heads.values() for a in pair]
+    if not all(np.isfinite(a).all() for a in arrays):
         raise DivergenceError("non-finite gradients; reduce the learning rate")
     decay = 1.0 - lr_effective * weight_decay
     params.encoder -= lr_effective * grads.encoder
     if weight_decay:
         params.encoder *= decay
     for head, (dw, db) in grads.heads.items():
-        if not (np.isfinite(dw).all() and np.isfinite(db).all()):
-            raise DivergenceError("non-finite gradients; reduce the learning rate")
         h = params.heads[head]
         h.weights -= lr_effective * dw
         h.bias -= lr_effective * db

@@ -16,9 +16,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from scipy import sparse
+
 from .data import Dataset
 from .errors import ConsensusCollapseError, ValidationError
-from scipy.sparse import issparse as sparse_issparse
 
 from .model import (
     Featurizer,
@@ -93,11 +94,40 @@ class _Batcher:
         return self._queue.pop()
 
 
-def _check_label_sets(train: Dataset, val: Dataset) -> None:
-    if train.label_set.names != val.label_set.names:
-        raise ValidationError("train and validation label sets differ")
-    if len(train) == 0 or len(val) == 0:
-        raise ValidationError("train and validation sets must be non-empty")
+@dataclass(frozen=True, eq=False)
+class Featurized:
+    """Train and validation splits as feature rows plus observed labels.
+
+    Noise only rewrites labels, so a split is featurized once and every
+    subset a caller trains on (a fold complement, a cleaned set, a boosting
+    subset) is a row slice of it. CSR row slicing keeps each row's indices,
+    values and order, so a slice trains exactly like the featurized subset.
+    """
+
+    featurizer: Featurizer
+    x: sparse.csr_array
+    y: np.ndarray
+    x_val: sparse.csr_array
+    y_val: np.ndarray
+    n_labels: int
+
+    @classmethod
+    def of(cls, featurizer: Featurizer, train: Dataset, val: Dataset
+           ) -> "Featurized":
+        if train.label_set.names != val.label_set.names:
+            raise ValidationError("train and validation label sets differ")
+        if len(train) == 0 or len(val) == 0:
+            raise ValidationError("train and validation sets must be non-empty")
+        return cls(featurizer, featurize_dataset(featurizer, train),
+                   train.observed(), featurize_dataset(featurizer, val),
+                   val.observed(), len(train.label_set))
+
+    def rows(self, idx: np.ndarray) -> "Featurized":
+        """The training rows at idx, in that order; validation unchanged."""
+        return replace(self, x=self.x[idx], y=self.y[idx])
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
 
 
 def history_to_csv(history: list[dict]) -> str:
@@ -124,15 +154,16 @@ def train_vanilla(train: Dataset, val: Dataset, cfg: TrainConfig,
     Returns the parameter snapshot with the best validation accuracy seen,
     plus a per-step history of batch losses and evaluation results.
     """
-    _check_label_sets(train, val)
+    return _train_vanilla(Featurized.of(featurizer, train, val), cfg)
+
+
+def _train_vanilla(data: Featurized, cfg: TrainConfig
+                   ) -> tuple[ModelParams, list[dict]]:
     init_seed = cfg.seed if cfg.init_seed is None else cfg.init_seed
-    params = init_params(featurizer, len(train.label_set), cfg.hidden_size,
+    params = init_params(data.featurizer, data.n_labels, cfg.hidden_size,
                          n_heads=1, drop_rate=cfg.drop_rate, seed=init_seed)
-    x_train = featurize_dataset(featurizer, train)
-    y_train = train.observed()
-    x_val = featurize_dataset(featurizer, val)
-    y_val = val.observed()
-    batcher = _Batcher(len(train), cfg.batch_size, derive_rng(cfg.seed, "batches"))
+    x_train, y_train, x_val, y_val = data.x, data.y, data.x_val, data.y_val
+    batcher = _Batcher(len(data), cfg.batch_size, derive_rng(cfg.seed, "batches"))
     dropout_rng = derive_rng(init_seed, "dropout")
 
     state = EarlyStopState()
@@ -199,18 +230,18 @@ def train_coteaching(
     kept set. Early stopping watches network 1's validation accuracy; both
     networks' best snapshots are returned.
     """
-    _check_label_sets(train, val)
+    return _train_coteaching(Featurized.of(featurizer, train, val), cfg, sched)
+
+
+def _train_coteaching(data: Featurized, cfg: TrainConfig, sched: CoteachSchedule
+                      ) -> tuple[ModelParams, ModelParams, list[dict]]:
     init1 = cfg.seed if cfg.init_seed is None else cfg.init_seed
     init2 = coteach_net2_init_seed(cfg)
-    k_labels = len(train.label_set)
-    nets = [init_params(featurizer, k_labels, cfg.hidden_size, 1,
+    nets = [init_params(data.featurizer, data.n_labels, cfg.hidden_size, 1,
                         cfg.drop_rate, seed=s) for s in (init1, init2)]
     dropout = [derive_rng(s, "dropout") for s in (init1, init2)]
-    x_train = featurize_dataset(featurizer, train)
-    y_train = train.observed()
-    x_val = featurize_dataset(featurizer, val)
-    y_val = val.observed()
-    batcher = _Batcher(len(train), cfg.batch_size, derive_rng(cfg.seed, "batches"))
+    x_train, y_train, x_val, y_val = data.x, data.y, data.x_val, data.y_val
+    batcher = _Batcher(len(data), cfg.batch_size, derive_rng(cfg.seed, "batches"))
 
     state = EarlyStopState()
     history: list[dict] = []
@@ -351,7 +382,7 @@ def ceta_batch_objective(params: ModelParams, x, y: np.ndarray, ceta: CetaConfig
         d_hidden_raw += d_h if scales[h] is None else d_h * scales[h]
     d_pre = d_hidden_raw * (pre > 0.0)
     d_encoder = x.T @ d_pre
-    if sparse_issparse(d_encoder):
+    if sparse.issparse(d_encoder):
         d_encoder = d_encoder.toarray()
     grads = Grads(np.asarray(d_encoder), head_grads)
     return loss, grads, consensus, float(tv.mean())
@@ -368,18 +399,21 @@ def train_ceta(
     consensus for an entire epoch. initial_params overrides the seeded
     init (used to study head-initialization effects).
     """
-    _check_label_sets(train, val)
+    return _train_ceta(Featurized.of(featurizer, train, val), cfg, ceta,
+                       initial_params)
+
+
+def _train_ceta(data: Featurized, cfg: TrainConfig, ceta: CetaConfig,
+                initial_params: ModelParams | None = None
+                ) -> tuple[ModelParams, list[dict]]:
     init_seed = cfg.seed if cfg.init_seed is None else cfg.init_seed
     if initial_params is None:
-        params = init_params(featurizer, len(train.label_set), cfg.hidden_size,
+        params = init_params(data.featurizer, data.n_labels, cfg.hidden_size,
                              n_heads=2, drop_rate=cfg.drop_rate, seed=init_seed)
     else:
         params = initial_params.copy()
-    x_train = featurize_dataset(featurizer, train)
-    y_train = train.observed()
-    x_val = featurize_dataset(featurizer, val)
-    y_val = val.observed()
-    batcher = _Batcher(len(train), cfg.batch_size, derive_rng(cfg.seed, "batches"))
+    x_train, y_train, x_val, y_val = data.x, data.y, data.x_val, data.y_val
+    batcher = _Batcher(len(data), cfg.batch_size, derive_rng(cfg.seed, "batches"))
     dropout_rng = derive_rng(init_seed, "dropout")
 
     state = EarlyStopState()

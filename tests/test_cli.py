@@ -1,10 +1,14 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+from noisylabels import clean_dataset, save_dataset, tune_threshold
 from noisylabels.cli import main
+from noisylabels.harness import _apply_noise, _materialize, load_config, \
+    noise_matrices_csv, threshold_sweep_csv
 
 
 def write_config(path, **overrides):
@@ -49,6 +53,79 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["noise", "--in", str(missing), "--kind", "uniform_random",
                      "--out", str(tmp_path / "x.jsonl")]) == 1
+
+
+CONFIG_COMMANDS = ("train", "ensemble", "clean", "compare", "plotdata")
+
+
+class TestConfigFileErrors:
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # plotdata makes its default out dir
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_missing_config_is_one(self, tmp_path, capsys, command):
+        missing = tmp_path / "nope.json"
+        assert main([command, "--config", str(missing)]) == 1
+        assert capsys.readouterr().err.startswith("error: no such config file")
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_invalid_json_is_one(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"method": "vanilla",', encoding="utf-8")
+        assert main([command, "--config", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: config is not valid JSON")
+
+
+def reference_cleaning(cfg_path, out_dir, clean=True):
+    """The clean/plotdata outputs as composed from tune_threshold and
+    clean_dataset, each computing its own held-out losses."""
+    cfg = load_config(cfg_path)
+    mat = _materialize(cfg)
+    train, val = _apply_noise(mat, cfg, cfg.base_seed)
+    ccfg = replace(cfg.cleaning, seed=cfg.base_seed)
+    tcfg = replace(mat.train_cfg, seed=cfg.base_seed)
+    out_dir.mkdir()
+    threshold, diagnostics = tune_threshold(train, val, ccfg, tcfg,
+                                            mat.featurizer)
+    (out_dir / "threshold_sweep.csv").write_text(
+        threshold_sweep_csv(diagnostics), encoding="utf-8")
+    cleaned, report = clean_dataset(train, replace(ccfg, threshold=threshold),
+                                    tcfg, mat.featurizer, val)
+    (out_dir / "noise_matrices.csv").write_text(
+        noise_matrices_csv(train, cleaned), encoding="utf-8")
+    if clean:
+        save_dataset(cleaned, out_dir / "cleaned.jsonl", "jsonl")
+        report.save(out_dir / "cleaning_report.json")
+
+
+class TestOnePassCleaning:
+    @pytest.fixture()
+    def cfg(self, tmp_path):
+        return write_config(tmp_path / "cfg.json", method="nc",
+                            cleaning={"folds": 3,
+                                      "tuning_quantiles": [0.4, 0.6, 0.9]})
+
+    @staticmethod
+    def files(directory):
+        return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+    def test_clean_outputs_match_composition(self, tmp_path, cfg):
+        assert main(["clean", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "cli")]) == 0
+        reference_cleaning(cfg, tmp_path / "ref")
+        cli = self.files(tmp_path / "cli")
+        assert set(cli) == {"threshold_sweep.csv", "cleaning_report.json",
+                            "cleaned.jsonl", "labels.txt", "noise_matrices.csv"}
+        assert cli == self.files(tmp_path / "ref")
+
+    def test_plotdata_outputs_match_composition(self, tmp_path, cfg):
+        assert main(["plotdata", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "cli")]) == 0
+        reference_cleaning(cfg, tmp_path / "ref", clean=False)
+        cli = self.files(tmp_path / "cli")
+        assert set(cli) == {"threshold_sweep.csv", "noise_matrices.csv"}
+        assert cli == self.files(tmp_path / "ref")
 
 
 class TestPipelines:

@@ -18,8 +18,11 @@ from noisylabels import (
     split_dataset,
     threshold_sweep_csv,
 )
+from noisylabels import DivergenceError, clean_dataset, retrain_on_cleaned, \
+    tune_threshold
+from noisylabels import harness
 from noisylabels.cleaning import ThresholdDiagnostic
-from noisylabels.harness import _noise_label
+from noisylabels.harness import _apply_noise, _materialize, _noise_label
 
 
 def base_config(method="vanilla", **overrides):
@@ -81,6 +84,64 @@ class TestRunExperiment:
         assert {"threshold_used", "cleaned_size", "noise_before",
                 "noise_after"} <= set(run)
         assert run["cleaned_size"] > 0
+
+    def test_tuned_nc_matches_public_composition(self):
+        # the harness cleans in one pass and keeps the winning candidate's
+        # model; it must agree with tuning, cleaning and retraining apart
+        cfg = base_config(method="nc", runs=1,
+                          cleaning={"folds": 3,
+                                    "tuning_quantiles": [0.5, 0.7, 0.9]})
+        run = run_experiment(cfg).per_run[0]
+        mat = _materialize(cfg)
+        train, val = _apply_noise(mat, cfg, cfg.base_seed)
+        ccfg = replace(cfg.cleaning, seed=cfg.base_seed)
+        tcfg = replace(mat.train_cfg, seed=cfg.base_seed)
+        threshold, _ = tune_threshold(train, val, ccfg, tcfg, mat.featurizer)
+        cleaned, report = clean_dataset(train, replace(ccfg, threshold=threshold),
+                                        tcfg, mat.featurizer, val)
+        _, accuracy = retrain_on_cleaned(cleaned, val, tcfg, mat.featurizer,
+                                         mat.test)
+        assert run == {"threshold_used": threshold,
+                       "cleaned_size": len(cleaned),
+                       "noise_before": report.noise_before,
+                       "noise_after": report.noise_after,
+                       "accuracy": accuracy,
+                       "seed": cfg.base_seed,
+                       "train_noise_level": report.noise_before}
+
+    @pytest.mark.parametrize("method, extra", [
+        ("nc", {"cleaning": {"folds": 3, "tuning_quantiles": [0.5, 0.7, 0.9]}}),
+        ("hme", {"ensemble": {"members": 3}}),
+    ])
+    def test_reports_identical_across_worker_counts(self, monkeypatch, method,
+                                                    extra):
+        cfg = base_config(method=method, **extra)
+        reports = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("NOISYLABELS_WORKERS", workers)
+            reports.append(run_experiment(cfg).to_json())
+        assert reports[0] == reports[1]
+
+    def test_only_method_errors_become_failed_runs(self, monkeypatch):
+        def diverge_on_seed_3(train, val, cfg, featurizer):
+            if cfg.seed == 3:
+                raise DivergenceError("diverged")
+            return real(train, val, cfg, featurizer)
+
+        real = harness.train_vanilla
+        monkeypatch.setattr(harness, "train_vanilla", diverge_on_seed_3)
+        report = run_experiment(base_config())
+        assert report.partial
+        assert report.per_run[0] == {"seed": 3,
+                                     "error": "DivergenceError: diverged"}
+        assert "accuracy" in report.per_run[1]
+
+        def buggy(train, val, cfg, featurizer):
+            raise TypeError("a bug, not a method failure")
+
+        monkeypatch.setattr(harness, "train_vanilla", buggy)
+        with pytest.raises(TypeError, match="a bug"):
+            run_experiment(base_config())
 
     def test_ensemble_methods_run(self):
         for method, extra in (("hme", {"ensemble": {"members": 2}}),

@@ -15,7 +15,9 @@ from noisylabels import (
     save_model,
     sgd_step,
 )
-from noisylabels.model import evaluate_features, mean_ce_and_grads, predict_probs
+from noisylabels import DivergenceError
+from noisylabels.model import Grads, apply_grads, evaluate_features, \
+    mean_ce_and_grads, predict_probs
 
 
 def numeric_gradient(fn, array, index, h=1e-5):
@@ -61,6 +63,20 @@ class TestFeaturizer:
     def test_hash_dim_power_of_two(self):
         with pytest.raises(ValidationError):
             Featurizer(hash_dim=1000)
+
+    def test_subset_equals_row_slice(self, tiny_featurizer):
+        # trainers featurize a split once and slice rows for every subset,
+        # so the slice must match featurizing the subset, array for array
+        texts = ["alpha beta beta", "", "Gamma delta alpha", "epsilon",
+                 "zeta eta theta iota", "alpha"]
+        full = featurize_texts(tiny_featurizer, texts)
+        for idx in ([0, 2, 5], [4, 1, 3], [5], [1]):
+            sliced = full[np.array(idx)]
+            direct = featurize_texts(tiny_featurizer, [texts[i] for i in idx])
+            assert sliced.shape == direct.shape
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(sliced, attr),
+                                      getattr(direct, attr)), attr
 
     def test_hash_seed_changes_indices(self):
         a = featurize(Featurizer(hash_dim=2**12, hash_seed=0), "alpha beta gamma")
@@ -199,6 +215,35 @@ class TestGradients:
             head_norms.append(np.linalg.norm(params.heads[0].weights))
         assert all(b < a for a, b in zip(norms, norms[1:]))
         assert all(b < a for a, b in zip(head_norms, head_norms[1:]))
+
+
+class TestApplyGrads:
+    @staticmethod
+    def setup_params():
+        feat = Featurizer(hash_dim=64, hash_seed=0)
+        params = init_params(feat, n_labels=3, hidden_size=4, seed=2)
+        grads = Grads(np.ones_like(params.encoder),
+                      {0: (np.ones_like(params.heads[0].weights),
+                           np.ones_like(params.heads[0].bias))})
+        return params, grads
+
+    def test_non_finite_head_gradient_changes_nothing(self):
+        params, grads = self.setup_params()
+        before = params.copy()
+        grads.heads[0][0][1, 2] = np.nan
+        with pytest.raises(DivergenceError):
+            apply_grads(params, grads, 0.1, 1e-4)
+        assert np.array_equal(params.encoder, before.encoder)
+        assert np.array_equal(params.heads[0].weights, before.heads[0].weights)
+        assert np.array_equal(params.heads[0].bias, before.heads[0].bias)
+
+    def test_finite_gradients_whose_sum_overflows_apply(self):
+        params, grads = self.setup_params()
+        grads.encoder[:] = 1e308  # finite everywhere; the sum is inf
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(grads.encoder.sum())
+        apply_grads(params, grads, 1e-300, 0.0)
+        assert np.isfinite(params.encoder).all()
 
 
 class TestEvaluate:
