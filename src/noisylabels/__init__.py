@@ -56,16 +56,12 @@ from .model import (
     ModelParams,
     TrainConfig,
     evaluate,
-    featurize,
     featurize_dataset,
     featurize_texts,
     init_params,
-    instance_loss,
     instance_losses,
-    forward,
     load_model,
     save_model,
-    sgd_step,
 )
 from .noise import (
     LabelRule,

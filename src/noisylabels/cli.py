@@ -19,8 +19,8 @@ from .errors import NoisyLabelsError, ValidationError
 from .harness import ExperimentConfig, _apply_noise, _build_labeler, _materialize, \
     _read_json, compare_methods, noise_matrices_csv, run_experiment, \
     threshold_sweep_csv
-from .noise import NoiseSpec, RuleLabeler, inject_annotation_noise, \
-    inject_rule_noise, inject_uniform_noise, noise_level, noise_matrix
+from .noise import inject_annotation_noise, inject_rule_noise, \
+    inject_uniform_noise, noise_level, noise_matrix
 from .presets import PRESET_NAMES, get_preset
 
 
@@ -84,8 +84,11 @@ def _load_cli_config(args) -> tuple[ExperimentConfig, dict]:
     return cfg, raw
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args, ensemble_only: bool = False) -> int:
     cfg, raw = _load_cli_config(args)
+    if ensemble_only and cfg.method not in ("hme", "hte", "boosting"):
+        raise ValidationError("ensemble subcommand needs method hme, hte or "
+                              f"boosting (got {cfg.method!r})")
     report = run_experiment(cfg)
     out = args.out or raw.get("output")
     if out:
@@ -95,16 +98,23 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_clean(args) -> int:
+def _clean_from_config(args, **cleaning):
+    """The config's raw JSON, its noised train split, and one cleaning pass
+    over that split with the config's cleaning section updated by cleaning."""
     cfg, raw = _load_cli_config(args)
     mat = _materialize(cfg)
     train, val = _apply_noise(mat, cfg, cfg.base_seed)
-    ccfg = replace(cfg.cleaning, seed=cfg.base_seed)
+    ccfg = replace(cfg.cleaning, seed=cfg.base_seed, **cleaning)
     tcfg = replace(mat.train_cfg, seed=cfg.base_seed)
-    out_dir = Path(args.out_dir or raw.get("output") or "cleaning_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
     cleaned, report, diagnostics, _ = _clean_pass(train, val, ccfg, tcfg,
                                                   mat.featurizer)
+    return raw, train, cleaned, report, diagnostics
+
+
+def _cmd_clean(args) -> int:
+    raw, train, cleaned, report, diagnostics = _clean_from_config(args)
+    out_dir = Path(args.out_dir or raw.get("output") or "cleaning_out")
+    out_dir.mkdir(parents=True, exist_ok=True)
     if diagnostics is not None:
         (out_dir / "threshold_sweep.csv").write_text(
             threshold_sweep_csv(diagnostics), encoding="utf-8")
@@ -120,28 +130,20 @@ def _cmd_clean(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
-    cfg, raw = _load_cli_config(args)
-    if cfg.method not in ("hme", "hte", "boosting"):
-        raise ValidationError("ensemble subcommand needs method hme, hte or "
-                              f"boosting (got {cfg.method!r})")
-    report = run_experiment(cfg)
-    out = args.out or raw.get("output")
-    if out:
-        report.save(out)
-        print(f"report written to {out}")
-    print(_report_summary(report))
-    return 0
+    return _cmd_train(args, ensemble_only=True)
 
 
 def _cmd_compare(args) -> int:
     raw = _read_json(args.config, "config")
     if not isinstance(raw, dict):
         raise ValidationError("config root must be a JSON object")
-    if "experiments" not in raw or not isinstance(raw["experiments"], list):
-        raise ValidationError("compare config needs an 'experiments' list")
+    experiments = raw.get("experiments")
+    if not isinstance(experiments, list) \
+            or not all(isinstance(exp, dict) for exp in experiments):
+        raise ValidationError("compare config needs an 'experiments' list of "
+                              "objects")
     shared = {k: v for k, v in raw.items() if k not in ("experiments", "output")}
-    cfgs = [ExperimentConfig.from_dict({**shared, **exp})
-            for exp in raw["experiments"]]
+    cfgs = [ExperimentConfig.from_dict({**shared, **exp}) for exp in experiments]
     table, _ = compare_methods(cfgs, include_clean_baseline=not args.no_clean_row)
     out = args.out or raw.get("output")
     if out:
@@ -151,38 +153,42 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _accuracy_runs_csv(report) -> str:
+    per_run = report.get("per_run", []) if isinstance(report, dict) else None
+    if not isinstance(per_run, list) \
+            or not all(isinstance(run, dict) for run in per_run):
+        raise ValidationError("report must be an object with a 'per_run' list "
+                              "of objects")
+    lines = ["run,seed,accuracy"]
+    for i, run in enumerate(per_run):
+        if "accuracy" in run:
+            if "seed" not in run:
+                raise ValidationError(f"report run {i} has an accuracy but no seed")
+            lines.append(f"{i},{run['seed']},{run['accuracy']!r}")
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_plotdata(args) -> int:
+    if not (args.config or args.report):
+        raise ValidationError("plotdata needs --config and/or --report")
+    # every input is read and checked before the output directory exists
+    accuracy_runs = (_accuracy_runs_csv(_read_json(args.report, "report"))
+                     if args.report else None)
+    outputs = {}
+    if args.config:
+        # the sweep is always tuned, even when the config fixes a threshold
+        _, train, cleaned, _, diagnostics = _clean_from_config(args,
+                                                               threshold=None)
+        outputs["threshold_sweep.csv"] = threshold_sweep_csv(diagnostics)
+        if train.has_gold():
+            outputs["noise_matrices.csv"] = noise_matrices_csv(train, cleaned)
+    if accuracy_runs is not None:
+        outputs["accuracy_runs.csv"] = accuracy_runs
     out_dir = Path(args.out_dir or "plot_data")
     out_dir.mkdir(parents=True, exist_ok=True)
-    wrote = []
-    if args.config:
-        cfg, _ = _load_cli_config(args)
-        mat = _materialize(cfg)
-        train, val = _apply_noise(mat, cfg, cfg.base_seed)
-        # the sweep is always tuned, even when the config fixes a threshold
-        ccfg = replace(cfg.cleaning, seed=cfg.base_seed, threshold=None)
-        tcfg = replace(mat.train_cfg, seed=cfg.base_seed)
-        cleaned, _, diagnostics, _ = _clean_pass(train, val, ccfg, tcfg,
-                                                 mat.featurizer)
-        (out_dir / "threshold_sweep.csv").write_text(
-            threshold_sweep_csv(diagnostics), encoding="utf-8")
-        wrote.append("threshold_sweep.csv")
-        if train.has_gold():
-            (out_dir / "noise_matrices.csv").write_text(
-                noise_matrices_csv(train, cleaned), encoding="utf-8")
-            wrote.append("noise_matrices.csv")
-    if args.report:
-        payload = _read_json(args.report, "report")
-        lines = ["run,seed,accuracy"]
-        for i, run in enumerate(payload.get("per_run", [])):
-            if "accuracy" in run:
-                lines.append(f"{i},{run['seed']},{run['accuracy']!r}")
-        (out_dir / "accuracy_runs.csv").write_text("\n".join(lines) + "\n",
-                                                   encoding="utf-8")
-        wrote.append("accuracy_runs.csv")
-    if not wrote:
-        raise ValidationError("plotdata needs --config and/or --report")
-    print(f"wrote {', '.join(wrote)} to {out_dir}")
+    for name, text in outputs.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+    print(f"wrote {', '.join(outputs)} to {out_dir}")
     return 0
 
 

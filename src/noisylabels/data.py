@@ -7,8 +7,7 @@ Dataset, so they are safe to share across concurrent training runs.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 

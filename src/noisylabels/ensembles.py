@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,6 @@ from .model import (
     Featurizer,
     ModelParams,
     TrainConfig,
-    evaluate_features,
     featurize_dataset,
     load_model,
     predict_probs,

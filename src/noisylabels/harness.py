@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .ensembles import COMPACT_GRID, EnsembleSpec, LARGE_MODEL_GRID, \
     train_homogeneous
 from .errors import MethodError, ValidationError
 from .model import Featurizer, TrainConfig, evaluate_features, featurize_dataset
-from .noise import LabelRule, NoiseSpec, RuleLabeler, inject_annotation_noise, \
+from .noise import LabelRule, RuleLabeler, inject_annotation_noise, \
     inject_rule_noise, inject_uniform_noise, noise_level, noise_matrix
 from .presets import PRESET_NAMES, Preset, get_preset
 from .training import CetaConfig, CoteachSchedule, train_ceta, train_coteaching, \

@@ -8,7 +8,7 @@ classifiers over a single encoder; vanilla training uses one head.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +48,6 @@ class Featurizer:
                 gram = f"{order}:" + " ".join(tokens[i:i + order])
                 out.append(stable_hash(gram, self.hash_seed) % self.hash_dim)
         return out
-
-
-def featurize(featurizer: Featurizer, text: str) -> sparse.csr_array:
-    """One text as a 1 x hash_dim sparse row (empty text -> zero vector)."""
-    return featurize_texts(featurizer, [text])
 
 
 def featurize_texts(featurizer: Featurizer, texts: list[str]) -> sparse.csr_array:
@@ -145,10 +140,6 @@ class ModelParams:
     def n_labels(self) -> int:
         return self.heads[0].bias.shape[0]
 
-    @property
-    def hidden_size(self) -> int:
-        return self.encoder.shape[1]
-
     def copy(self) -> "ModelParams":
         return ModelParams(self.encoder.copy(), [h.copy() for h in self.heads],
                            self.drop_rate)
@@ -204,19 +195,23 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _encode(params: ModelParams, x: sparse.csr_array, train_mode: bool,
-            rng: np.random.Generator | None):
-    """Hidden activations and the dropout scale actually applied."""
+def _encode(params: ModelParams, x: sparse.csr_array):
+    """Pre-activations and their ReLU, before any dropout."""
     pre = x @ params.encoder
-    hidden = np.maximum(pre, 0.0)
-    scale = None
-    if train_mode and params.drop_rate > 0.0:
-        if rng is None:
-            raise ValidationError("train-mode forward with dropout needs an rng")
-        keep = 1.0 - params.drop_rate
-        scale = (rng.random(hidden.shape) < keep) / keep
-        hidden = hidden * scale
-    return pre, hidden, scale
+    return pre, np.maximum(pre, 0.0)
+
+
+def _dropout_scales(params: ModelParams, shape: tuple[int, ...], n: int,
+                    train_mode: bool, rng: np.random.Generator | None
+                    ) -> list[np.ndarray | None]:
+    """n independent inverted-dropout scales drawn in order from rng, or n
+    Nones when no dropout applies (evaluation mode or drop_rate 0)."""
+    if not train_mode or params.drop_rate <= 0.0:
+        return [None] * n
+    if rng is None:
+        raise ValidationError("train-mode forward with dropout needs an rng")
+    keep = 1.0 - params.drop_rate
+    return [(rng.random(shape) < keep) / keep for _ in range(n)]
 
 
 def _head_logits(params: ModelParams, hidden: np.ndarray, head: int) -> np.ndarray:
@@ -226,27 +221,13 @@ def _head_logits(params: ModelParams, hidden: np.ndarray, head: int) -> np.ndarr
     return hidden @ h.weights + h.bias
 
 
-def forward(params: ModelParams, x: sparse.csr_array, head: int = 0,
-            train_mode: bool = False,
-            rng: np.random.Generator | None = None) -> np.ndarray:
-    """Class probabilities, one row per input row; rows sum to 1."""
-    params.check_finite()
-    _, hidden, _ = _encode(params, x, train_mode, rng)
-    return _softmax(_head_logits(params, hidden, head))
-
-
 def instance_losses(params: ModelParams, x: sparse.csr_array, y: np.ndarray,
                     head: int = 0) -> np.ndarray:
     """Per-row cross-entropy -log p(y), computed in evaluation mode."""
-    _, hidden, _ = _encode(params, x, train_mode=False, rng=None)
+    _, hidden = _encode(params, x)
     logp = _log_softmax(_head_logits(params, hidden, head))
     y = np.asarray(y, dtype=np.int64)
     return -logp[np.arange(x.shape[0]), y]
-
-
-def instance_loss(params: ModelParams, x: sparse.csr_array, y: int,
-                  head: int = 0) -> float:
-    return float(instance_losses(params, x, np.array([y]), head)[0])
 
 
 @dataclass
@@ -259,25 +240,26 @@ def backward_from_logit_grads(
     params: ModelParams,
     x: sparse.csr_array,
     pre: np.ndarray,
-    scale: np.ndarray | None,
+    scales: list[np.ndarray | None],
     logit_grads: dict[int, np.ndarray],
 ) -> Grads:
     """Map d(loss)/d(logits) per head back to parameter gradients.
 
-    `pre` and `scale` must come from the _encode call that produced the
-    logits, so dropout is treated consistently between loss and gradient.
+    `pre` must come from the _encode call that produced the logits, and
+    scales[head] is the dropout scale that head's hidden layer was
+    multiplied by (None for none), so dropout is treated consistently
+    between loss and gradient.
     """
     hidden = np.maximum(pre, 0.0)
-    if scale is not None:
-        hidden = hidden * scale
     d_hidden = np.zeros_like(hidden)
     head_grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for head, g in logit_grads.items():
+        scale = scales[head]
         h = params.heads[head]
-        head_grads[head] = (hidden.T @ g, g.sum(axis=0))
-        d_hidden += g @ h.weights.T
-    if scale is not None:
-        d_hidden = d_hidden * scale
+        head_hidden = hidden if scale is None else hidden * scale
+        head_grads[head] = (head_hidden.T @ g, g.sum(axis=0))
+        d_head = g @ h.weights.T
+        d_hidden += d_head if scale is None else d_head * scale
     d_pre = d_hidden * (pre > 0.0)
     d_encoder = (x.T @ d_pre)
     if sparse.issparse(d_encoder):  # stays sparse when d_pre is all zeros
@@ -289,45 +271,25 @@ def mean_ce_and_grads(params: ModelParams, x: sparse.csr_array, y: np.ndarray,
                       heads: list[int], scale_rng: np.random.Generator | None = None,
                       train_mode: bool = False) -> tuple[float, Grads]:
     """Mean cross-entropy over the batch, summed across the given heads,
-    with its exact gradient. Used by sgd_step and by gradient tests."""
+    with its exact gradient. In train mode one dropout mask, drawn from
+    scale_rng, is shared by all heads."""
     y = np.asarray(y, dtype=np.int64)
     b = x.shape[0]
-    pre, hidden, scale = _encode(params, x, train_mode, scale_rng)
+    pre, hidden = _encode(params, x)
+    [scale] = _dropout_scales(params, pre.shape, 1, train_mode, scale_rng)
+    if scale is not None:
+        hidden = hidden * scale
     onehot_rows = np.arange(b)
     total = 0.0
     logit_grads = {}
     for head in heads:
-        logits = _head_logits(params, hidden, head)
-        logp = _log_softmax(logits)
+        logp = _log_softmax(_head_logits(params, hidden, head))
         total += float(-logp[onehot_rows, y].mean())
         g = np.exp(logp)
         g[onehot_rows, y] -= 1.0
         logit_grads[head] = g / b
-    return total, backward_from_logit_grads(params, x, pre, scale, logit_grads)
-
-
-def sgd_step(
-    params: ModelParams,
-    x: sparse.csr_array,
-    y: np.ndarray,
-    head: int | str = 0,
-    lr_effective: float = 0.1,
-    weight_decay: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> ModelParams:
-    """One in-place SGD step on mean batch cross-entropy plus L2 weight decay.
-
-    head may be an index or "all". Weight decay shrinks the weight matrices
-    that were updated (never biases). Raises DivergenceError on non-finite
-    gradients.
-    """
-    if x.shape[0] == 0:
-        raise ValidationError("sgd_step needs a non-empty batch")
-    heads = list(range(params.n_heads)) if head == "all" else [int(head)]
-    loss, grads = mean_ce_and_grads(params, x, y, heads, scale_rng=rng,
-                                    train_mode=True)
-    apply_grads(params, grads, lr_effective, weight_decay)
-    return params
+    return total, backward_from_logit_grads(params, x, pre,
+                                            [scale] * params.n_heads, logit_grads)
 
 
 def apply_grads(params: ModelParams, grads: Grads, lr_effective: float,
@@ -335,13 +297,16 @@ def apply_grads(params: ModelParams, grads: Grads, lr_effective: float,
     """In-place SGD update with L2 decay on the weight matrices.
 
     Every gradient is checked before any parameter changes, so a
-    DivergenceError leaves params untouched.
+    DivergenceError leaves params untouched. The update consumes grads:
+    grads.encoder is scaled by lr_effective in place, which gives the same
+    bits as a scaled copy without allocating one per step.
     """
     arrays = [grads.encoder] + [a for pair in grads.heads.values() for a in pair]
     if not all(np.isfinite(a).all() for a in arrays):
         raise DivergenceError("non-finite gradients; reduce the learning rate")
     decay = 1.0 - lr_effective * weight_decay
-    params.encoder -= lr_effective * grads.encoder
+    grads.encoder *= lr_effective
+    params.encoder -= grads.encoder
     if weight_decay:
         params.encoder *= decay
     for head, (dw, db) in grads.heads.items():
@@ -368,7 +333,7 @@ def predict_probs(params: ModelParams, x: sparse.csr_array,
                   head: int | str = "averaged") -> np.ndarray:
     """Evaluation-mode probabilities; "averaged" means the head mean."""
     params.check_finite()
-    _, hidden, _ = _encode(params, x, train_mode=False, rng=None)
+    _, hidden = _encode(params, x)
     if head == "averaged":
         probs = [_softmax(_head_logits(params, hidden, h))
                  for h in range(params.n_heads)]

@@ -18,7 +18,7 @@ way gazetteers are built from topic word lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .data import Dataset, SplitSpec, generate_synthetic_corpus, split_dataset, \
     synthetic_class_vocabularies

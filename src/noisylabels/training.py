@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -23,10 +24,11 @@ from .errors import ConsensusCollapseError, ValidationError
 
 from .model import (
     Featurizer,
-    Grads,
     ModelParams,
     TrainConfig,
     apply_grads,
+    backward_from_logit_grads,
+    _dropout_scales,
     _encode,
     _head_logits,
     _log_softmax,
@@ -142,6 +144,37 @@ def history_to_csv(history: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _init_seed(cfg: TrainConfig) -> int:
+    return cfg.seed if cfg.init_seed is None else cfg.init_seed
+
+
+def _train_loop(data: Featurized, cfg: TrainConfig, nets: list[ModelParams],
+                step_fn: Callable[[int, np.ndarray, int], dict],
+                eval_head: int | str) -> tuple[tuple[ModelParams, ...], list[dict]]:
+    """The minibatch loop every trainer runs.
+
+    step_fn(step, batch, steps_per_epoch) updates nets on one batch of row
+    indexes and returns that step's history row. Every cfg.eval_every steps,
+    and at the last step, the loop scores nets[0] on the validation split,
+    snapshots all nets on improvement and stops after cfg.patience
+    evaluations without one. Returns the best snapshots and the history.
+    """
+    batcher = _Batcher(len(data), cfg.batch_size, derive_rng(cfg.seed, "batches"))
+    state = EarlyStopState()
+    history: list[dict] = []
+    for step in range(1, cfg.steps + 1):
+        row = step_fn(step, batcher.next(), batcher.steps_per_epoch)
+        history.append(row)
+        if step % cfg.eval_every == 0 or step == cfg.steps:
+            acc = evaluate_features(nets[0], data.x_val, data.y_val,
+                                    head=eval_head).accuracy
+            state.update(acc, *nets)
+            row["val_accuracy"] = acc
+            if state.should_stop(cfg.patience):
+                break
+    return state.best_snapshots, history
+
+
 # ---------------------------------------------------------------------------
 # Vanilla
 # ---------------------------------------------------------------------------
@@ -159,32 +192,20 @@ def train_vanilla(train: Dataset, val: Dataset, cfg: TrainConfig,
 
 def _train_vanilla(data: Featurized, cfg: TrainConfig
                    ) -> tuple[ModelParams, list[dict]]:
-    init_seed = cfg.seed if cfg.init_seed is None else cfg.init_seed
+    init_seed = _init_seed(cfg)
     params = init_params(data.featurizer, data.n_labels, cfg.hidden_size,
                          n_heads=1, drop_rate=cfg.drop_rate, seed=init_seed)
-    x_train, y_train, x_val, y_val = data.x, data.y, data.x_val, data.y_val
-    batcher = _Batcher(len(data), cfg.batch_size, derive_rng(cfg.seed, "batches"))
     dropout_rng = derive_rng(init_seed, "dropout")
 
-    state = EarlyStopState()
-    history: list[dict] = []
-    for step in range(1, cfg.steps + 1):
-        batch = batcher.next()
-        loss, grads = mean_ce_and_grads(params, x_train[batch], y_train[batch],
+    def step_fn(step, batch, _):
+        loss, grads = mean_ce_and_grads(params, data.x[batch], data.y[batch],
                                         heads=[0], scale_rng=dropout_rng,
                                         train_mode=True)
         apply_grads(params, grads, cfg.effective_lr(step), cfg.weight_decay)
-        row = {"step": step, "train_batch_loss": loss}
-        if step % cfg.eval_every == 0 or step == cfg.steps:
-            acc = evaluate_features(params, x_val, y_val, head=0).accuracy
-            state.update(acc, params)
-            row["val_accuracy"] = acc
-            history.append(row)
-            if state.should_stop(cfg.patience):
-                break
-        else:
-            history.append(row)
-    return state.best_snapshots[0], history
+        return {"step": step, "train_batch_loss": loss}
+
+    (best,), history = _train_loop(data, cfg, [params], step_fn, eval_head=0)
+    return best, history
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +236,7 @@ def coteach_net2_init_seed(cfg: TrainConfig) -> int:
     A vanilla run with init_seed set to this value and the same cfg.seed
     follows network 2's trajectory exactly when the forget rate is zero.
     """
-    return (cfg.seed if cfg.init_seed is None else cfg.init_seed) + 1
+    return _init_seed(cfg) + 1
 
 
 def train_coteaching(
@@ -235,25 +256,19 @@ def train_coteaching(
 
 def _train_coteaching(data: Featurized, cfg: TrainConfig, sched: CoteachSchedule
                       ) -> tuple[ModelParams, ModelParams, list[dict]]:
-    init1 = cfg.seed if cfg.init_seed is None else cfg.init_seed
-    init2 = coteach_net2_init_seed(cfg)
+    seeds = (_init_seed(cfg), coteach_net2_init_seed(cfg))
     nets = [init_params(data.featurizer, data.n_labels, cfg.hidden_size, 1,
-                        cfg.drop_rate, seed=s) for s in (init1, init2)]
-    dropout = [derive_rng(s, "dropout") for s in (init1, init2)]
-    x_train, y_train, x_val, y_val = data.x, data.y, data.x_val, data.y_val
-    batcher = _Batcher(len(data), cfg.batch_size, derive_rng(cfg.seed, "batches"))
+                        cfg.drop_rate, seed=s) for s in seeds]
+    dropout = [derive_rng(s, "dropout") for s in seeds]
 
-    state = EarlyStopState()
-    history: list[dict] = []
-    for step in range(1, cfg.steps + 1):
-        batch = batcher.next()
+    def step_fn(step, batch, _):
         keep = math.ceil((1.0 - sched.forget_rate(step)) * len(batch))
         if keep < 1:
             raise ValidationError(
                 f"forget rate {sched.forget_rate(step):.3f} keeps no instances "
                 f"from a batch of {len(batch)}")
-        xb = x_train[batch]
-        yb = y_train[batch]
+        xb = data.x[batch]
+        yb = data.y[batch]
         # simultaneous small-loss selection, then crossed updates
         kept = []
         for net in nets:
@@ -262,12 +277,12 @@ def _train_coteaching(data: Featurized, cfg: TrainConfig, sched: CoteachSchedule
         losses_out = []
         for net, other_kept, rng in zip(nets, (kept[1], kept[0]), dropout):
             sel = batch[other_kept]
-            loss, grads = mean_ce_and_grads(net, x_train[sel], y_train[sel],
+            loss, grads = mean_ce_and_grads(net, data.x[sel], data.y[sel],
                                             heads=[0], scale_rng=rng,
                                             train_mode=True)
             apply_grads(net, grads, cfg.effective_lr(step), cfg.weight_decay)
             losses_out.append(loss)
-        row = {
+        return {
             "step": step,
             "train_batch_loss": losses_out[0],
             "train_batch_loss_net2": losses_out[1],
@@ -276,16 +291,8 @@ def _train_coteaching(data: Featurized, cfg: TrainConfig, sched: CoteachSchedule
             "kept_net1": batch[kept[0]].tolist(),
             "kept_net2": batch[kept[1]].tolist(),
         }
-        if step % cfg.eval_every == 0 or step == cfg.steps:
-            acc = evaluate_features(nets[0], x_val, y_val, head=0).accuracy
-            state.update(acc, *nets)
-            row["val_accuracy"] = acc
-            history.append(row)
-            if state.should_stop(cfg.patience):
-                break
-        else:
-            history.append(row)
-    best1, best2 = state.best_snapshots
+
+    (best1, best2), history = _train_loop(data, cfg, nets, step_fn, eval_head=0)
     return best1, best2, history
 
 
@@ -340,17 +347,10 @@ def ceta_batch_objective(params: ModelParams, x, y: np.ndarray, ceta: CetaConfig
         raise ValidationError("consensus training needs exactly 2 heads")
     y = np.asarray(y, dtype=np.int64)
     b = x.shape[0]
-    pre, hidden_raw, _ = _encode(params, x, train_mode=False, rng=None)
-    scales: list[np.ndarray | None] = [None, None]
-    if train_mode and params.drop_rate > 0.0:
-        if scale_rng is None:
-            raise ValidationError("train-mode forward with dropout needs an rng")
-        keep = 1.0 - params.drop_rate
-        scales = [(scale_rng.random(hidden_raw.shape) < keep) / keep
-                  for _ in (0, 1)]
-    hiddens = [hidden_raw if s is None else hidden_raw * s for s in scales]
-    logps = [_log_softmax(hiddens[h] @ params.heads[h].weights
-                          + params.heads[h].bias) for h in (0, 1)]
+    pre, hidden = _encode(params, x)
+    scales = _dropout_scales(params, pre.shape, 2, train_mode, scale_rng)
+    hiddens = [hidden if s is None else hidden * s for s in scales]
+    logps = [_log_softmax(_head_logits(params, hiddens[h], h)) for h in (0, 1)]
     probs = [np.exp(lp) for lp in logps]
 
     consensus = probs[0].argmax(axis=1) == probs[1].argmax(axis=1)
@@ -361,10 +361,10 @@ def ceta_batch_objective(params: ModelParams, x, y: np.ndarray, ceta: CetaConfig
     rows = np.arange(b)
     tv = total_variation(probs[0], probs[1])
     loss = float(ceta.lambda_w * tv.mean())
-    logit_grads = [
-        _tv_logit_grad(probs[0], probs[1], ceta.lambda_w / b),
-        _tv_logit_grad(probs[1], probs[0], ceta.lambda_w / b),
-    ]
+    logit_grads = {
+        0: _tv_logit_grad(probs[0], probs[1], ceta.lambda_w / b),
+        1: _tv_logit_grad(probs[1], probs[0], ceta.lambda_w / b),
+    }
     if n_cons:
         for h in (0, 1):
             loss += float(-logps[h][rows, y][consensus].mean())
@@ -373,18 +373,7 @@ def ceta_batch_objective(params: ModelParams, x, y: np.ndarray, ceta: CetaConfig
             g[~consensus] = 0.0
             logit_grads[h] += g / n_cons
 
-    d_hidden_raw = np.zeros_like(hidden_raw)
-    head_grads = {}
-    for h in (0, 1):
-        g = logit_grads[h]
-        head_grads[h] = (hiddens[h].T @ g, g.sum(axis=0))
-        d_h = g @ params.heads[h].weights.T
-        d_hidden_raw += d_h if scales[h] is None else d_h * scales[h]
-    d_pre = d_hidden_raw * (pre > 0.0)
-    d_encoder = x.T @ d_pre
-    if sparse.issparse(d_encoder):
-        d_encoder = d_encoder.toarray()
-    grads = Grads(np.asarray(d_encoder), head_grads)
+    grads = backward_from_logit_grads(params, x, pre, scales, logit_grads)
     return loss, grads, consensus, float(tv.mean())
 
 
@@ -406,43 +395,33 @@ def train_ceta(
 def _train_ceta(data: Featurized, cfg: TrainConfig, ceta: CetaConfig,
                 initial_params: ModelParams | None = None
                 ) -> tuple[ModelParams, list[dict]]:
-    init_seed = cfg.seed if cfg.init_seed is None else cfg.init_seed
+    init_seed = _init_seed(cfg)
     if initial_params is None:
         params = init_params(data.featurizer, data.n_labels, cfg.hidden_size,
                              n_heads=2, drop_rate=cfg.drop_rate, seed=init_seed)
     else:
         params = initial_params.copy()
-    x_train, y_train, x_val, y_val = data.x, data.y, data.x_val, data.y_val
-    batcher = _Batcher(len(data), cfg.batch_size, derive_rng(cfg.seed, "batches"))
     dropout_rng = derive_rng(init_seed, "dropout")
-
-    state = EarlyStopState()
-    history: list[dict] = []
     empty_streak = 0
-    for step in range(1, cfg.steps + 1):
-        batch = batcher.next()
+
+    def step_fn(step, batch, steps_per_epoch):
+        nonlocal empty_streak
         loss, grads, consensus, tv_mean = ceta_batch_objective(
-            params, x_train[batch], y_train[batch], ceta,
+            params, data.x[batch], data.y[batch], ceta,
             scale_rng=dropout_rng, train_mode=True)
         apply_grads(params, grads, cfg.effective_lr(step), cfg.weight_decay)
         empty_streak = 0 if consensus.any() else empty_streak + 1
-        if empty_streak >= batcher.steps_per_epoch:
+        if empty_streak >= steps_per_epoch:
             raise ConsensusCollapseError(
                 f"no consensus for {empty_streak} consecutive batches "
                 "(a full epoch); lambda_w or the initialization is pathological")
-        row = {
+        return {
             "step": step,
             "train_batch_loss": loss,
             "consensus_fraction": float(consensus.mean()),
             "tv_mean": tv_mean,
         }
-        if step % cfg.eval_every == 0 or step == cfg.steps:
-            acc = evaluate_features(params, x_val, y_val, head="averaged").accuracy
-            state.update(acc, params)
-            row["val_accuracy"] = acc
-            history.append(row)
-            if state.should_stop(cfg.patience):
-                break
-        else:
-            history.append(row)
-    return state.best_snapshots[0], history
+
+    (best,), history = _train_loop(data, cfg, [params], step_fn,
+                                   eval_head="averaged")
+    return best, history

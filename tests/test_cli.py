@@ -77,6 +77,49 @@ class TestConfigFileErrors:
         assert capsys.readouterr().err.startswith("error: config is not valid JSON")
 
 
+class TestWrongShapeInputs:
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize("make_config", [
+        lambda tmp_path: tmp_path / "nope.json",
+        lambda tmp_path: write_config(tmp_path / "cfg.json", method="bert"),
+        lambda tmp_path: write_config(tmp_path / "cfg.json",
+                                      dataset={"preset": "imagenet"}),
+    ])
+    def test_plotdata_bad_config_leaves_no_directory(self, tmp_path, capsys,
+                                                      make_config):
+        cfg = make_config(tmp_path)
+        assert main(["plotdata", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "plot_data").exists()
+
+    @pytest.mark.parametrize("payload", [[1, 2], {"per_run": 3},
+                                         {"per_run": [7]},
+                                         {"per_run": [{"accuracy": 0.5}]}])
+    def test_plotdata_report_of_wrong_shape_is_one(self, tmp_path, capsys,
+                                                   payload):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(payload), encoding="utf-8")
+        out_dir = tmp_path / "plots"
+        assert main(["plotdata", "--report", str(report),
+                     "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith("error: report ")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("experiments", [[1], ["vanilla"], [[]], {}])
+    def test_compare_experiments_of_wrong_shape_is_one(self, tmp_path, capsys,
+                                                       experiments):
+        cfg = tmp_path / "compare.json"
+        cfg.write_text(json.dumps({"dataset": {"preset": "separable"},
+                                   "experiments": experiments}),
+                       encoding="utf-8")
+        assert main(["compare", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: compare config needs an 'experiments' list")
+
+
 def reference_cleaning(cfg_path, out_dir, clean=True):
     """The clean/plotdata outputs as composed from tune_threshold and
     clean_dataset, each computing its own held-out losses."""

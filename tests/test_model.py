@@ -5,15 +5,11 @@ from noisylabels import (
     Featurizer,
     TrainConfig,
     ValidationError,
-    featurize,
     featurize_texts,
-    forward,
     init_params,
-    instance_loss,
     instance_losses,
     load_model,
     save_model,
-    sgd_step,
 )
 from noisylabels import DivergenceError
 from noisylabels.model import Grads, apply_grads, evaluate_features, \
@@ -31,18 +27,38 @@ def numeric_gradient(fn, array, index, h=1e-5):
     return (up - down) / (2 * h)
 
 
+def assert_matches_central_differences(objective, arrays, probes, rng):
+    """Probe random coordinates of (parameter, analytic gradient) pairs and
+    require 1e-4 relative agreement with the central difference."""
+    for _ in range(probes):
+        arr, analytic = arrays[rng.integers(0, len(arrays))]
+        index = tuple(rng.integers(0, s) for s in arr.shape)
+        numeric = numeric_gradient(objective, arr, index)
+        a = analytic[index]
+        denom = max(abs(a), abs(numeric), 1e-8)
+        assert abs(a - numeric) / denom < 1e-4
+
+
+def train_step(params, x, y, lr_effective, weight_decay=0.0, seed=0):
+    """One train-mode SGD step of head 0, built from the public primitives."""
+    _, grads = mean_ce_and_grads(params, x, y, heads=[0],
+                                 scale_rng=np.random.default_rng(seed),
+                                 train_mode=True)
+    apply_grads(params, grads, lr_effective, weight_decay)
+
+
 class TestFeaturizer:
     def test_empty_text_zero_vector(self, tiny_featurizer):
-        assert featurize(tiny_featurizer, "").nnz == 0
+        assert featurize_texts(tiny_featurizer, [""]).nnz == 0
 
     def test_deterministic(self, tiny_featurizer):
-        a = featurize(tiny_featurizer, "a b")
-        b = featurize(tiny_featurizer, "a b")
+        a = featurize_texts(tiny_featurizer, ["a b"])
+        b = featurize_texts(tiny_featurizer, ["a b"])
         assert (a != b).nnz == 0
 
     def test_two_tokens_three_features(self, tiny_featurizer):
         # n-grams of "a b" with orders {1,2}: "a", "b", "a b"
-        assert featurize(tiny_featurizer, "a b").nnz == 3
+        assert featurize_texts(tiny_featurizer, ["a b"]).nnz == 3
 
     def test_rows_l2_normalized(self, tiny_featurizer):
         x = featurize_texts(tiny_featurizer, ["a b c d", "a a a", "x"])
@@ -50,14 +66,14 @@ class TestFeaturizer:
         assert np.allclose(norms, 1.0, atol=1e-12)
 
     def test_repeated_ngrams_accumulate(self, tiny_featurizer):
-        single = featurize(tiny_featurizer, "a b")
-        double = featurize(tiny_featurizer, "a a")
+        single = featurize_texts(tiny_featurizer, ["a b"])
+        double = featurize_texts(tiny_featurizer, ["a a"])
         assert double.nnz == 2  # "a" twice plus bigram "a a"
         assert single.nnz == 3
 
     def test_case_folding(self, tiny_featurizer):
-        a = featurize(tiny_featurizer, "Hello World")
-        b = featurize(tiny_featurizer, "hello world")
+        a = featurize_texts(tiny_featurizer, ["Hello World"])
+        b = featurize_texts(tiny_featurizer, ["hello world"])
         assert (a != b).nnz == 0
 
     def test_hash_dim_power_of_two(self):
@@ -79,8 +95,9 @@ class TestFeaturizer:
                                       getattr(direct, attr)), attr
 
     def test_hash_seed_changes_indices(self):
-        a = featurize(Featurizer(hash_dim=2**12, hash_seed=0), "alpha beta gamma")
-        b = featurize(Featurizer(hash_dim=2**12, hash_seed=1), "alpha beta gamma")
+        text = ["alpha beta gamma"]
+        a = featurize_texts(Featurizer(hash_dim=2**12, hash_seed=0), text)
+        b = featurize_texts(Featurizer(hash_dim=2**12, hash_seed=1), text)
         assert set(a.indices) != set(b.indices)
 
 
@@ -92,25 +109,38 @@ class TestForward:
         params = init_params(self.feat, n_labels=4, hidden_size=8, seed=0)
         params.encoder[:] = 0.0
         params.heads[0].weights[:] = 0.0
-        x = featurize(self.feat, "some text here")
-        probs = forward(params, x, head=0)
+        x = featurize_texts(self.feat, ["some text here"])
+        probs = predict_probs(params, x, head=0)
         assert np.allclose(probs, 0.25, atol=1e-12)
 
     def test_eval_mode_deterministic(self):
         params = init_params(self.feat, n_labels=3, hidden_size=8,
                              drop_rate=0.5, seed=1)
-        x = featurize(self.feat, "deterministic output please")
-        assert np.array_equal(forward(params, x), forward(params, x))
+        x = featurize_texts(self.feat, ["deterministic output please"])
+        assert np.array_equal(predict_probs(params, x, 0),
+                              predict_probs(params, x, 0))
 
     def test_dropout_reproducible_with_seeded_rng(self):
         params = init_params(self.feat, n_labels=3, hidden_size=16,
                              drop_rate=0.5, seed=1)
         x = featurize_texts(self.feat, ["one two", "three four"])
-        a = forward(params, x, train_mode=True, rng=np.random.default_rng(9))
-        b = forward(params, x, train_mode=True, rng=np.random.default_rng(9))
-        c = forward(params, x, train_mode=True, rng=np.random.default_rng(10))
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+        y = np.array([0, 2])
+
+        def train_loss(seed):
+            loss, _ = mean_ce_and_grads(params, x, y, heads=[0], train_mode=True,
+                                        scale_rng=np.random.default_rng(seed))
+            return loss
+
+        assert train_loss(9) == train_loss(9)
+        assert train_loss(9) != train_loss(10)
+
+    def test_train_mode_dropout_needs_rng(self):
+        params = init_params(self.feat, n_labels=3, hidden_size=4,
+                             drop_rate=0.5, seed=1)
+        x = featurize_texts(self.feat, ["one two"])
+        with pytest.raises(ValidationError, match="rng"):
+            mean_ce_and_grads(params, x, np.array([0]), heads=[0],
+                              train_mode=True)
 
     def test_prob_sums_property(self):
         # 1000 random parameter draws all produce normalized outputs
@@ -120,7 +150,7 @@ class TestForward:
             params = init_params(self.feat, n_labels=int(rng.integers(2, 9)),
                                  hidden_size=4, seed=int(rng.integers(1 << 30)))
             params.encoder *= rng.uniform(0.1, 30)
-            probs = forward(params, x, head=0)
+            probs = predict_probs(params, x, head=0)
             assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
             assert (probs >= 0).all()
 
@@ -132,16 +162,18 @@ class TestLoss:
     def test_uniform_probs_log_k(self):
         params = init_params(self.feat, n_labels=5, hidden_size=8, seed=0)
         params.encoder[:] = 0.0
-        x = featurize(self.feat, "whatever")
-        assert instance_loss(params, x, 3) == pytest.approx(np.log(5), abs=1e-12)
+        x = featurize_texts(self.feat, ["whatever"])
+        assert instance_losses(params, x, np.array([3]))[0] == \
+            pytest.approx(np.log(5), abs=1e-12)
 
     def test_confident_correct_loss_zero(self):
         params = init_params(self.feat, n_labels=2, hidden_size=4, seed=0)
         params.encoder[:] = 0.0
         params.heads[0].weights[:] = 0.0
         params.heads[0].bias[:] = np.array([60.0, -60.0])
-        x = featurize(self.feat, "anything")
-        assert instance_loss(params, x, 0) == pytest.approx(0.0, abs=1e-12)
+        x = featurize_texts(self.feat, ["anything"])
+        assert instance_losses(params, x, np.array([0]))[0] == \
+            pytest.approx(0.0, abs=1e-12)
 
     def test_loss_nonnegative_property(self):
         rng = np.random.default_rng(3)
@@ -172,13 +204,32 @@ class TestGradients:
         arrays = [(params.encoder, grads.encoder),
                   (params.heads[0].weights, grads.heads[0][0]),
                   (params.heads[0].bias, grads.heads[0][1])]
-        for _ in range(100):
-            arr, analytic = arrays[rng.integers(0, len(arrays))]
-            index = tuple(rng.integers(0, s) for s in arr.shape)
-            numeric = numeric_gradient(objective, arr, index)
-            a = analytic[index]
-            denom = max(abs(a), abs(numeric), 1e-8)
-            assert abs(a - numeric) / denom < 1e-4
+        assert_matches_central_differences(objective, arrays, 100, rng)
+
+    def test_matches_central_differences_through_dropout(self):
+        # train mode with a fixed dropout mask: scale_rng is re-seeded on
+        # every call, so each objective evaluation sees the same mask; two
+        # heads share that mask and both backpropagate into the encoder
+        feat = Featurizer(hash_dim=64, hash_seed=0)
+        params = init_params(feat, n_labels=3, hidden_size=8, n_heads=2,
+                             drop_rate=0.5, seed=5)
+        x = featurize_texts(feat, ["aa bb cc dd", "ee ff gg", "hh ii",
+                                   "jj kk ll mm"])
+        y = np.array([0, 2, 1, 2])
+
+        def train_mode(params):
+            return mean_ce_and_grads(params, x, y, heads=[0, 1], train_mode=True,
+                                     scale_rng=np.random.default_rng(23))
+
+        loss, grads = train_mode(params)
+        eval_loss, _ = mean_ce_and_grads(params, x, y, heads=[0, 1])
+        assert loss != eval_loss  # the mask is in effect
+        arrays = [(params.encoder, grads.encoder)]
+        for h in (0, 1):
+            arrays.append((params.heads[h].weights, grads.heads[h][0]))
+            arrays.append((params.heads[h].bias, grads.heads[h][1]))
+        assert_matches_central_differences(lambda: train_mode(params)[0], arrays,
+                                           100, np.random.default_rng(29))
 
     def test_loss_decreases_on_separable_batch(self):
         feat = Featurizer(hash_dim=256, hash_seed=0)
@@ -187,7 +238,7 @@ class TestGradients:
         y = np.array([0, 1] * 4)
         first, _ = mean_ce_and_grads(params, x, y, heads=[0])
         for _ in range(200):
-            sgd_step(params, x, y, head=0, lr_effective=0.5)
+            train_step(params, x, y, lr_effective=0.5)
         last, _ = mean_ce_and_grads(params, x, y, heads=[0])
         assert last < first
 
@@ -196,7 +247,7 @@ class TestGradients:
         params = init_params(feat, n_labels=3, hidden_size=4, seed=0)
         before = params.copy()
         x = featurize_texts(feat, ["a b", "c d"])
-        sgd_step(params, x, np.array([0, 1]), head=0, lr_effective=0.0)
+        train_step(params, x, np.array([0, 1]), lr_effective=0.0)
         assert np.array_equal(params.encoder, before.encoder)
         assert np.array_equal(params.heads[0].weights, before.heads[0].weights)
 
@@ -209,7 +260,7 @@ class TestGradients:
         norms = [np.linalg.norm(params.encoder)]
         head_norms = [np.linalg.norm(params.heads[0].weights)]
         for _ in range(10):
-            sgd_step(params, x, np.array([0, 1]), head=0, lr_effective=0.1,
+            train_step(params, x, np.array([0, 1]), lr_effective=0.1,
                      weight_decay=0.5)
             norms.append(np.linalg.norm(params.encoder))
             head_norms.append(np.linalg.norm(params.heads[0].weights))

@@ -25,7 +25,7 @@ from noisylabels import (
 from noisylabels import SplitSpec
 from noisylabels.model import featurize_dataset, featurize_texts
 from noisylabels.training import ceta_batch_objective
-from tests.test_model import numeric_gradient
+from tests.test_model import assert_matches_central_differences
 
 
 def params_equal(a, b):
@@ -202,32 +202,61 @@ class TestCeta:
         assert consensus.all()
         assert tv_mean == 0.0
 
-    def test_gradient_matches_central_differences(self, tiny_featurizer):
-        # the consensus objective (cross-entropy + total-variation term)
-        # against the finite-difference oracle
+    @staticmethod
+    def probe_gradients(texts, drop_rate, train_mode, seed):
         feat = Featurizer(hash_dim=64, hash_seed=0)
-        params = init_params(feat, n_labels=3, hidden_size=8, n_heads=2, seed=3)
-        x = featurize_texts(feat, ["aa bb", "cc dd ee", "ff", "gg hh"])
+        params = init_params(feat, n_labels=3, hidden_size=8, n_heads=2,
+                             drop_rate=drop_rate, seed=3)
+        x = featurize_texts(feat, texts)
         y = np.array([0, 1, 2, 1])
         ceta = CetaConfig(lambda_w=0.3)
 
         def objective():
-            loss, _, _, _ = ceta_batch_objective(params, x, y, ceta)
-            return loss
+            # a fresh generator per call fixes both heads' dropout masks
+            return ceta_batch_objective(params, x, y, ceta, train_mode=train_mode,
+                                        scale_rng=np.random.default_rng(7))
 
-        _, grads, _, _ = ceta_batch_objective(params, x, y, ceta)
-        rng = np.random.default_rng(6)
+        _, grads, consensus, _ = objective()
+        assert 0 < consensus.sum() < len(y)  # both loss terms carry gradient
+
+        def loss():
+            value, _, probe_consensus, _ = objective()
+            # the consensus set is piecewise constant; a probe that moved it
+            # would measure a jump, not a derivative
+            assert np.array_equal(probe_consensus, consensus)
+            return value
+
         arrays = [(params.encoder, grads.encoder)]
         for h in (0, 1):
             arrays.append((params.heads[h].weights, grads.heads[h][0]))
             arrays.append((params.heads[h].bias, grads.heads[h][1]))
-        for _ in range(60):
-            arr, analytic = arrays[rng.integers(0, len(arrays))]
-            index = tuple(rng.integers(0, s) for s in arr.shape)
-            numeric = numeric_gradient(objective, arr, index)
-            a = analytic[index]
-            denom = max(abs(a), abs(numeric), 1e-8)
-            assert abs(a - numeric) / denom < 1e-4
+        assert_matches_central_differences(loss, arrays, 60,
+                                           np.random.default_rng(seed))
+
+    def test_gradient_matches_central_differences(self):
+        # the consensus objective (cross-entropy + total-variation term)
+        # against the finite-difference oracle
+        self.probe_gradients(["aa bb", "cc dd ee", "ff", "gg hh"],
+                             drop_rate=0.0, train_mode=False, seed=6)
+
+    def test_gradient_through_per_head_dropout(self):
+        # every text keeps some hidden units under the mask, so no head's
+        # logits sit on an exact argmax tie
+        self.probe_gradients(["aa bb cc", "cc dd ee", "ff gg hh", "gg hh ii jj"],
+                             drop_rate=0.5, train_mode=True, seed=7)
+
+    def test_heads_draw_separate_dropout_masks(self, small_splits,
+                                               tiny_featurizer):
+        # identical heads only disagree if their masks differ
+        train, _, _ = small_splits
+        params = init_params(tiny_featurizer, n_labels=3, hidden_size=16,
+                             n_heads=2, drop_rate=0.5, seed=4, head_seeds=[7, 7])
+        x = featurize_dataset(tiny_featurizer, train)[:32]
+        y = train.observed()[:32]
+        _, _, _, tv_mean = ceta_batch_objective(
+            params, x, y, CetaConfig(), train_mode=True,
+            scale_rng=np.random.default_rng(0))
+        assert tv_mean > 0.0
 
     def test_training_runs_and_early_stops(self, small_splits, tiny_featurizer,
                                            fast_config):
