@@ -284,8 +284,8 @@ def save_dataset(dataset: Dataset, path: str | Path, format: str = "jsonl",
             lines.append(json.dumps(obj, ensure_ascii=False))
     else:
         has_gold = any(inst.gold_label is not None for inst in dataset.instances)
-        if any("\t" in inst.text or "\n" in inst.text for inst in dataset.instances):
-            raise ValidationError("TSV cannot store texts containing tabs or newlines")
+        if any(c in inst.id + inst.text for inst in dataset.instances for c in "\t\r\n"):
+            raise ValidationError("TSV cannot store ids or texts with tabs or line breaks")
         header = "id\ttext\tlabel" + ("\tgold_label" if has_gold else "")
         lines.append(header)
         for inst in dataset.instances:

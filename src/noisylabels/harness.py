@@ -202,11 +202,18 @@ def _build_labeler(noise: dict, dataset: Dataset) -> RuleLabeler:
     if not rules_raw:
         raise ValidationError("feature_dependent noise needs a 'rules' list "
                               "(or use a preset with a built-in labeler)")
+    if not isinstance(rules_raw, list):
+        raise ValidationError("'rules' must be a list of {keywords, label} objects")
     rules = []
-    for r in rules_raw:
-        label = r.get("label")
+    for i, r in enumerate(rules_raw):
+        keywords, label = (r.get("keywords"), r.get("label")) \
+            if isinstance(r, dict) else (None, None)
+        if not (isinstance(keywords, list) and all(isinstance(k, str) for k in keywords)
+                and isinstance(label, (int, str)) and not isinstance(label, bool)):
+            raise ValidationError(f"rule {i} needs a 'keywords' list of strings "
+                                  "and a label name or index")
         idx = dataset.label_set.index_of(label) if isinstance(label, str) else label
-        rules.append(LabelRule(frozenset(r.get("keywords", ())), idx))
+        rules.append(LabelRule(frozenset(keywords), idx))
     return RuleLabeler(tuple(rules), fallback=noise.get("fallback", "abstain"),
                        seed=noise.get("seed", 0))
 

@@ -232,7 +232,8 @@ def instance_losses(params: ModelParams, x: sparse.csr_array, y: np.ndarray,
 
 @dataclass
 class Grads:
-    encoder: np.ndarray
+    rows: np.ndarray     # the batch's distinct feature indices, ascending
+    encoder: np.ndarray  # len(rows) x hidden, for encoder[rows]; other rows get 0
     heads: dict[int, tuple[np.ndarray, np.ndarray]]  # head -> (dW, db)
 
 
@@ -261,10 +262,11 @@ def backward_from_logit_grads(
         d_head = g @ h.weights.T
         d_hidden += d_head if scale is None else d_head * scale
     d_pre = d_hidden * (pre > 0.0)
-    d_encoder = (x.T @ d_pre)
-    if sparse.issparse(d_encoder):  # stays sparse when d_pre is all zeros
-        d_encoder = d_encoder.toarray()
-    return Grads(np.asarray(d_encoder), head_grads)
+    # x restricted to its distinct columns: each block row sums over the
+    # batch rows in the same order as x.T @ d_pre, so the bits match
+    rows, inverse = np.unique(x.indices, return_inverse=True)
+    xr = sparse.csr_array((x.data, inverse, x.indptr), shape=(x.shape[0], len(rows)))
+    return Grads(rows, xr.T @ d_pre, head_grads)
 
 
 def mean_ce_and_grads(params: ModelParams, x: sparse.csr_array, y: np.ndarray,
@@ -299,14 +301,15 @@ def apply_grads(params: ModelParams, grads: Grads, lr_effective: float,
     Every gradient is checked before any parameter changes, so a
     DivergenceError leaves params untouched. The update consumes grads:
     grads.encoder is scaled by lr_effective in place, which gives the same
-    bits as a scaled copy without allocating one per step.
+    bits as a scaled copy without allocating one per step. Only the rows in
+    grads.rows take a gradient step; the decay still shrinks every row.
     """
     arrays = [grads.encoder] + [a for pair in grads.heads.values() for a in pair]
     if not all(np.isfinite(a).all() for a in arrays):
         raise DivergenceError("non-finite gradients; reduce the learning rate")
     decay = 1.0 - lr_effective * weight_decay
     grads.encoder *= lr_effective
-    params.encoder -= grads.encoder
+    params.encoder[grads.rows] -= grads.encoder
     if weight_decay:
         params.encoder *= decay
     for head, (dw, db) in grads.heads.items():

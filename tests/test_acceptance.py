@@ -38,7 +38,7 @@ from noisylabels.model import evaluate_features, featurize_dataset, \
     mean_ce_and_grads
 from noisylabels.training import ceta_batch_objective
 from noisylabels import CetaConfig, SplitSpec, split_dataset
-from tests.test_model import numeric_gradient
+from tests.test_model import dense_encoder_grad, numeric_gradient
 
 
 def criterion(number, description):
@@ -301,7 +301,7 @@ class TestCriterion8:
             return loss
 
         _, grads = mean_ce_and_grads(params, x, y, heads=[0])
-        arrays = [(params.encoder, grads.encoder),
+        arrays = [(params.encoder, dense_encoder_grad(params, grads)),
                   (params.heads[0].weights, grads.heads[0][0]),
                   (params.heads[0].bias, grads.heads[0][1])]
         for _ in range(100):

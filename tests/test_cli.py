@@ -119,6 +119,32 @@ class TestWrongShapeInputs:
         assert capsys.readouterr().err.startswith(
             "error: compare config needs an 'experiments' list")
 
+    @pytest.mark.parametrize("rules", [
+        [1], {"a": 1}, [{"keywords": 5, "label": 0}],
+        [{"keywords": "abc", "label": 0}], [{"keywords": ["a", 2], "label": 0}],
+        [{"label": 0}], [{"keywords": ["a"]}], [{"keywords": ["a"], "label": 1.5}],
+    ])
+    def test_noise_rules_of_wrong_shape_are_one(self, tmp_path, capsys, rules):
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["gen", "--classes", "3", "--instances", "30",
+                     "--vocab-per-class", "8", "--out", str(corpus)]) == 0
+        rules_file = tmp_path / "rules.json"
+        rules_file.write_text(json.dumps(rules), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["noise", "--in", str(corpus), "--kind", "feature_dependent",
+                     "--rules", str(rules_file),
+                     "--out", str(tmp_path / "noised.jsonl")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "noised.jsonl").exists()
+
+    @pytest.mark.parametrize("rules", [[1], {"a": 1},
+                                       [{"keywords": "abc", "label": 0}]])
+    def test_config_rules_of_wrong_shape_are_one(self, tmp_path, capsys, rules):
+        cfg = write_config(tmp_path / "cfg.json",
+                           noise={"kind": "feature_dependent", "rules": rules})
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 def reference_cleaning(cfg_path, out_dir, clean=True):
     """The clean/plotdata outputs as composed from tune_threshold and

@@ -1,7 +1,12 @@
 import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisylabels import (
     DataFormatError,
@@ -91,6 +96,69 @@ class TestLoadSave:
             load_dataset("/nonexistent/corpus.jsonl")
 
 
+# Label names the labels.txt sidecar and a TSV row can hold: no control
+# characters or line breaks, and no edge whitespace, which the reader strips.
+LABEL_NAMES = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")),
+                      min_size=1, max_size=6).filter(lambda name: name == name.strip())
+TSV_FREE_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                      blacklist_characters="\t\n\r"), max_size=30)
+
+
+@st.composite
+def corpora(draw, fmt):
+    names = draw(st.lists(LABEL_NAMES, min_size=2, max_size=4, unique=True))
+    ids = draw(st.lists(TSV_FREE_TEXT, min_size=1, max_size=8, unique=True))
+    text = st.text(max_size=30) if fmt == "jsonl" else TSV_FREE_TEXT
+    label = st.integers(0, len(names) - 1)
+    annotators = st.none()
+    if fmt == "jsonl":
+        annotators = st.none() | st.lists(label, min_size=1, max_size=3).map(tuple)
+    instances = [Instance(row_id, draw(text), draw(label), draw(st.none() | label),
+                          draw(annotators)) for row_id in ids]
+    return Dataset(LabelSet(tuple(names)), tuple(instances))
+
+
+def save_load_save(dataset, fmt):
+    """Bytes of the corpus file and its sidecar after each of two saves,
+    with a load in between, plus the loaded dataset."""
+    with tempfile.TemporaryDirectory() as tmp:
+        saved = []
+        for name in ("one", "two"):
+            directory = Path(tmp) / name
+            directory.mkdir()
+            path = directory / f"corpus.{fmt}"
+            save_dataset(dataset, path, fmt)
+            saved.append((path.read_bytes(), (directory / "labels.txt").read_bytes()))
+            dataset = load_dataset(path, fmt)
+    return saved, dataset
+
+
+class TestRoundTripProperties:
+    @pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_save_load_save_byte_stable(self, fmt, data):
+        dataset = data.draw(corpora(fmt))
+        (first, second), loaded = save_load_save(dataset, fmt)
+        assert first == second
+        assert loaded == dataset
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(corpora("tsv"), st.data())
+    def test_tsv_rejects_tabs_and_line_breaks_in_texts(self, dataset, data):
+        i = data.draw(st.integers(0, len(dataset) - 1))
+        text = dataset.instances[i].text
+        at = data.draw(st.integers(0, len(text)))
+        bad = text[:at] + data.draw(st.sampled_from("\t\n\r")) + text[at:]
+        rows = list(dataset.instances)
+        rows[i] = replace(rows[i], text=bad)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.tsv"
+            with pytest.raises(ValidationError, match="TSV"):
+                save_dataset(Dataset(dataset.label_set, tuple(rows)), path, "tsv")
+            assert not path.exists()
+
+
 class TestValidation:
     def test_label_out_of_range(self):
         labels = LabelSet(("a", "b"))
@@ -173,7 +241,6 @@ class TestSyntheticCorpus:
         assert evaluate(params, test, tiny_featurizer, head=0).accuracy >= 0.99
 
     def test_full_overlap_accuracy_near_chance(self, tiny_featurizer, fast_config):
-        from dataclasses import replace
 
         corpus = generate_synthetic_corpus(5, 2000, 20, 1.0, seed=9)
         train, val, test = split_dataset(corpus, SplitSpec(0.6, 0.2, 0.2, seed=9))

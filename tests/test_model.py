@@ -12,8 +12,8 @@ from noisylabels import (
     save_model,
 )
 from noisylabels import DivergenceError
-from noisylabels.model import Grads, apply_grads, evaluate_features, \
-    mean_ce_and_grads, predict_probs
+from noisylabels.model import Grads, _encode, _head_logits, _log_softmax, \
+    apply_grads, evaluate_features, mean_ce_and_grads, predict_probs
 
 
 def numeric_gradient(fn, array, index, h=1e-5):
@@ -25,6 +25,14 @@ def numeric_gradient(fn, array, index, h=1e-5):
     down = fn()
     array[index] = orig
     return (up - down) / (2 * h)
+
+
+def dense_encoder_grad(params, grads):
+    """grads.encoder scattered at grads.rows into a zero array shaped like
+    params.encoder; rows outside the batch have gradient 0."""
+    dense = np.zeros_like(params.encoder)
+    dense[grads.rows] = grads.encoder
+    return dense
 
 
 def assert_matches_central_differences(objective, arrays, probes, rng):
@@ -201,10 +209,13 @@ class TestGradients:
             return loss
 
         _, grads = mean_ce_and_grads(params, x, y, heads=[0])
-        arrays = [(params.encoder, grads.encoder),
+        arrays = [(params.encoder, dense_encoder_grad(params, grads)),
                   (params.heads[0].weights, grads.heads[0][0]),
                   (params.heads[0].bias, grads.heads[0][1])]
         assert_matches_central_differences(objective, arrays, 100, rng)
+        # rows no text touches leave the loss bit-identical
+        for row in np.setdiff1d(np.arange(feat.hash_dim), grads.rows)[:8]:
+            assert numeric_gradient(objective, params.encoder, (row, 3)) == 0.0
 
     def test_matches_central_differences_through_dropout(self):
         # train mode with a fixed dropout mask: scale_rng is re-seeded on
@@ -224,7 +235,7 @@ class TestGradients:
         loss, grads = train_mode(params)
         eval_loss, _ = mean_ce_and_grads(params, x, y, heads=[0, 1])
         assert loss != eval_loss  # the mask is in effect
-        arrays = [(params.encoder, grads.encoder)]
+        arrays = [(params.encoder, dense_encoder_grad(params, grads))]
         for h in (0, 1):
             arrays.append((params.heads[h].weights, grads.heads[h][0]))
             arrays.append((params.heads[h].bias, grads.heads[h][1]))
@@ -251,6 +262,34 @@ class TestGradients:
         assert np.array_equal(params.encoder, before.encoder)
         assert np.array_equal(params.heads[0].weights, before.heads[0].weights)
 
+    def test_row_sparse_step_is_bit_identical_to_dense(self):
+        # texts share n-grams, so feature rows take contributions from several
+        # batch rows; the empty text touches no row at all
+        feat = Featurizer(hash_dim=256, hash_seed=0)
+        params = init_params(feat, n_labels=3, hidden_size=8, seed=9)
+        x = featurize_texts(feat, ["red fox jumps", "red fox sleeps", "",
+                                   "fox jumps high", "red red red"])
+        y = np.array([0, 1, 2, 1, 0])
+        _, grads = mean_ce_and_grads(params, x, y, heads=[0])
+        assert grads.encoder.shape == (len(np.unique(x.indices)), 8)
+
+        # the dense reference: d_pre as the backward pass forms it, then the
+        # full hash_dim x hidden gradient
+        pre, hidden = _encode(params, x)
+        g = np.exp(_log_softmax(_head_logits(params, hidden, 0)))
+        g[np.arange(5), y] -= 1.0
+        d_hidden = np.zeros_like(hidden)
+        d_hidden += (g / 5) @ params.heads[0].weights.T
+        dense = x.T @ (d_hidden * (pre > 0.0))
+        assert np.array_equal(dense_encoder_grad(params, grads), dense)
+
+        lr, weight_decay = 0.5, 1e-2
+        reference = params.copy()
+        reference.encoder -= lr * dense
+        reference.encoder *= 1.0 - lr * weight_decay
+        apply_grads(params, grads, lr, weight_decay)
+        assert np.array_equal(params.encoder, reference.encoder)
+
     def test_weight_decay_shrinks_weights_monotonically(self):
         # empty texts give zero feature vectors, hence zero weight gradients;
         # only the decay term acts on the weight matrices
@@ -273,7 +312,7 @@ class TestApplyGrads:
     def setup_params():
         feat = Featurizer(hash_dim=64, hash_seed=0)
         params = init_params(feat, n_labels=3, hidden_size=4, seed=2)
-        grads = Grads(np.ones_like(params.encoder),
+        grads = Grads(np.arange(feat.hash_dim), np.ones_like(params.encoder),
                       {0: (np.ones_like(params.heads[0].weights),
                            np.ones_like(params.heads[0].bias))})
         return params, grads

@@ -25,7 +25,8 @@ from noisylabels import (
 from noisylabels import SplitSpec
 from noisylabels.model import featurize_dataset, featurize_texts
 from noisylabels.training import ceta_batch_objective
-from tests.test_model import assert_matches_central_differences
+from tests.test_model import assert_matches_central_differences, \
+    dense_encoder_grad
 
 
 def params_equal(a, b):
@@ -226,7 +227,7 @@ class TestCeta:
             assert np.array_equal(probe_consensus, consensus)
             return value
 
-        arrays = [(params.encoder, grads.encoder)]
+        arrays = [(params.encoder, dense_encoder_grad(params, grads))]
         for h in (0, 1):
             arrays.append((params.heads[h].weights, grads.heads[h][0]))
             arrays.append((params.heads[h].bias, grads.heads[h][1]))
