@@ -66,8 +66,8 @@ from .model import (
 from .noise import (
     LabelRule,
     NoiseMatrix,
-    NoiseSpec,
     RuleLabeler,
+    apply_noise,
     inject_annotation_noise,
     inject_rule_noise,
     inject_uniform_noise,
@@ -100,7 +100,6 @@ from .presets import (
 from .training import (
     CetaConfig,
     CoteachSchedule,
-    EarlyStopState,
     coteach_net2_init_seed,
     history_to_csv,
     total_variation,

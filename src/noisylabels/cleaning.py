@@ -57,6 +57,7 @@ class CleanConfig:
             if not self.tuning_grid or any(t < 0 or not np.isfinite(t)
                                            for t in self.tuning_grid):
                 raise ValidationError("tuning_grid must be non-empty, finite, >= 0")
+        object.__setattr__(self, "tuning_quantiles", tuple(self.tuning_quantiles))
         if not self.tuning_quantiles or any(not 0 < q <= 1
                                             for q in self.tuning_quantiles):
             raise ValidationError("tuning_quantiles must lie in (0, 1]")

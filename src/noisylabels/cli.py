@@ -16,11 +16,9 @@ from pathlib import Path
 from .cleaning import _clean_pass
 from .data import generate_synthetic_corpus, load_dataset, save_dataset
 from .errors import NoisyLabelsError, ValidationError
-from .harness import ExperimentConfig, _apply_noise, _build_labeler, _materialize, \
-    _read_json, compare_methods, noise_matrices_csv, run_experiment, \
-    threshold_sweep_csv
-from .noise import inject_annotation_noise, inject_rule_noise, \
-    inject_uniform_noise, noise_level, noise_matrix
+from .harness import ExperimentConfig, _apply_noise, _materialize, _read_json, \
+    compare_methods, noise_matrices_csv, run_experiment, threshold_sweep_csv
+from .noise import apply_noise, noise_level, noise_matrix
 from .presets import PRESET_NAMES, get_preset
 
 
@@ -47,17 +45,14 @@ def _cmd_gen(args) -> int:
 
 def _cmd_noise(args) -> int:
     dataset = load_dataset(args.infile, args.format)
-    if args.kind == "uniform_random":
-        noised = inject_uniform_noise(dataset, args.level, args.seed)
-    elif args.kind == "pseudo_real_world":
-        noised = inject_annotation_noise(dataset, args.level, args.seed)
+    if args.kind != "feature_dependent":
+        noise = {"kind": args.kind, "level": args.level}
+    elif args.rules:
+        noise = {"kind": args.kind, "rules": _read_json(args.rules, "rules"),
+                 "fallback": args.fallback, "seed": args.seed}
     else:
-        if not args.rules:
-            raise ValidationError("feature_dependent noise needs --rules FILE")
-        spec = _read_json(args.rules, "rules")
-        labeler = _build_labeler({"rules": spec, "fallback": args.fallback,
-                                  "seed": args.seed}, dataset)
-        noised = inject_rule_noise(dataset, labeler)
+        raise ValidationError("feature_dependent noise needs --rules FILE")
+    noised = apply_noise(dataset, noise, args.seed)
     save_dataset(noised, args.out, args.format)
     level = noise_level(noised) if noised.has_gold() else None
     if level is not None:

@@ -272,6 +272,13 @@ def save_dataset(dataset: Dataset, path: str | Path, format: str = "jsonl",
     if format not in ("jsonl", "tsv"):
         raise ValidationError(f"format must be 'jsonl' or 'tsv', got {format!r}")
     names = dataset.label_set.names
+    # the sidecar is read back line by line with edge whitespace stripped
+    unsaveable = [n for n in names if n.strip() != n or n.splitlines() != [n]
+                  or (format == "tsv" and "\t" in n)]
+    if unsaveable:
+        raise ValidationError(f"label names {unsaveable} cannot be saved: a name "
+                              "must be non-empty, with no edge whitespace, line "
+                              "break, or (in TSV) tab")
     lines: list[str] = []
     if format == "jsonl":
         for inst in dataset.instances:

@@ -116,7 +116,6 @@ class EnsembleSpec:
     hyperparameter_grid: tuple[TrainConfig, ...] | None = None
     member_methods: tuple[str, ...] | None = None
     subset_fraction: float = 0.8
-    member_seeds: tuple[int, ...] | None = None
     base_config: TrainConfig = TrainConfig()
     coteach: CoteachSchedule = CoteachSchedule()
     ceta: CetaConfig = CetaConfig()
@@ -146,10 +145,6 @@ class EnsembleSpec:
         if self.kind == "boosting":
             if not 0.0 < self.subset_fraction <= 1.0:
                 raise ValidationError("subset_fraction must be in (0, 1]")
-            if self.member_seeds is not None:
-                object.__setattr__(self, "member_seeds", tuple(self.member_seeds))
-                if len(self.member_seeds) != self.member_count:
-                    raise ValidationError("member_seeds must match member_count")
 
 
 def _collect_survivors(jobs, labels) -> list[ModelParams]:
@@ -222,8 +217,7 @@ def train_boosting(train: Dataset, val: Dataset, spec: EnsembleSpec,
     the validation set is shared."""
     if spec.kind != "boosting":
         raise ValidationError("spec.kind must be 'boosting'")
-    seeds = spec.member_seeds or tuple(spec.seed + i
-                                       for i in range(spec.member_count))
+    seeds = [spec.seed + i for i in range(spec.member_count)]
     data = Featurized.of(featurizer, train, val)
 
     def job(member_seed: int):

@@ -26,17 +26,19 @@ from .ensembles import COMPACT_GRID, EnsembleSpec, LARGE_MODEL_GRID, \
     train_homogeneous
 from .errors import MethodError, ValidationError
 from .model import Featurizer, TrainConfig, evaluate_features, featurize_dataset
-from .noise import LabelRule, RuleLabeler, inject_annotation_noise, \
-    inject_rule_noise, inject_uniform_noise, noise_level, noise_matrix
-from .presets import PRESET_NAMES, Preset, get_preset
+from .noise import apply_noise, noise_level, noise_matrix
+from .presets import Preset, get_preset
 from .training import CetaConfig, CoteachSchedule, train_ceta, train_coteaching, \
     train_vanilla
-from .util import run_indexed
+from .util import checked_call, run_indexed
 
 METHODS = ("vanilla", "coteaching", "ceta", "hme", "hte", "boosting", "nc")
 
 DEFAULT_COTEACH = CoteachSchedule(tau=0.35, ramp_steps=120)
 DEFAULT_CETA = CetaConfig()
+# dataset source -> the keys a dataset section naming it may hold
+DATASET_KEYS = {"preset": {"preset", "corpus_seed"}, "synthetic": {"synthetic"},
+                "path": {"path", "format"}}
 
 
 @dataclass(frozen=True)
@@ -79,64 +81,32 @@ class ExperimentConfig:
             raise ValidationError(f"method must be one of {METHODS}")
         if self.runs < 1:
             raise ValidationError("runs must be >= 1")
-        if not isinstance(self.dataset, dict) or not (
-                {"preset", "synthetic", "path"} & self.dataset.keys()):
+        sources = [s for s in DATASET_KEYS if s in self.dataset] \
+            if isinstance(self.dataset, dict) else []
+        if len(sources) != 1 or self.dataset.keys() - DATASET_KEYS[sources[0]]:
             raise ValidationError(
-                "dataset must name a preset, a synthetic spec, or a path")
+                "dataset must name a preset (and optionally a corpus_seed), a "
+                "synthetic spec, or a path (and optionally a format), and nothing else")
 
     # -- config file round-trip ------------------------------------------
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """The config a JSON object describes; a null value means the
+        default, and "output" (the CLI's report path) is not part of it."""
         if not isinstance(raw, dict):
             raise ValidationError("config root must be a JSON object")
-        known = {"method", "dataset", "noise", "split", "featurizer", "train",
-                 "coteaching", "ceta", "ensemble", "cleaning", "runs",
-                 "base_seed", "noise_validation", "reproducible", "output"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        if "method" not in raw or "dataset" not in raw:
-            raise ValidationError("config needs 'method' and 'dataset'")
-
-        def build(section, factory):
-            value = raw.get(section)
-            if value is None:
-                return None
-            if not isinstance(value, dict):
-                raise ValidationError(f"'{section}' must be an object")
-            try:
-                return factory(**value)
-            except TypeError as exc:
-                raise ValidationError(f"bad '{section}' section: {exc}") from None
-
-        feat = build("featurizer", lambda **kw: Featurizer(
-            hash_dim=kw.get("hash_dim", 4096),
-            ngram_orders=tuple(kw.get("ngram_orders", (1, 2))),
-            hash_seed=kw.get("hash_seed", 0)))
-        return cls(
-            method=raw["method"],
-            dataset=raw["dataset"],
-            noise=raw.get("noise"),
-            split=raw.get("split"),
-            featurizer=feat,
-            train=build("train", TrainConfig),
-            coteaching=build("coteaching", CoteachSchedule) or DEFAULT_COTEACH,
-            ceta=build("ceta", CetaConfig) or DEFAULT_CETA,
-            ensemble=build("ensemble", EnsembleSettings) or EnsembleSettings(),
-            cleaning=build("cleaning", lambda **kw: CleanConfig(
-                folds=kw.get("folds", 5),
-                threshold=kw.get("threshold"),
-                tuning_grid=tuple(kw["tuning_grid"]) if kw.get("tuning_grid")
-                else None,
-                tuning_quantiles=tuple(kw.get(
-                    "tuning_quantiles", CleanConfig().tuning_quantiles)),
-                seed=kw.get("seed", 0))) or CleanConfig(),
-            runs=raw.get("runs", 5),
-            base_seed=raw.get("base_seed", 0),
-            noise_validation=raw.get("noise_validation", True),
-            reproducible=raw.get("reproducible", True),
-        )
+        if not isinstance(raw.get("output", ""), str):
+            raise ValidationError("'output' must be a file path")
+        kwargs = {k: v for k, v in raw.items() if k != "output" and v is not None}
+        for name, factory in (("featurizer", Featurizer), ("train", TrainConfig),
+                              ("coteaching", CoteachSchedule), ("ceta", CetaConfig),
+                              ("ensemble", EnsembleSettings), ("cleaning", CleanConfig)):
+            if name in kwargs:
+                if not isinstance(kwargs[name], dict):
+                    raise ValidationError(f"'{name}' must be an object")
+                kwargs[name] = checked_call(factory, kwargs[name], f"'{name}'")
+        return checked_call(cls, kwargs, "config")
 
     def to_dict(self) -> dict:
         def plain(obj):
@@ -148,22 +118,7 @@ class ExperimentConfig:
                 return {k: plain(v) for k, v in obj.items()}
             return {k: plain(v) for k, v in obj.__dict__.items()}
 
-        return {
-            "method": self.method,
-            "dataset": plain(self.dataset),
-            "noise": plain(self.noise),
-            "split": plain(self.split),
-            "featurizer": plain(self.featurizer),
-            "train": plain(self.train),
-            "coteaching": plain(self.coteaching),
-            "ceta": plain(self.ceta),
-            "ensemble": plain(self.ensemble),
-            "cleaning": plain(self.cleaning),
-            "runs": self.runs,
-            "base_seed": self.base_seed,
-            "noise_validation": self.noise_validation,
-            "reproducible": self.reproducible,
-        }
+        return plain(self)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -197,60 +152,41 @@ class _Materialized:
     train_cfg: TrainConfig
 
 
-def _build_labeler(noise: dict, dataset: Dataset) -> RuleLabeler:
-    rules_raw = noise.get("rules")
-    if not rules_raw:
-        raise ValidationError("feature_dependent noise needs a 'rules' list "
-                              "(or use a preset with a built-in labeler)")
-    if not isinstance(rules_raw, list):
-        raise ValidationError("'rules' must be a list of {keywords, label} objects")
-    rules = []
-    for i, r in enumerate(rules_raw):
-        keywords, label = (r.get("keywords"), r.get("label")) \
-            if isinstance(r, dict) else (None, None)
-        if not (isinstance(keywords, list) and all(isinstance(k, str) for k in keywords)
-                and isinstance(label, (int, str)) and not isinstance(label, bool)):
-            raise ValidationError(f"rule {i} needs a 'keywords' list of strings "
-                                  "and a label name or index")
-        idx = dataset.label_set.index_of(label) if isinstance(label, str) else label
-        rules.append(LabelRule(frozenset(keywords), idx))
-    return RuleLabeler(tuple(rules), fallback=noise.get("fallback", "abstain"),
-                       seed=noise.get("seed", 0))
-
-
 def _materialize(cfg: ExperimentConfig) -> _Materialized:
     """Clean splits plus the featurizer/train defaults for this source."""
-    preset = None
-    if "preset" in cfg.dataset:
-        name = cfg.dataset["preset"]
-        if name not in PRESET_NAMES:
-            raise ValidationError(f"unknown preset {name!r}")
-        preset = get_preset(name, cfg.dataset.get("corpus_seed"))
+    source, preset = cfg.dataset, None
+    if "preset" in source:
+        if cfg.split is not None:
+            raise ValidationError("a preset fixes its own split; drop 'split'")
+        preset = checked_call(get_preset, {"name": source["preset"],
+                                           "corpus_seed": source.get("corpus_seed")},
+                              "'dataset'")
         train, val, test = preset.clean_splits()
         featurizer = cfg.featurizer or preset.featurizer
         train_cfg = cfg.train or preset.train_config
     else:
-        if "synthetic" in cfg.dataset:
-            spec = dict(cfg.dataset["synthetic"])
-            corpus = generate_synthetic_corpus(
-                n_classes=spec.pop("classes"),
-                n_instances=spec.pop("instances"),
-                vocab_per_class=spec.pop("vocab_per_class", 40),
-                overlap=spec.pop("overlap", 0.0),
-                seed=spec.pop("seed", 0),
-                **{k: tuple(v) if isinstance(v, list) else v
-                   for k, v in spec.items()},
-            )
+        if "synthetic" in source:
+            spec, names = source["synthetic"], {"classes": "n_classes",
+                                                "instances": "n_instances"}
+            if not isinstance(spec, dict) or not names.keys() <= spec.keys() \
+                    or spec.keys() & set(names.values()):
+                raise ValidationError("'synthetic' must be an object with "
+                                      "'classes' and 'instances'")
+            corpus = checked_call(generate_synthetic_corpus, {
+                "vocab_per_class": 40, "overlap": 0.0, "seed": 0,
+                **{names.get(k, k): tuple(v) if isinstance(v, list) else v
+                   for k, v in spec.items()}}, "'synthetic'")
         else:
-            corpus = load_dataset(cfg.dataset["path"],
-                                  cfg.dataset.get("format", "jsonl"))
+            corpus = checked_call(load_dataset, dict(source), "'dataset'")
         split = cfg.split or {}
-        corpus_split = SplitSpec(split.get("train", 0.7),
-                                 split.get("validation", 0.1),
-                                 split.get("test", 0.2),
-                                 seed=split.get("seed", 0))
-        train, val, test = split_dataset(corpus, corpus_split)
-        featurizer = cfg.featurizer or Featurizer(hash_dim=4096)
+        fields = {"train": "train_fraction", "validation": "validation_fraction",
+                  "test": "test_fraction", "seed": "seed"}
+        if split.keys() - fields.keys():
+            raise ValidationError(f"unknown 'split' keys: "
+                                  f"{sorted(split.keys() - fields.keys())}")
+        train, val, test = split_dataset(corpus, checked_call(
+            SplitSpec, {fields[k]: v for k, v in split.items()}, "'split'"))
+        featurizer = cfg.featurizer or Featurizer()
         train_cfg = cfg.train or TrainConfig()
     if test.has_gold() and (test.observed() != test.gold()).any():
         raise ValidationError("test split carries label noise; headline "
@@ -260,41 +196,17 @@ def _materialize(cfg: ExperimentConfig) -> _Materialized:
 
 def _apply_noise(mat: _Materialized, cfg: ExperimentConfig, run_seed: int
                  ) -> tuple[Dataset, Dataset]:
-    """Noisy (train, validation) for one run; seeded noise is regenerated
-    from the run seed so repetitions aggregate over noising randomness."""
-    noise = cfg.noise
-    if noise is None:
-        noise = ({"kind": "feature_dependent"} if mat.preset is not None
-                 and mat.preset.labeler is not None else {"kind": "none"})
-    kind = noise.get("kind")
-    train, val = mat.train, mat.val
-    if kind in (None, "none"):
-        return train, val
-    if kind == "uniform_random":
-        level = noise.get("level", 0.0)
-        train = inject_uniform_noise(train, level, run_seed)
-        if cfg.noise_validation:
-            val = inject_uniform_noise(val, level, run_seed + 1)
-        return train, val
-    if kind == "pseudo_real_world":
-        level = noise.get("level", 0.0)
-        train = inject_annotation_noise(train, level, run_seed)
-        if cfg.noise_validation:
-            val = inject_annotation_noise(val, level, run_seed + 1)
-        return train, val
-    if kind == "feature_dependent":
-        if noise.get("rules"):
-            labeler = _build_labeler(noise, train)
-        elif mat.preset is not None and mat.preset.labeler is not None:
-            labeler = mat.preset.labeler
-        else:
-            raise ValidationError("feature_dependent noise needs rules or a "
-                                  "preset with a labeler")
-        train = inject_rule_noise(train, labeler)
-        if cfg.noise_validation:
-            val = inject_rule_noise(val, labeler)
-        return train, val
-    raise ValidationError(f"unknown noise kind {kind!r}")
+    """Noisy (train, validation) for one run. Seeded noise is drawn from the
+    run seed for train and from run seed + 1 for validation (noised only when
+    cfg.noise_validation), so repetitions aggregate over noising randomness.
+    Without a noise section, a preset applies its own rule labeler."""
+    labeler = mat.preset.labeler if mat.preset is not None else None
+    noise = cfg.noise if cfg.noise is not None else \
+        {"kind": "none" if labeler is None else "feature_dependent"}
+    train = apply_noise(mat.train, noise, run_seed, labeler)
+    val = apply_noise(mat.val, noise, run_seed + 1, labeler) \
+        if cfg.noise_validation else mat.val
+    return train, val
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from .data import Dataset
 from .errors import DivergenceError, ValidationError
 from .util import stable_hash
 
-DEFAULT_HASH_DIM = 2**18
 DEFAULT_HIDDEN = 128
 CHECKPOINT_VERSION = 1
 
@@ -27,7 +26,7 @@ CHECKPOINT_VERSION = 1
 class Featurizer:
     """Hashed bag of lowercased n-grams, L2-normalized per text."""
 
-    hash_dim: int = DEFAULT_HASH_DIM
+    hash_dim: int = 4096
     ngram_orders: tuple[int, ...] = (1, 2)
     hash_seed: int = 0
 

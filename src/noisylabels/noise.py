@@ -2,7 +2,8 @@
 
 All injectors are pure functions of (dataset, parameters, seed): they return a
 new Dataset whose observed labels are re-derived from gold, so applying them
-repeatedly or concurrently is safe.
+repeatedly or concurrently is safe. apply_noise maps a config's noise section
+to its injector.
 """
 
 from __future__ import annotations
@@ -17,28 +18,12 @@ import numpy as np
 
 from .data import Dataset
 from .errors import UnreachableNoiseLevelError, ValidationError
-from .util import derive_rng, stable_hash
+from .util import checked_call, derive_rng, stable_hash
 
-NOISE_KINDS = ("uniform_random", "feature_dependent", "pseudo_real_world")
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Which noise family to inject and how much (seeded).
-
-    target_level is ignored by feature_dependent noise: there the level is an
-    emergent property of the rule set, not a dial.
-    """
-
-    kind: str
-    target_level: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise ValidationError(f"noise kind must be one of {NOISE_KINDS}")
-        if not 0.0 <= self.target_level <= 1.0:
-            raise ValidationError("target_level must be in [0, 1]")
+# noise kind -> the keys its config section may hold besides "kind"
+NOISE_KEYS = {"none": (), "uniform_random": ("level",),
+              "pseudo_real_world": ("level",),
+              "feature_dependent": ("rules", "fallback", "seed")}
 
 
 @dataclass(frozen=True)
@@ -257,3 +242,59 @@ def inject_annotation_noise(dataset: Dataset, level: float, seed: int) -> Datase
             pool = disagreeing[int(i)]
             observed[i] = pool[int(rng.integers(0, len(pool)))]
     return dataset.with_observed(observed)
+
+
+# ---------------------------------------------------------------------------
+# Noise config sections
+# ---------------------------------------------------------------------------
+
+
+def _build_labeler(noise: dict, dataset: Dataset) -> RuleLabeler:
+    rules_raw = noise["rules"]
+    if not isinstance(rules_raw, list) or not rules_raw:
+        raise ValidationError("'rules' must be a non-empty list of "
+                              "{keywords, label} objects")
+    rules = []
+    for i, r in enumerate(rules_raw):
+        keywords, label = (r["keywords"], r["label"]) \
+            if isinstance(r, dict) and set(r) == {"keywords", "label"} else (None, None)
+        if not (isinstance(keywords, list) and all(isinstance(k, str) for k in keywords)
+                and isinstance(label, (int, str)) and not isinstance(label, bool)):
+            raise ValidationError(f"rule {i} needs a 'keywords' list of strings "
+                                  "and a label name or index, and nothing else")
+        idx = dataset.label_set.index_of(label) if isinstance(label, str) else label
+        rules.append(LabelRule(frozenset(keywords), idx))
+    return checked_call(RuleLabeler, {"rules": tuple(rules),
+                                      **{k: noise[k] for k in ("fallback", "seed")
+                                         if k in noise}}, "feature_dependent noise")
+
+
+def apply_noise(dataset: Dataset, noise: dict, seed: int,
+                labeler: RuleLabeler | None = None) -> Dataset:
+    """dataset noised as a config's noise section says.
+
+    The section names its "kind", one of NOISE_KEYS. uniform_random and
+    pseudo_real_world take a "level" and draw from seed. feature_dependent
+    takes "rules" with an optional "fallback" and "seed", or no other key to
+    apply labeler (a preset's own). Any other key raises ValidationError.
+    """
+    kind = noise.get("kind") if isinstance(noise, dict) else None
+    if not isinstance(kind, str) or kind not in NOISE_KEYS:
+        raise ValidationError("noise must be an object whose 'kind' is one of "
+                              f"{tuple(NOISE_KEYS)}")
+    unknown = sorted(set(noise) - {"kind", *NOISE_KEYS[kind]})
+    if unknown:
+        raise ValidationError(f"{kind} noise takes no {unknown}")
+    if kind == "none":
+        return dataset
+    if kind == "feature_dependent":
+        if "rules" in noise:
+            labeler = _build_labeler(noise, dataset)
+        elif labeler is None or len(noise) > 1:
+            raise ValidationError("feature_dependent noise needs 'rules', or a "
+                                  "preset's rule labeler and no other key")
+        return inject_rule_noise(dataset, labeler)
+    inject = inject_uniform_noise if kind == "uniform_random" \
+        else inject_annotation_noise
+    return checked_call(inject, {"dataset": dataset, "level": noise.get("level", 0.0),
+                                 "seed": seed}, f"{kind} noise")

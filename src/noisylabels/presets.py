@@ -24,8 +24,7 @@ from .data import Dataset, SplitSpec, generate_synthetic_corpus, split_dataset, 
     synthetic_class_vocabularies
 from .errors import ValidationError
 from .model import Featurizer, TrainConfig
-from .noise import LabelRule, NoiseSpec, RuleLabeler, inject_annotation_noise, \
-    inject_rule_noise, inject_uniform_noise
+from .noise import LabelRule, RuleLabeler, apply_noise
 
 PRESET_NAMES = ("separable", "yoruba_like", "hausa_like")
 
@@ -35,7 +34,7 @@ DESK_TRAIN = TrainConfig(steps=600, learning_rate=0.5, patience=8,
                          warmup_steps=0, weight_decay=1e-4, drop_rate=0.1,
                          batch_size=32, eval_every=25, seed=0, hidden_size=64)
 
-DESK_FEATURIZER = Featurizer(hash_dim=4096, ngram_orders=(1, 2), hash_seed=0)
+DESK_FEATURIZER = Featurizer()
 
 
 def core_vocabulary_rules(
@@ -102,40 +101,13 @@ class Preset:
         )
         return split_dataset(corpus, self.split)
 
-    def noisy_splits(self, noise: NoiseSpec | None = None,
-                     noise_validation: bool = True
-                     ) -> tuple[Dataset, Dataset, Dataset]:
-        """Splits with noise applied to train (and by default validation);
-        the test split always stays clean.
-
-        noise=None applies the preset's own rule labeler when it has one.
-        """
+    def noisy_splits(self) -> tuple[Dataset, Dataset, Dataset]:
+        """Splits with the preset's rule labeler, if it has one, applied to
+        train and validation; the test split always stays clean."""
         train, val, test = self.clean_splits()
-        if noise is None:
-            if self.labeler is None:
-                return train, val, test
-            train = inject_rule_noise(train, self.labeler)
-            if noise_validation:
-                val = inject_rule_noise(val, self.labeler)
-            return train, val, test
-        train = self.apply_noise(train, noise)
-        if noise_validation:
-            val = self.apply_noise(val, noise, salt=1)
-        return train, val, test
-
-    def apply_noise(self, dataset: Dataset, noise: NoiseSpec,
-                    salt: int = 0) -> Dataset:
-        if noise.kind == "uniform_random":
-            return inject_uniform_noise(dataset, noise.target_level,
-                                        noise.seed + salt)
-        if noise.kind == "pseudo_real_world":
-            return inject_annotation_noise(dataset, noise.target_level,
-                                           noise.seed + salt)
-        if self.labeler is None:
-            raise ValidationError(
-                f"preset {self.name!r} has no rule labeler for "
-                "feature-dependent noise")
-        return inject_rule_noise(dataset, self.labeler)
+        noise = {"kind": "none" if self.labeler is None else "feature_dependent"}
+        return (apply_noise(train, noise, 0, self.labeler),
+                apply_noise(val, noise, 1, self.labeler), test)
 
 
 def separable_preset(corpus_seed: int = 101) -> Preset:

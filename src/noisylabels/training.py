@@ -379,28 +379,22 @@ def ceta_batch_objective(params: ModelParams, x, y: np.ndarray, ceta: CetaConfig
 
 def train_ceta(
     train: Dataset, val: Dataset, cfg: TrainConfig, ceta: CetaConfig,
-    featurizer: Featurizer, initial_params: ModelParams | None = None,
+    featurizer: Featurizer,
 ) -> tuple[ModelParams, list[dict]]:
     """Two heads over one encoder, updated only where the heads agree.
 
     Early stopping watches the validation accuracy of the head-averaged
     probabilities. Raises ConsensusCollapseError when no instance reaches
-    consensus for an entire epoch. initial_params overrides the seeded
-    init (used to study head-initialization effects).
+    consensus for an entire epoch.
     """
-    return _train_ceta(Featurized.of(featurizer, train, val), cfg, ceta,
-                       initial_params)
+    return _train_ceta(Featurized.of(featurizer, train, val), cfg, ceta)
 
 
-def _train_ceta(data: Featurized, cfg: TrainConfig, ceta: CetaConfig,
-                initial_params: ModelParams | None = None
+def _train_ceta(data: Featurized, cfg: TrainConfig, ceta: CetaConfig
                 ) -> tuple[ModelParams, list[dict]]:
     init_seed = _init_seed(cfg)
-    if initial_params is None:
-        params = init_params(data.featurizer, data.n_labels, cfg.hidden_size,
-                             n_heads=2, drop_rate=cfg.drop_rate, seed=init_seed)
-    else:
-        params = initial_params.copy()
+    params = init_params(data.featurizer, data.n_labels, cfg.hidden_size,
+                         n_heads=2, drop_rate=cfg.drop_rate, seed=init_seed)
     dropout_rng = derive_rng(init_seed, "dropout")
     empty_streak = 0
 

@@ -1,12 +1,19 @@
-"""Shared helpers: stable hashing, seeded RNG streams, bounded parallelism."""
+"""Shared helpers: stable hashing, seeded RNG streams, bounded parallelism,
+type-checked calls."""
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import os
+import types
+import typing
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+from .errors import ValidationError
 
 WORKERS_ENV_VAR = "NOISYLABELS_WORKERS"
 
@@ -49,16 +56,48 @@ def worker_count() -> int:
     return max(1, n)
 
 
-def run_indexed(fn, items, workers: int | None = None) -> list:
-    """Apply fn to each item, possibly in threads; results in input order.
+def run_indexed(fn, items) -> list:
+    """Apply fn to each item, in up to worker_count() threads; results in
+    input order.
 
     Each item must be self-contained (own seed, no shared mutable state) so
     the result is identical whatever the worker count.
     """
     items = list(items)
-    if workers is None:
-        workers = worker_count()
+    workers = worker_count()
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def _conforms(value, hint) -> bool:
+    """Whether a JSON-loaded value has an annotated type; an int is a float
+    too, a bool is neither, and a list stands for a tuple or sequence."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_conforms(value, arg) for arg in args)
+    if origin in (tuple, Sequence):
+        return isinstance(value, (list, tuple)) \
+            and all(_conforms(v, args[0]) for v in value)
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    return isinstance(value, origin or hint)
+
+
+def checked_call(fn, kwargs: dict, what: str):
+    """fn(**kwargs) for a function or dataclass fn, after raising
+    ValidationError about `what` (say "'train'") for a name fn does not
+    take, a required one missing, or a value not of its annotated type."""
+    params = inspect.signature(fn).parameters
+    unknown = sorted(set(kwargs) - set(params))
+    missing = [name for name, p in params.items()
+               if p.default is p.empty and name not in kwargs]
+    if unknown or missing:
+        raise ValidationError(f"unknown {what} keys: {unknown}" if unknown
+                              else f"missing {what} keys: {missing}")
+    hints = typing.get_type_hints(fn)
+    for name, value in kwargs.items():
+        if not _conforms(value, hints[name]):
+            raise ValidationError(f"{what} key {name!r} has the wrong type: {value!r}")
+    return fn(**kwargs)

@@ -137,6 +137,26 @@ class TestWrongShapeInputs:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "noised.jsonl").exists()
 
+    SYNTHETIC = {"classes": 3, "instances": 240, "vocab_per_class": 20,
+                 "seed": 7}
+
+    @pytest.mark.parametrize("overrides", [
+        {"split": {"tarin": 0.5}},
+        {"noise": {"kind": "uniform_random", "levle": 0.3}},
+        {"dataset": {"synthetic": {"instances": 240}}},
+        {"dataset": {"synthetic": {**SYNTHETIC, "colours": 3}}},
+        {"dataset": {"synthetic": 5}},
+        {"runs": "2"},
+        {"dataset": {"preset": "separable", "corpus_seed": "x"}, "split": None},
+        {"noise": "uniform_random"},
+        {"split": [1]},
+    ])
+    def test_malformed_config_sections_are_one(self, tmp_path, capsys,
+                                               overrides):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("rules", [[1], {"a": 1},
                                        [{"keywords": "abc", "label": 0}]])
     def test_config_rules_of_wrong_shape_are_one(self, tmp_path, capsys, rules):

@@ -1,8 +1,13 @@
+import copy
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisylabels import (
     CleanConfig,
@@ -200,6 +205,135 @@ class TestConfigValidation:
     def test_bad_train_section(self):
         with pytest.raises(ValidationError, match="train"):
             base_config(train={"steps": 100, "nonsense": 5})
+
+
+def materialize_and_noise(raw):
+    """Everything run_experiment does with a config before it trains."""
+    cfg = ExperimentConfig.from_dict(raw)
+    return _apply_noise(_materialize(cfg), cfg, cfg.base_seed)
+
+
+SMALL_TRAIN = {"steps": 10, "learning_rate": 0.4, "patience": 2,
+               "warmup_steps": 2, "weight_decay": 1e-4, "drop_rate": 0.1,
+               "batch_size": 8, "eval_every": 5, "seed": 1, "hidden_size": 8,
+               "init_seed": 2}
+
+
+@pytest.fixture(scope="module")
+def valid_configs(tmp_path_factory):
+    """Valid configs covering every source, noise kind and section."""
+    corpus = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    save_dataset(generate_synthetic_corpus(3, 60, 8, 0.0, seed=3,
+                                           annotators_per_instance=2,
+                                           annotator_disagreement=0.5),
+                 corpus, "jsonl")
+    synthetic = {"classes": 3, "instances": 60, "vocab_per_class": 8,
+                 "overlap": 0.1, "seed": 2, "class_weights": [1.0, 1.2, 0.9],
+                 "tokens_per_text": [4, 8], "global_token_fraction": 0.05}
+    split = {"train": 0.6, "validation": 0.2, "test": 0.2, "seed": 1}
+    return [
+        {"method": "nc", "dataset": {"synthetic": synthetic}, "split": split,
+         "noise": {"kind": "feature_dependent", "fallback": "random", "seed": 4,
+                   "rules": [{"keywords": ["tok0001", "tok0009"], "label": 1},
+                             {"keywords": ["tok0017"], "label": "class2"}]},
+         "featurizer": {"hash_dim": 256, "ngram_orders": [1, 2], "hash_seed": 1},
+         "train": SMALL_TRAIN,
+         "cleaning": {"folds": 3, "tuning_quantiles": [0.5, 0.9], "seed": 1},
+         "runs": 2, "base_seed": 1, "noise_validation": False,
+         "reproducible": True, "output": "report.json"},
+        {"method": "hme", "dataset": {"path": str(corpus), "format": "jsonl"},
+         "split": split, "noise": {"kind": "pseudo_real_world", "level": 0.1},
+         "ensemble": {"members": 2, "subset_fraction": 0.8, "grid": "compact"},
+         "coteaching": {"tau": 0.3, "ramp_steps": 5},
+         "ceta": {"consensus_rule": "heads_agree", "lambda_w": 0.2,
+                  "ground_metric": "discrete"},
+         "cleaning": {"folds": 2, "threshold": 0.5, "tuning_grid": [0.1, 0.2]}},
+        {"method": "vanilla", "dataset": {"preset": "separable", "corpus_seed": 5},
+         "noise": {"kind": "uniform_random", "level": 0.1}, "train": SMALL_TRAIN},
+    ]
+
+
+def nodes(obj, path=()):
+    """(path, value) of obj and of everything nested in it."""
+    yield path, obj
+    children = obj.items() if isinstance(obj, dict) \
+        else enumerate(obj) if isinstance(obj, list) else ()
+    for key, child in children:
+        yield from nodes(child, path + (key,))
+
+
+def mutated(raw, path, value=None, drop=False):
+    out = copy.deepcopy(raw)
+    *parents, last = path
+    target = out
+    for key in parents:
+        target = target[key]
+    if drop:
+        del target[last]
+    else:
+        target[last] = value
+    return out
+
+
+# keys whose absence leaves a config that cannot run
+REQUIRED_KEYS = {"method", "dataset", "preset", "synthetic", "path", "classes",
+                 "instances", "kind", "rules", "keywords", "label"}
+# one value of each JSON kind but null, which means "absent"
+OTHER_KIND = {"str": "x", "number": 7, "bool": True, "list": ["x"]}
+
+
+def json_kind(value) -> str:
+    if isinstance(value, bool):
+        return "bool"
+    return "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+@st.composite
+def malformed(draw, raw):
+    """raw with one key required dropped, one unknown key added to a
+    section, one section replaced by a non-object, or one value (a scalar,
+    a list or a list element) replaced by one of another JSON kind."""
+    everything = list(nodes(raw))
+    how = draw(st.sampled_from(["drop", "add", "non-object", "retype"]))
+    if how == "drop":
+        path = draw(st.sampled_from([p for p, _ in everything
+                                     if p and p[-1] in REQUIRED_KEYS]))
+        return mutated(raw, path, drop=True)
+    sections = [p for p, v in everything if isinstance(v, dict)]
+    if how == "add":
+        path = draw(st.sampled_from(sections))
+        key = draw(st.sampled_from(["extra", "levle", "tarin", "colours"]))
+        return mutated(raw, path + (key,), draw(st.sampled_from([0, "x"])))
+    if how == "non-object":
+        path = draw(st.sampled_from(sections[1:]))
+        return mutated(raw, path, draw(st.sampled_from([5, "x", [1], [], True])))
+    path, value = draw(st.sampled_from([(p, v) for p, v in everything
+                                        if not isinstance(v, dict)]))
+    kinds = sorted(set(OTHER_KIND) - {json_kind(value)})
+    return mutated(raw, path, OTHER_KIND[draw(st.sampled_from(kinds))])
+
+
+class TestMalformedConfigProperties:
+    def test_valid_configs_materialize(self, valid_configs):
+        for raw in valid_configs:
+            train, val = materialize_and_noise(raw)
+            assert len(train) and len(val)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_malformed_configs_raise_validation_error(self, valid_configs, data):
+        raw = data.draw(malformed(data.draw(st.sampled_from(valid_configs))))
+        with pytest.raises(ValidationError):
+            materialize_and_noise(raw)
+
+
+def test_readme_configs_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert blocks
+    for block in blocks:
+        train, val = materialize_and_noise(json.loads(block))
+        assert len(train) and len(val)
 
 
 class TestCompareMethods:

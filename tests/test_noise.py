@@ -8,7 +8,6 @@ from noisylabels import (
     Instance,
     LabelRule,
     LabelSet,
-    NoiseSpec,
     RuleLabeler,
     UnreachableNoiseLevelError,
     ValidationError,
@@ -235,9 +234,3 @@ class TestNoiseStats:
         json_path = tmp_path / "m.json"
         m.save(json_path)
         assert json.loads(json_path.read_text())["counts"] == m.counts.tolist()
-
-    def test_noise_spec_validation(self):
-        with pytest.raises(ValidationError):
-            NoiseSpec(kind="bogus")
-        with pytest.raises(ValidationError):
-            NoiseSpec(kind="uniform_random", target_level=1.5)
