@@ -201,10 +201,8 @@ def _apply_noise(mat: _Materialized, cfg: ExperimentConfig, run_seed: int
     cfg.noise_validation), so repetitions aggregate over noising randomness.
     Without a noise section, a preset applies its own rule labeler."""
     labeler = mat.preset.labeler if mat.preset is not None else None
-    noise = cfg.noise if cfg.noise is not None else \
-        {"kind": "none" if labeler is None else "feature_dependent"}
-    train = apply_noise(mat.train, noise, run_seed, labeler)
-    val = apply_noise(mat.val, noise, run_seed + 1, labeler) \
+    train = apply_noise(mat.train, cfg.noise, run_seed, labeler)
+    val = apply_noise(mat.val, cfg.noise, run_seed + 1, labeler) \
         if cfg.noise_validation else mat.val
     return train, val
 

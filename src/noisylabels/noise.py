@@ -269,7 +269,7 @@ def _build_labeler(noise: dict, dataset: Dataset) -> RuleLabeler:
                                          if k in noise}}, "feature_dependent noise")
 
 
-def apply_noise(dataset: Dataset, noise: dict, seed: int,
+def apply_noise(dataset: Dataset, noise: dict | None, seed: int,
                 labeler: RuleLabeler | None = None) -> Dataset:
     """dataset noised as a config's noise section says.
 
@@ -277,7 +277,10 @@ def apply_noise(dataset: Dataset, noise: dict, seed: int,
     pseudo_real_world take a "level" and draw from seed. feature_dependent
     takes "rules" with an optional "fallback" and "seed", or no other key to
     apply labeler (a preset's own). Any other key raises ValidationError.
+    No section (None) applies labeler when there is one, else no noise.
     """
+    if noise is None:
+        noise = {"kind": "none" if labeler is None else "feature_dependent"}
     kind = noise.get("kind") if isinstance(noise, dict) else None
     if not isinstance(kind, str) or kind not in NOISE_KEYS:
         raise ValidationError("noise must be an object whose 'kind' is one of "

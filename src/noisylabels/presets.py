@@ -105,9 +105,8 @@ class Preset:
         """Splits with the preset's rule labeler, if it has one, applied to
         train and validation; the test split always stays clean."""
         train, val, test = self.clean_splits()
-        noise = {"kind": "none" if self.labeler is None else "feature_dependent"}
-        return (apply_noise(train, noise, 0, self.labeler),
-                apply_noise(val, noise, 1, self.labeler), test)
+        return (apply_noise(train, None, 0, self.labeler),
+                apply_noise(val, None, 1, self.labeler), test)
 
 
 def separable_preset(corpus_seed: int = 101) -> Preset:
