@@ -214,8 +214,14 @@ def load_dataset(path: str | Path, format: str = "jsonl",
                     continue
                 try:
                     obj = json.loads(raw)
+                    # a \ud800-style escape decodes to a lone surrogate, which
+                    # no UTF-8 output can hold
+                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
                 except json.JSONDecodeError as exc:
                     raise DataFormatError(f"invalid JSON ({exc.msg})", line=line_no) from None
+                except UnicodeEncodeError as exc:
+                    raise DataFormatError(f"invalid unicode ({exc.reason})",
+                                          line=line_no) from None
                 if not isinstance(obj, dict) or "id" not in obj or "text" not in obj \
                         or "label" not in obj:
                     raise DataFormatError("object must have id, text and label fields",
@@ -301,10 +307,14 @@ def save_dataset(dataset: Dataset, path: str | Path, format: str = "jsonl",
                 gold = "" if inst.gold_label is None else names[inst.gold_label]
                 row += f"\t{gold}"
             lines.append(row)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    try:  # encode everything before writing, so a failure leaves no file behind
+        body, sidecar = [("\n".join(part) + "\n").encode("utf-8") for part in (lines, names)]
+    except UnicodeEncodeError as exc:
+        raise ValidationError(f"{exc.object[exc.start:exc.end]!r} cannot be saved as "
+                              f"UTF-8 ({exc.reason})") from None
+    path.write_bytes(body)
     if write_sidecar:
-        _sidecar_path(path).write_text("\n".join(names) + "\n", encoding="utf-8",
-                                       newline="\n")
+        _sidecar_path(path).write_bytes(sidecar)
 
 
 # ---------------------------------------------------------------------------

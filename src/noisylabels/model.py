@@ -38,36 +38,51 @@ class Featurizer:
             raise ValidationError("ngram_orders must be positive integers")
         object.__setattr__(self, "ngram_orders", orders)
 
-    def token_indices(self, text: str) -> list[int]:
-        """Hashed index of every n-gram occurrence (repeats included)."""
-        tokens = text.lower().split()
-        out = []
-        for order in self.ngram_orders:
-            for i in range(len(tokens) - order + 1):
-                gram = f"{order}:" + " ".join(tokens[i:i + order])
-                out.append(stable_hash(gram, self.hash_seed) % self.hash_dim)
-        return out
+
+# hash_seed -> space-joined n-gram -> stable_hash of the gram. Tokens hold no
+# whitespace, so the number of spaces gives the order. stable_hash is pure, so
+# the memo cannot change a result; only one seed's table is kept, and it is
+# cleared when full, so it never holds more than _GRAM_HASH_CAP grams.
+_GRAM_HASH_CAP = 2**18
+_gram_hashes: dict[int, dict[str, int]] = {}
 
 
 def featurize_texts(featurizer: Featurizer, texts: list[str]) -> sparse.csr_array:
     """Stack of hashed n-gram rows; repeated n-grams accumulate weight."""
-    data: list[float] = []
-    indices: list[int] = []
-    indptr = [0]
-    for text in texts:
-        idx = featurizer.token_indices(text)
-        if idx:
-            uniq, counts = np.unique(np.asarray(idx, dtype=np.int64),
-                                     return_counts=True)
-            values = counts / np.linalg.norm(counts)
-            indices.extend(uniq.tolist())
-            data.extend(values.tolist())
-        indptr.append(len(indices))
+    seed, dim, n = featurizer.hash_seed, featurizer.hash_dim, len(texts)
+    table = _gram_hashes.get(seed)
+    if table is None:
+        _gram_hashes.clear()
+        table = _gram_hashes[seed] = {}
+    hashes: list[int] = []
+    lengths: list[int] = []
+    try:
+        for row, text in enumerate(texts):
+            tokens = text.lower().split()
+            start = len(hashes)
+            for order in featurizer.ngram_orders:
+                for gram in map(" ".join, zip(*(tokens[i:] for i in range(order)))):
+                    h = table.get(gram)
+                    if h is None:
+                        if len(table) >= _GRAM_HASH_CAP:
+                            table.clear()
+                        h = table[gram] = stable_hash(f"{order}:{gram}", seed)
+                    hashes.append(h)
+            lengths.append(len(hashes) - start)
+    except UnicodeEncodeError as exc:
+        raise ValidationError(f"text {row} is not encodable as UTF-8 ({exc.reason})") \
+            from None
+    # one sort over (row, index) keys gives every row's sorted distinct indices
+    cells = np.repeat(np.arange(n, dtype=np.int64) * dim, lengths) \
+        + (np.array(hashes, dtype=np.uint64) % dim).astype(np.int64)
+    cells, counts = np.unique(cells, return_counts=True)
+    indptr = np.searchsorted(cells, np.arange(n + 1, dtype=np.int64) * dim)
+    # exact integer sums of squares, so the norms match np.linalg.norm bit for bit
+    squares = np.concatenate(([0], np.cumsum(counts * counts)))
+    norms = np.sqrt(squares[indptr[1:]] - squares[indptr[:-1]])
     return sparse.csr_array(
-        (np.asarray(data, dtype=np.float64),
-         np.asarray(indices, dtype=np.int64),
-         np.asarray(indptr, dtype=np.int64)),
-        shape=(len(texts), featurizer.hash_dim),
+        (counts / np.repeat(norms, np.diff(indptr)), cells % dim, indptr),
+        shape=(n, dim),
     )
 
 

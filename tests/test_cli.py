@@ -137,6 +137,28 @@ class TestWrongShapeInputs:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "noised.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["noise", "train"])
+    def test_lone_surrogate_corpus_is_one(self, tmp_path, capsys, command):
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["gen", "--classes", "3", "--instances", "30",
+                     "--vocab-per-class", "8", "--out", str(corpus)]) == 0
+        rows = corpus.read_text(encoding="utf-8").splitlines()
+        row = json.loads(rows[3])
+        row["text"] += " \ud800"
+        rows[3] = json.dumps(row)  # escaped, so the file stays valid UTF-8
+        corpus.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        if command == "noise":
+            argv = ["noise", "--in", str(corpus), "--kind", "uniform_random",
+                    "--level", "0.2", "--out", str(out)]
+        else:
+            cfg = write_config(tmp_path / "cfg.json", dataset={"path": str(corpus)})
+            argv = ["train", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: line 4: invalid unicode")
+        assert not out.exists()
+
     SYNTHETIC = {"classes": 3, "instances": 240, "vocab_per_class": 20,
                  "seed": 7}
 

@@ -95,6 +95,30 @@ class TestLoadSave:
         with pytest.raises(ValidationError, match="no such file"):
             load_dataset("/nonexistent/corpus.jsonl")
 
+    @pytest.mark.parametrize("field", ["id", "text", "label", "gold_label"])
+    def test_lone_surrogate_rejected_on_load(self, tmp_path, field):
+        rows = [{"id": "a", "text": "x", "label": "l1"},
+                {"id": "b", "text": "y", "label": "l2", "gold_label": "l1"}]
+        rows[1][field] += "\ud800"
+        path = tmp_path / "corpus.jsonl"
+        # json.dumps escapes the surrogate, so the file itself is valid UTF-8
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataFormatError, match="line 2: invalid unicode"):
+            load_dataset(path, "jsonl")
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+    @pytest.mark.parametrize("where", ["id", "text", "label name"])
+    def test_lone_surrogate_rejected_on_save_with_nothing_written(
+            self, tmp_path, fmt, where):
+        names = ("a", "b\udfff" if where == "label name" else "b")
+        row_id = "r\ud800" if where == "id" else "r"
+        text = "x \ud800 y" if where == "text" else "x y"
+        dataset = Dataset(LabelSet(names), (Instance(row_id, text, 0),))
+        with pytest.raises(ValidationError, match="cannot be saved as UTF-8"):
+            save_dataset(dataset, tmp_path / f"corpus.{fmt}", fmt)
+        assert list(tmp_path.iterdir()) == []
+
 
 # Label names the labels.txt sidecar and a TSV row can hold: no control
 # characters or line breaks, and no edge whitespace, which the reader strips.

@@ -1,5 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from noisylabels import (
     Featurizer,
@@ -11,9 +17,10 @@ from noisylabels import (
     load_model,
     save_model,
 )
-from noisylabels import DivergenceError
+from noisylabels import DivergenceError, model
 from noisylabels.model import Grads, _encode, _head_logits, _log_softmax, \
     apply_grads, evaluate_features, mean_ce_and_grads, predict_probs
+from noisylabels.util import stable_hash
 
 
 def numeric_gradient(fn, array, index, h=1e-5):
@@ -55,7 +62,105 @@ def train_step(params, x, y, lr_effective, weight_decay=0.0, seed=0):
     apply_grads(params, grads, lr_effective, weight_decay)
 
 
+def reference_featurize(featurizer, texts):
+    """The per-text featurizer: keyed blake2b for every n-gram occurrence,
+    then np.unique and np.linalg.norm row by row."""
+    data, indices, indptr = [], [], [0]
+    for text in texts:
+        tokens = text.lower().split()
+        idx = [stable_hash(f"{order}:" + " ".join(tokens[i:i + order]),
+                           featurizer.hash_seed) % featurizer.hash_dim
+               for order in featurizer.ngram_orders
+               for i in range(len(tokens) - order + 1)]
+        if idx:
+            uniq, counts = np.unique(np.asarray(idx, dtype=np.int64),
+                                     return_counts=True)
+            indices.extend(uniq.tolist())
+            data.extend((counts / np.linalg.norm(counts)).tolist())
+        indptr.append(len(indices))
+    return sparse.csr_array((np.asarray(data, dtype=np.float64),
+                             np.asarray(indices, dtype=np.int64),
+                             np.asarray(indptr, dtype=np.int64)),
+                            shape=(len(texts), featurizer.hash_dim))
+
+
+def assert_matches_reference(featurizer, texts):
+    assert_same_csr(featurize_texts(featurizer, texts),
+                    reference_featurize(featurizer, texts))
+
+
+def assert_same_csr(actual, expected):
+    assert actual.shape == expected.shape
+    for attr in ("data", "indices", "indptr"):
+        a, e = getattr(actual, attr), getattr(expected, attr)
+        assert a.dtype == e.dtype and np.array_equal(a, e), attr
+
+
+# few distinct tokens, so texts repeat n-grams; mixed case, and whitespace
+# of several kinds, so texts can be empty or whitespace-only
+TOKENS = st.sampled_from(["a", "A", "b", "ab", "aB", "ß", "SS", "İ", "ǅ", "x1"])
+SPACES = st.sampled_from([" ", "  ", "\t", "\n", "\u3000", "\x85"])
+TEXTS = st.lists(TOKENS | SPACES, max_size=12).map("".join) | st.text(max_size=30)
+FEATURIZERS = st.builds(
+    Featurizer,
+    hash_dim=st.integers(1, 16).map(lambda k: 2**k),
+    ngram_orders=st.sets(st.sampled_from([1, 2, 3]), min_size=1).map(tuple),
+    hash_seed=st.sampled_from([0, 1, -7, 2**40]),
+)
+
+
 class TestFeaturizer:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(FEATURIZERS, st.lists(TEXTS, max_size=8))
+    def test_matches_per_text_reference(self, featurizer, texts):
+        assert_matches_reference(featurizer, texts)
+
+    def test_memo_keyed_by_seed_not_dim(self):
+        texts = ["alpha beta gamma", "Beta alpha", "gamma gamma delta", ""]
+        for seed in (0, 1, 0, 5, 1, 0):
+            assert_matches_reference(Featurizer(2**10, (1, 2), seed), texts)
+        for dim in (2**10, 2**4, 2**16, 2**4):
+            assert_matches_reference(Featurizer(dim, (1, 2, 3), 3), texts)
+        assert list(model._gram_hashes) == [3]  # one seed's table at a time
+
+    def test_memo_never_exceeds_cap(self, monkeypatch):
+        monkeypatch.setattr(model, "_GRAM_HASH_CAP", 8)
+        featurizer = Featurizer(2**8, (1, 2), 11)
+        texts = [f"w{i} w{i + 1} w{i * 7} w{i}" for i in range(30)]
+        assert_matches_reference(featurizer, texts)
+        for i in range(len(texts)):
+            assert_matches_reference(featurizer, texts[i:i + 2])
+            assert 0 < len(model._gram_hashes[11]) <= 8
+
+    def test_concurrent_calls_with_a_small_cap(self, monkeypatch):
+        # four threads on two cores, two hash seeds, and a cap far below the
+        # distinct grams: tables are cleared and replaced under every call
+        monkeypatch.setattr(model, "_GRAM_HASH_CAP", 16)
+        texts = [f"w{i % 13} w{i % 7} W{i % 5} w{i}" for i in range(300)]
+        featurizers = [Featurizer(2**8, (1, 2), k % 2) for k in range(4)]
+        results = [None] * 4
+
+        def work(k):
+            results[k] = featurize_texts(featurizers[k], texts)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for featurizer, result in zip(featurizers, results):
+            assert_same_csr(result, reference_featurize(featurizer, texts))
+
+    def test_lone_surrogate_names_its_text(self):
+        with pytest.raises(ValidationError, match="text 1 "):
+            featurize_texts(Featurizer(), ["ok", "x \ud800"])
+
     def test_empty_text_zero_vector(self, tiny_featurizer):
         assert featurize_texts(tiny_featurizer, [""]).nnz == 0
 
