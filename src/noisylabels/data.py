@@ -6,6 +6,7 @@ Dataset, so they are safe to share across concurrent training runs.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -162,11 +163,22 @@ def _sidecar_path(path: Path) -> Path:
     return path.parent / LABELS_SIDECAR
 
 
+def _read_text(path: Path) -> str:
+    """The file as UTF-8 text; other bytes raise DataFormatError naming the line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        prefix = data[:exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        raise DataFormatError(f"{path.name} is not UTF-8 ({exc.reason})",
+                              line=prefix.count("\n") + 1) from None
+
+
 def _read_sidecar(path: Path) -> list[str] | None:
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         return None
-    names = [line.strip() for line in sidecar.read_text(encoding="utf-8").splitlines()]
+    names = [line.strip() for line in _read_text(sidecar).splitlines()]
     return [n for n in names if n]
 
 
@@ -207,7 +219,7 @@ def load_dataset(path: str | Path, format: str = "jsonl",
             raise DataFormatError(f"duplicate id {row_id!r}", line=line)
         seen_ids.add(row_id)
 
-    with path.open(encoding="utf-8") as fh:
+    with io.StringIO(_read_text(path), newline=None) as fh:
         if format == "jsonl":
             for line_no, raw in enumerate(fh, start=1):
                 if not raw.strip():

@@ -280,7 +280,7 @@ def save_ensemble(directory: str | Path, featurizer: Featurizer,
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, member in enumerate(members):
-        name = f"member{i:02d}.json"
+        name = f"member{i:02d}.ckpt"
         save_model(directory / name, featurizer, member)
         entries.append({
             "method": methods[i] if methods else "vanilla",
@@ -296,15 +296,17 @@ def save_ensemble(directory: str | Path, featurizer: Featurizer,
 
 def load_ensemble(manifest_path: str | Path) -> tuple[Featurizer, list[ModelParams]]:
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("version") != 1 or not manifest.get("members"):
+    try:
+        manifest = json.loads(manifest_path.read_bytes())
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read manifest {manifest_path}: {exc}") from None
+    entries = manifest.get("members") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list) or not entries or manifest.get("version") != 1:
         raise ValidationError("unsupported or empty ensemble manifest")
-    featurizer = None
-    members = []
-    for entry in manifest["members"]:
-        feat, params = load_model(manifest_path.parent / entry["checkpoint"])
-        if featurizer is not None and feat != featurizer:
-            raise ValidationError("ensemble members disagree on the featurizer")
-        featurizer = feat
-        members.append(params)
-    return featurizer, members
+    if not all(isinstance(e, dict) and isinstance(e.get("checkpoint"), str)
+               for e in entries):
+        raise ValidationError("every manifest member needs a 'checkpoint' file name")
+    loaded = [load_model(manifest_path.parent / e["checkpoint"]) for e in entries]
+    if any(feat != loaded[0][0] for feat, _ in loaded):
+        raise ValidationError("ensemble members disagree on the featurizer")
+    return loaded[0][0], [params for _, params in loaded]

@@ -8,7 +8,8 @@ classifiers over a single encoder; vanilla training uses one head.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,10 @@ from scipy import sparse
 
 from .data import Dataset
 from .errors import DivergenceError, ValidationError
-from .util import stable_hash
+from .util import checked_call, stable_hash
 
 DEFAULT_HIDDEN = 128
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,8 @@ class Featurizer:
         orders = tuple(sorted(set(self.ngram_orders)))
         if not orders or any(o < 1 for o in orders):
             raise ValidationError("ngram_orders must be positive integers")
+        if not -2**63 <= self.hash_seed < 2**63:
+            raise ValidationError("hash_seed must be in [-2**63, 2**63)")
         object.__setattr__(self, "ngram_orders", orders)
 
 
@@ -158,9 +161,12 @@ class ModelParams:
         return ModelParams(self.encoder.copy(), [h.copy() for h in self.heads],
                            self.drop_rate)
 
+    def arrays(self) -> list[np.ndarray]:
+        """The encoder, then each head's weights and bias."""
+        return [self.encoder] + [a for h in self.heads for a in (h.weights, h.bias)]
+
     def check_finite(self) -> None:
-        arrays = [self.encoder] + [a for h in self.heads for a in (h.weights, h.bias)]
-        if not all(np.isfinite(a).all() for a in arrays):
+        if not all(np.isfinite(a).all() for a in self.arrays()):
             raise DivergenceError("non-finite model parameters")
 
 
@@ -382,35 +388,55 @@ def evaluate(params: ModelParams, dataset: Dataset, featurizer: Featurizer,
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+_read_npy = partial(np.lib.format.read_array, allow_pickle=False)
+
 
 def save_model(path: str | Path, featurizer: Featurizer, params: ModelParams) -> None:
-    """Versioned JSON checkpoint; floats round-trip bit-exactly."""
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "featurizer": {
-            "hash_dim": featurizer.hash_dim,
-            "ngram_orders": list(featurizer.ngram_orders),
-            "hash_seed": featurizer.hash_seed,
-        },
-        "drop_rate": params.drop_rate,
-        "encoder": params.encoder.tolist(),
-        "heads": [{"weights": h.weights.tolist(), "bias": h.bias.tolist()}
-                  for h in params.heads],
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    """Version-2 checkpoint at exactly `path`: .npy records (NumPy NEP 1) of
+    the JSON metadata, then the encoder and each head's weights and bias as
+    little-endian float64; bit-exact, and equal params give equal bytes."""
+    meta = {"version": CHECKPOINT_VERSION, "featurizer": asdict(featurizer),
+            "drop_rate": params.drop_rate, "heads": params.n_heads}
+    with open(path, "wb") as fh:
+        for record in [np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)] + [
+                np.ascontiguousarray(a, dtype="<f8") for a in params.arrays()]:
+            np.lib.format.write_array(fh, record, allow_pickle=False)
 
 
 def load_model(path: str | Path) -> tuple[Featurizer, ModelParams]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValidationError(f"unsupported checkpoint version {payload.get('version')}")
-    feat = Featurizer(payload["featurizer"]["hash_dim"],
-                      tuple(payload["featurizer"]["ngram_orders"]),
-                      payload["featurizer"]["hash_seed"])
-    heads = [Head(np.array(h["weights"], dtype=np.float64),
-                  np.array(h["bias"], dtype=np.float64))
-             for h in payload["heads"]]
-    params = ModelParams(np.array(payload["encoder"], dtype=np.float64), heads,
-                         payload["drop_rate"])
-    params.check_finite()
-    return feat, params
+    """Read a version-2 checkpoint, or a version-1 JSON one (told apart by the
+    leading bytes); a missing or malformed file raises ValidationError."""
+    try:
+        with open(path, "rb") as fh:
+            binary = fh.read(6) == b"\x93NUMPY"
+            fh.seek(0)
+            meta = json.loads(_read_npy(fh).tobytes() if binary else fh.read())
+            version = meta.get("version") if isinstance(meta, dict) else None
+            if version != (CHECKPOINT_VERSION if binary else 1):
+                raise ValidationError(f"unsupported checkpoint version {version}")
+            if binary:
+                arrays = [_read_npy(fh) for _ in range(1 + 2 * max(meta["heads"], 0))]
+                if fh.read(1):
+                    raise ValidationError("trailing data after the last array")
+            else:
+                arrays = [np.array(a, dtype=np.float64) for a in [meta["encoder"]]
+                          + [h[k] for h in meta["heads"] for k in ("weights", "bias")]]
+        feat = checked_call(Featurizer, {k: meta["featurizer"][k] for k in (
+            "hash_dim", "ngram_orders", "hash_seed")}, "'featurizer'")
+        drop_rate = float(meta["drop_rate"])
+        encoder, heads = arrays[0], [Head(w, b) for w, b in zip(arrays[1::2], arrays[2::2])]
+        hidden = encoder.shape[-1] if encoder.ndim == 2 else -1
+        labels = heads[0].bias.size if heads else -1
+        shapes = [(feat.hash_dim, hidden)] + [(hidden, labels), (labels,)] * len(heads)
+        if not heads or [a.shape for a in arrays] != shapes or not 0.0 <= drop_rate < 1.0 \
+                or any(a.dtype != np.float64 or not np.isfinite(a).all() for a in arrays):
+            raise ValidationError("arrays must be finite float64 with shapes that fit "
+                                  "together, and drop_rate in [0, 1)")
+    except OSError as exc:
+        raise ValidationError(f"cannot read checkpoint {path}: {exc.strerror}") from None
+    # MemoryError: an array header may declare more floats than any memory holds
+    except (ValidationError, KeyError, TypeError, ValueError, OverflowError,
+            MemoryError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValidationError(f"checkpoint {path}: {what}") from None
+    return feat, ModelParams(encoder, heads, drop_rate)

@@ -137,26 +137,43 @@ class TestWrongShapeInputs:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "noised.jsonl").exists()
 
-    @pytest.mark.parametrize("command", ["noise", "train"])
-    def test_lone_surrogate_corpus_is_one(self, tmp_path, capsys, command):
+    @staticmethod
+    def corpus_command(tmp_path, command):
+        """A generated 30-row corpus, the output path, and argv that runs
+        `command` on the corpus."""
         corpus = tmp_path / "corpus.jsonl"
         assert main(["gen", "--classes", "3", "--instances", "30",
                      "--vocab-per-class", "8", "--out", str(corpus)]) == 0
+        out = tmp_path / "out.json"
+        if command == "noise":
+            return corpus, out, ["noise", "--in", str(corpus), "--kind",
+                                 "uniform_random", "--level", "0.2", "--out", str(out)]
+        cfg = write_config(tmp_path / "cfg.json", dataset={"path": str(corpus)})
+        return corpus, out, ["train", "--config", str(cfg), "--out", str(out)]
+
+    @pytest.mark.parametrize("command", ["noise", "train"])
+    def test_lone_surrogate_corpus_is_one(self, tmp_path, capsys, command):
+        corpus, out, argv = self.corpus_command(tmp_path, command)
         rows = corpus.read_text(encoding="utf-8").splitlines()
         row = json.loads(rows[3])
         row["text"] += " \ud800"
         rows[3] = json.dumps(row)  # escaped, so the file stays valid UTF-8
         corpus.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        out = tmp_path / "out.json"
         capsys.readouterr()
-        if command == "noise":
-            argv = ["noise", "--in", str(corpus), "--kind", "uniform_random",
-                    "--level", "0.2", "--out", str(out)]
-        else:
-            cfg = write_config(tmp_path / "cfg.json", dataset={"path": str(corpus)})
-            argv = ["train", "--config", str(cfg), "--out", str(out)]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: line 4: invalid unicode")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["noise", "train"])
+    def test_corpus_not_utf8_is_one(self, tmp_path, capsys, command):
+        corpus, out, argv = self.corpus_command(tmp_path, command)
+        rows = corpus.read_bytes().split(b"\n")
+        rows[3] = rows[3].replace(b'"text": "', b'"text": "\xed\xa0\x80 ', 1)
+        corpus.write_bytes(b"\n".join(rows))
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: line 4: corpus.jsonl is not UTF-8")
         assert not out.exists()
 
     SYNTHETIC = {"classes": 3, "instances": 240, "vocab_per_class": 20,
@@ -172,6 +189,8 @@ class TestWrongShapeInputs:
         {"dataset": {"preset": "separable", "corpus_seed": "x"}, "split": None},
         {"noise": "uniform_random"},
         {"split": [1]},
+        {"featurizer": {"hash_seed": 2**63}},
+        {"featurizer": {"hash_seed": -2**63 - 1}},
     ])
     def test_malformed_config_sections_are_one(self, tmp_path, capsys,
                                                overrides):

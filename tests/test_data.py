@@ -43,6 +43,26 @@ class TestLoadSave:
         with pytest.raises(DataFormatError, match="'c'"):
             load_dataset(path, "tsv")
 
+    @pytest.mark.parametrize("fmt, body, line", [
+        ("jsonl", b'{"id": "r1", "text": "a", "label": "x"}\r\n'
+                  b'{"id": "r2", "text": "b \xed\xa0\x80", "label": "y"}\n', 2),
+        ("tsv", b"id\ttext\tlabel\nr1\ta\tx\rr2\tb\ty\nr3\tc \xff\tx\n", 4),
+    ], ids=["jsonl", "tsv"])
+    def test_bytes_not_utf8_name_the_line(self, tmp_path, fmt, body, line):
+        path = tmp_path / f"corpus.{fmt}"
+        path.write_bytes(body)
+        with pytest.raises(DataFormatError,
+                           match=f"^line {line}: corpus.{fmt} is not UTF-8") as info:
+            load_dataset(path, fmt)
+        assert info.value.line == line
+
+    def test_sidecar_not_utf8_is_named(self, tmp_path):
+        (tmp_path / "labels.txt").write_bytes(b"a\nb\xed\xa0\x80\n")
+        path = tmp_path / "corpus.tsv"
+        path.write_text("id\ttext\tlabel\nr1\thello\ta\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="^line 2: labels.txt is not UTF-8"):
+            load_dataset(path, "tsv")
+
     def test_jsonl_annotator_labels(self, tmp_path):
         # round-trip oracle: write known instances, read back, compare
         path = tmp_path / "corpus.jsonl"

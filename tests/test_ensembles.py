@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from noisylabels import (
     TrainConfig,
     ValidationError,
     evaluate,
+    featurize_texts,
     init_params,
     load_ensemble,
     predict_ensemble,
@@ -23,6 +26,7 @@ from noisylabels import (
     train_vanilla,
 )
 from noisylabels.ensembles import boosting_subset
+from noisylabels.model import predict_probs
 
 
 def random_members(featurizer, m, k, seed=0, heads=1):
@@ -246,3 +250,127 @@ class TestManifest:
         path.write_text('{"version": 1, "members": []}', encoding="utf-8")
         with pytest.raises(ValidationError):
             load_ensemble(path)
+
+    def test_member_files_are_binary_checkpoints(self, tmp_path, tiny_featurizer):
+        members = random_members(tiny_featurizer, 2, 3, seed=4)
+        manifest = save_ensemble(tmp_path, tiny_featurizer, members)
+        entries = json.loads(manifest.read_text(encoding="utf-8"))["members"]
+        assert [e["checkpoint"] for e in entries] == ["member00.ckpt", "member01.ckpt"]
+        assert (tmp_path / "member00.ckpt").read_bytes().startswith(b"\x93NUMPY")
+
+    def test_version1_fixture_still_loads_bit_exact(self):
+        """tests/fixtures/ensemble_v1 was written by the version-1 (JSON)
+        save_ensemble, with the averaged probabilities it gave then."""
+        feat, members = load_ensemble(FIXTURE_V1 / "ensemble.json")
+        assert feat == Featurizer(hash_dim=16, ngram_orders=(1, 2), hash_seed=5)
+        assert [(m.n_heads, m.drop_rate) for m in members] == [(2, 0.0), (2, 0.2)]
+        expected = json.loads((FIXTURE_V1 / "expected.json").read_text(encoding="utf-8"))
+        x = featurize_texts(feat, expected["texts"])
+        averaged = np.mean([predict_probs(m, x) for m in members], axis=0)
+        assert np.array_equal(averaged, np.array(expected["averaged"]))
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d, p: d["member"].write_bytes(d["member"].read_bytes()[:-5]),
+        lambda d, p: d["member"].write_bytes(d["member"].read_bytes()[:40]),
+        lambda d, p: write_v2(d["member"], p, version=3),
+        lambda d, p: write_v2(d["member"], p, heads="2"),
+        lambda d, p: write_v2(d["member"], p, heads=0, arrays=p.arrays()[:1]),
+        lambda d, p: write_v2(d["member"], p, featurizer={"hash_dim": 16,
+                                                          "ngram_orders": [1, 2],
+                                                          "hash_seed": 2**63}),
+        lambda d, p: write_v2(d["member"], p, drop_rate=1.0),
+        lambda d, p: write_v2(d["member"], p, arrays=[
+            np.full(p.encoder.shape, Tripwire(), dtype=object)] + p.arrays()[1:]),
+        lambda d, p: write_v2(d["member"], p,
+                              arrays=[a.astype(np.float32) for a in p.arrays()]),
+        lambda d, p: write_v2(d["member"], p,
+                              arrays=[a.astype(">f8") for a in p.arrays()]),
+        lambda d, p: write_v2(d["member"], p, arrays=[p.encoder[:, :2]] + p.arrays()[1:]),
+        lambda d, p: write_v2(d["member"], p, arrays=[p.encoder[:8]] + p.arrays()[1:]),
+        lambda d, p: write_v2(d["member"], p, arrays=p.arrays()[:3] + [
+            p.heads[1].weights[:, :2], p.heads[1].bias[:2]]),
+        lambda d, p: write_v2(d["member"], p, arrays=[
+            np.where(p.encoder > 0, np.nan, p.encoder)] + p.arrays()[1:]),
+        lambda d, p: write_v2(d["member"], p, arrays=p.arrays()[:-1]),
+        lambda d, p: d["member"].write_bytes(d["member"].read_bytes() + b"\0"),
+        lambda d, p: declare_huge_encoder(d["member"], p),
+        lambda d, p: write_v1(d["member"], p, ngram_orders=None),
+        lambda d, p: write_v1(d["member"], p, hash_dim="16"),
+        lambda d, p: d["member"].write_text("{", encoding="utf-8"),
+        lambda d, p: write_manifest(d["manifest"], [1]),
+        lambda d, p: write_manifest(d["manifest"], [{"checkpoint": 5}]),
+        lambda d, p: write_manifest(d["manifest"], {"checkpoint": "member00.ckpt"}),
+        lambda d, p: d["member"].unlink(),
+        lambda d, p: d["manifest"].write_bytes(b"\xff"),
+    ], ids=["truncated", "truncated-header", "unknown-version", "heads-not-int",
+            "no-heads", "hash-seed-range", "drop-rate", "object-dtype", "float32",
+            "big-endian", "hidden-mismatch", "rows-not-hash-dim", "labels-differ",
+            "non-finite", "missing-array", "trailing-bytes", "huge-declared-shape",
+            "v1-no-ngram-orders",
+            "v1-wrong-type", "v1-not-json", "member-not-object",
+            "checkpoint-not-string", "members-not-list", "missing-member-file",
+            "manifest-not-json"])
+    def test_malformed_input_raises_validation_error(self, tmp_path, corrupt):
+        feat = Featurizer(hash_dim=16, ngram_orders=(1, 2), hash_seed=5)
+        params = init_params(feat, n_labels=3, hidden_size=3, n_heads=2, seed=1)
+        manifest = save_ensemble(tmp_path, feat, [params])
+        paths = {"manifest": manifest, "member": tmp_path / "member00.ckpt"}
+        saved = paths["member"].read_bytes()
+        write_v2(paths["member"], params)
+        assert paths["member"].read_bytes() == saved  # the helper writes save_model's format
+        corrupt(paths, params)
+        UNPICKLED.clear()
+        with pytest.raises(ValidationError):
+            load_ensemble(manifest)
+        assert not UNPICKLED
+
+
+FIXTURE_V1 = Path(__file__).parent / "fixtures" / "ensemble_v1"
+UNPICKLED = []
+
+
+def _unpickled():
+    UNPICKLED.append(True)
+
+
+class Tripwire:
+    """An object whose unpickling is recorded."""
+
+    def __reduce__(self):
+        return _unpickled, ()
+
+
+def write_v2(path, params, arrays=None, **meta):
+    """A version-2 member written record by record, with metadata fields
+    and arrays replaced as given (object arrays are pickled)."""
+    meta = {"version": 2, "featurizer": {"hash_dim": 16, "ngram_orders": [1, 2],
+                                         "hash_seed": 5},
+            "drop_rate": params.drop_rate, "heads": params.n_heads, **meta}
+    records = [np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)]
+    with open(path, "wb") as fh:
+        for record in records + list(params.arrays() if arrays is None else arrays):
+            np.lib.format.write_array(fh, record, allow_pickle=True)
+
+
+def declare_huge_encoder(path, params):
+    """A member whose encoder header declares 768 TiB of floats, more than
+    a 64-bit address space holds, so no allocation can succeed."""
+    write_v2(path, params, arrays=[])
+    with open(path, "ab") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": (2**45, 3)})
+
+
+def write_v1(path, params, **featurizer):
+    """A version-1 JSON member; featurizer fields set to None are left out."""
+    fields = {"hash_dim": 16, "ngram_orders": [1, 2], "hash_seed": 5, **featurizer}
+    payload = {"version": 1,
+               "featurizer": {k: v for k, v in fields.items() if v is not None},
+               "drop_rate": params.drop_rate, "encoder": params.encoder.tolist(),
+               "heads": [{"weights": h.weights.tolist(), "bias": h.bias.tolist()}
+                         for h in params.heads]}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def write_manifest(path, members):
+    path.write_text(json.dumps({"version": 1, "members": members}), encoding="utf-8")

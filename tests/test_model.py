@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 
@@ -485,15 +486,17 @@ class TestCheckpoints:
         feat = Featurizer(hash_dim=128, ngram_orders=(1, 2), hash_seed=3)
         params = init_params(feat, n_labels=4, hidden_size=6, n_heads=2,
                              drop_rate=0.2, seed=11)
-        path = tmp_path / "model.json"
+        path = tmp_path / "model"
         save_model(path, feat, params)
+        assert list(tmp_path.iterdir()) == [path]  # no suffix added
+        assert os.path.getsize(path) == len(path.read_bytes()) > 128 * 6 * 8
         feat2, params2 = load_model(path)
         assert feat2 == feat
-        assert np.array_equal(params2.encoder, params.encoder)
-        for h1, h2 in zip(params.heads, params2.heads):
-            assert np.array_equal(h1.weights, h2.weights)
-            assert np.array_equal(h1.bias, h2.bias)
-        path2 = tmp_path / "model2.json"
+        assert params2.drop_rate == 0.2 and params2.n_heads == 2
+        for a1, a2 in zip(params.arrays(), params2.arrays(), strict=True):
+            assert a2.dtype == np.float64
+            assert np.array_equal(a1, a2)
+        path2 = tmp_path / "model2.ckpt"
         save_model(path2, feat2, params2)
         assert path.read_bytes() == path2.read_bytes()
 
