@@ -9,7 +9,6 @@ to report noise levels before and after cleaning when it happens to exist.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .model import Featurizer, ModelParams, TrainConfig, evaluate, \
     evaluate_features, instance_losses
 from .noise import noise_level
 from .training import Featurized, _train_vanilla, train_vanilla
-from .util import derive_rng, run_indexed, stable_hash
+from .util import derive_rng, stable_hash
 
 # Absolute cross-entropy cut-offs sized for fine-tuned large pretrained
 # encoders, whose per-instance losses are far larger than the built-in
@@ -118,8 +117,7 @@ def heldout_losses(train: Dataset, cfg: CleanConfig, train_cfg: TrainConfig,
 
     For each fold a fresh vanilla model is trained on the complement (early
     stopping on the experiment's validation set, same as the main runs) and
-    scored on the held-out fold. Fold trainings run concurrently when a
-    worker limit is configured.
+    scored on the held-out fold. Folds are trained in order, one at a time.
     """
     return _heldout(Featurized.of(featurizer, train, val), cfg, train_cfg)
 
@@ -128,8 +126,8 @@ def _heldout(data: Featurized, cfg: CleanConfig, train_cfg: TrainConfig
              ) -> tuple[np.ndarray, np.ndarray]:
     n = len(data)
     fold_of = fold_partition(n, cfg.folds, cfg.seed)
-
-    def one_fold(i: int) -> tuple[np.ndarray, np.ndarray]:
+    losses = np.empty(n, dtype=np.float64)
+    for i in range(cfg.folds):
         held = np.flatnonzero(fold_of == i)
         complement = np.flatnonzero(fold_of != i)
         if complement.size < 2:
@@ -137,11 +135,8 @@ def _heldout(data: Featurized, cfg: CleanConfig, train_cfg: TrainConfig
                 f"fold {i}: training complement of {complement.size} is too small")
         fold_cfg = replace(train_cfg, seed=_fold_seed(train_cfg, i))
         params, _ = _train_vanilla(data.rows(complement), fold_cfg)
-        return held, instance_losses(params, data.x[held], data.y[held], head=0)
-
-    losses = np.empty(n, dtype=np.float64)
-    for held, fold_losses in run_indexed(one_fold, range(cfg.folds)):
-        losses[held] = fold_losses
+        losses[held] = instance_losses(params, data.x[held], data.y[held], head=0)
+        del params  # free this fold's model before the next one trains
     return losses, fold_of
 
 
@@ -241,31 +236,23 @@ def _tune(data: Featurized, losses: np.ndarray, cfg: CleanConfig,
           train_cfg: TrainConfig
           ) -> tuple[float, list[ThresholdDiagnostic], ModelParams]:
     """Best threshold, the tuning curve, and the best candidate's model."""
-    if cfg.tuning_grid is not None:
-        grid = sorted(cfg.tuning_grid)
-    else:
-        grid = sorted(float(t) for t in np.quantile(losses, cfg.tuning_quantiles))
-    # only the best model so far is kept alive; candidates may finish in any
-    # order, so the lock guards the compare-and-replace
-    best_key, best_params = None, None  # best_key = (accuracy, -index)
-    lock = threading.Lock()
-
-    def try_candidate(i: int) -> ThresholdDiagnostic:
-        nonlocal best_key, best_params
-        kept = np.flatnonzero(losses < grid[i])
-        if kept.size == 0:
-            return ThresholdDiagnostic(float(grid[i]), 0, None)
-        params, _ = _train_vanilla(data.rows(kept), train_cfg)
-        acc = evaluate_features(params, data.x_val, data.y_val, head=0).accuracy
-        with lock:  # higher accuracy wins; ties go to the smaller threshold
-            if best_key is None or (acc, -i) > best_key:
-                best_key, best_params = (acc, -i), params
-        return ThresholdDiagnostic(float(grid[i]), int(kept.size), acc)
-
-    diagnostics = run_indexed(try_candidate, range(len(grid)))
-    if best_key is None:
+    grid = cfg.tuning_grid if cfg.tuning_grid is not None \
+        else np.quantile(losses, cfg.tuning_quantiles)
+    diagnostics: list[ThresholdDiagnostic] = []
+    best_acc, best_threshold, best_params = None, None, None
+    for threshold in sorted(float(t) for t in grid):
+        kept = np.flatnonzero(losses < threshold)
+        acc = None
+        if kept.size:
+            params, _ = _train_vanilla(data.rows(kept), train_cfg)
+            acc = evaluate_features(params, data.x_val, data.y_val, head=0).accuracy
+            if best_acc is None or acc > best_acc:  # ties go to the smaller threshold
+                best_acc, best_threshold, best_params = acc, threshold, params
+            del params  # only the best model so far stays alive
+        diagnostics.append(ThresholdDiagnostic(threshold, int(kept.size), acc))
+    if best_params is None:
         raise EmptyCleanedSetError("every candidate threshold removed all instances")
-    return diagnostics[-best_key[1]].threshold, diagnostics, best_params
+    return best_threshold, diagnostics, best_params
 
 
 def retrain_on_cleaned(cleaned: Dataset, val: Dataset, train_cfg: TrainConfig,

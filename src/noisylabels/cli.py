@@ -3,7 +3,7 @@
 Subcommands: gen, noise, train, clean, ensemble, compare, plotdata.
 Exit codes: 0 success, 1 validation error, 2 method failure.
 A JSON experiment config (see README) can drive train/clean/ensemble/compare;
-NOISYLABELS_WORKERS caps concurrent runs.
+its runs, folds, threshold candidates and ensemble members run in order.
 """
 
 from __future__ import annotations
@@ -72,9 +72,9 @@ def _report_summary(report) -> str:
 def _load_cli_config(args) -> tuple[ExperimentConfig, dict]:
     raw = _read_json(args.config, "config")
     cfg = ExperimentConfig.from_dict(raw)
-    if getattr(args, "method", None):
+    if getattr(args, "method", None) is not None:
         cfg = replace(cfg, method=args.method)
-    if getattr(args, "runs", None):
+    if getattr(args, "runs", None) is not None:
         cfg = replace(cfg, runs=args.runs)
     return cfg, raw
 

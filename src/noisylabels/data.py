@@ -142,8 +142,8 @@ class SplitSpec:
 
     def __post_init__(self):
         fracs = (self.train_fraction, self.validation_fraction, self.test_fraction)
-        if any(f < 0 for f in fracs):
-            raise ValidationError("split fractions must be non-negative")
+        if not all(0 <= f <= 1 for f in fracs):
+            raise ValidationError("split fractions must lie in [0, 1]")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ValidationError(f"split fractions must sum to 1, got {sum(fracs)}")
 
@@ -436,8 +436,10 @@ def generate_synthetic_corpus(
         weights = np.full(n_classes, 1.0 / n_classes)
     else:
         weights = np.asarray(class_weights, dtype=float)
-        if weights.shape != (n_classes,) or (weights <= 0).any():
-            raise ValidationError("class_weights must be positive, one per class")
+        if weights.shape != (n_classes,) \
+                or not (np.isfinite(weights) & (weights > 0)).all():
+            raise ValidationError("class_weights must be finite and positive, "
+                                  "one per class")
         weights = weights / weights.sum()
 
     # largest-remainder apportionment, then at least one instance per class

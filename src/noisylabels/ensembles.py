@@ -29,7 +29,7 @@ from .model import (
 )
 from .training import CetaConfig, CoteachSchedule, Featurized, _train_ceta, \
     _train_coteaching, _train_vanilla
-from .util import derive_rng, run_indexed
+from .util import derive_rng
 
 logger = logging.getLogger(__name__)
 
@@ -151,22 +151,15 @@ def _collect_survivors(jobs, labels) -> list[ModelParams]:
     """Run members, dropping any that diverge; at least one must survive."""
     members: list[ModelParams] = []
     failures: list[str] = []
-    for label, result in zip(labels, run_indexed(lambda fn: _try(fn), jobs)):
-        if isinstance(result, MethodError):
-            failures.append(f"{label}: {result}")
-            logger.warning("ensemble member %s failed: %s", label, result)
-        else:
-            members.append(result)
+    for label, job in zip(labels, jobs):
+        try:
+            members.append(job())
+        except MethodError as exc:
+            failures.append(f"{label}: {exc}")
+            logger.warning("ensemble member %s failed: %s", label, exc)
     if not members:
         raise MethodError("every ensemble member failed: " + "; ".join(failures))
     return members
-
-
-def _try(fn):
-    try:
-        return fn()
-    except MethodError as exc:
-        return exc
 
 
 def train_homogeneous(train: Dataset, val: Dataset, spec: EnsembleSpec,

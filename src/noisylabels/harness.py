@@ -30,7 +30,7 @@ from .noise import apply_noise, noise_level, noise_matrix
 from .presets import Preset, get_preset
 from .training import CetaConfig, CoteachSchedule, train_ceta, train_coteaching, \
     train_vanilla
-from .util import checked_call, run_indexed
+from .util import checked_call
 
 METHODS = ("vanilla", "coteaching", "ceta", "hme", "hte", "boosting", "nc")
 
@@ -105,6 +105,9 @@ class ExperimentConfig:
             if name in kwargs:
                 if not isinstance(kwargs[name], dict):
                     raise ValidationError(f"'{name}' must be an object")
+                if name in ("train", "cleaning") and "seed" in kwargs[name]:
+                    raise ValidationError(f"'{name}' takes no 'seed'; each run's "
+                                          "seed is base_seed + its index")
                 kwargs[name] = checked_call(factory, kwargs[name], f"'{name}'")
         return checked_call(cls, kwargs, "config")
 
@@ -315,15 +318,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     mat = _materialize(cfg)
     x_test = featurize_dataset(mat.featurizer, mat.test)
 
-    def one_run(r: int) -> dict:
-        run_seed = cfg.base_seed + r
+    per_run = []
+    for run_seed in range(cfg.base_seed, cfg.base_seed + cfg.runs):
         try:
             train, val = _apply_noise(mat, cfg, run_seed)
-            return _run_method(cfg, mat, train, val, run_seed, x_test)
+            per_run.append(_run_method(cfg, mat, train, val, run_seed, x_test))
         except MethodError as exc:
-            return {"seed": run_seed, "error": f"{type(exc).__name__}: {exc}"}
-
-    per_run = run_indexed(one_run, range(cfg.runs))
+            per_run.append({"seed": run_seed,
+                            "error": f"{type(exc).__name__}: {exc}"})
     accuracies = [r["accuracy"] for r in per_run if "accuracy" in r]
     if not accuracies:
         first_error = next(r["error"] for r in per_run if "error" in r)

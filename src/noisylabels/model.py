@@ -123,7 +123,8 @@ class TrainConfig:
                                   "hidden_size must be positive")
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValidationError("drop_rate must be in [0, 1)")
-        if self.learning_rate <= 0 or self.warmup_steps < 0 or self.weight_decay < 0:
+        if not (0 < self.learning_rate < np.inf and 0 <= self.weight_decay < np.inf) \
+                or self.warmup_steps < 0:
             raise ValidationError("bad learning_rate/warmup_steps/weight_decay")
 
     def effective_lr(self, step: int) -> float:

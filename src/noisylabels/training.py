@@ -319,8 +319,8 @@ class CetaConfig:
     def __post_init__(self):
         if self.consensus_rule not in CONSENSUS_RULES:
             raise ValidationError(f"consensus_rule must be one of {CONSENSUS_RULES}")
-        if self.lambda_w < 0:
-            raise ValidationError("lambda_w must be >= 0")
+        if not 0 <= self.lambda_w < math.inf:
+            raise ValidationError("lambda_w must be finite and >= 0")
         if self.ground_metric != "discrete":
             raise ValidationError("only the discrete ground metric is supported")
 

@@ -1,21 +1,16 @@
-"""Shared helpers: stable hashing, seeded RNG streams, bounded parallelism,
-type-checked calls."""
+"""Shared helpers: stable hashing, seeded RNG streams, type-checked calls."""
 
 from __future__ import annotations
 
 import hashlib
 import inspect
-import os
 import types
 import typing
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import ValidationError
-
-WORKERS_ENV_VAR = "NOISYLABELS_WORKERS"
 
 
 def stable_hash(data: str, seed: int = 0) -> int:
@@ -42,33 +37,6 @@ def derive_rng(seed: int, *tags: str | int) -> np.random.Generator:
         else:
             entropy.append(int(tag) % 2**64)
     return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def worker_count() -> int:
-    """Worker limit for concurrent runs, from NOISYLABELS_WORKERS (default 1)."""
-    raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def run_indexed(fn, items) -> list:
-    """Apply fn to each item, in up to worker_count() threads; results in
-    input order.
-
-    Each item must be self-contained (own seed, no shared mutable state) so
-    the result is identical whatever the worker count.
-    """
-    items = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _conforms(value, hint) -> bool:

@@ -48,6 +48,12 @@ class TestExitCodes:
         assert main(["clean", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("flag", [["--runs", "0"], ["--method", ""]])
+    def test_zero_runs_or_empty_method_is_one(self, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path / "cfg.json", runs=2)
+        assert main(["train", "--config", str(cfg), *flag]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_config_file_is_one(self, tmp_path):
         missing = tmp_path / "nope.json"
         cfg = write_config(tmp_path / "cfg.json")
@@ -191,6 +197,14 @@ class TestWrongShapeInputs:
         {"split": [1]},
         {"featurizer": {"hash_seed": 2**63}},
         {"featurizer": {"hash_seed": -2**63 - 1}},
+        {"train": {"steps": 80, "learning_rate": float("nan")}},
+        {"train": {"steps": 80, "weight_decay": float("inf")}},
+        {"method": "ceta", "ceta": {"lambda_w": float("inf")}},
+        {"dataset": {"synthetic": {**SYNTHETIC,
+                                   "class_weights": [float("nan"), 1, 1]}}},
+        {"split": {"train": float("nan"), "validation": 0.15, "test": 0.15}},
+        {"train": {"steps": 80, "seed": 99}},
+        {"method": "nc", "cleaning": {"folds": 3, "seed": 99}},
     ])
     def test_malformed_config_sections_are_one(self, tmp_path, capsys,
                                                overrides):

@@ -114,19 +114,6 @@ class TestRunExperiment:
                        "seed": cfg.base_seed,
                        "train_noise_level": report.noise_before}
 
-    @pytest.mark.parametrize("method, extra", [
-        ("nc", {"cleaning": {"folds": 3, "tuning_quantiles": [0.5, 0.7, 0.9]}}),
-        ("hme", {"ensemble": {"members": 3}}),
-    ])
-    def test_reports_identical_across_worker_counts(self, monkeypatch, method,
-                                                    extra):
-        cfg = base_config(method=method, **extra)
-        reports = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv("NOISYLABELS_WORKERS", workers)
-            reports.append(run_experiment(cfg).to_json())
-        assert reports[0] == reports[1]
-
     def test_only_method_errors_become_failed_runs(self, monkeypatch):
         def diverge_on_seed_3(train, val, cfg, featurizer):
             if cfg.seed == 3:
@@ -215,7 +202,7 @@ def materialize_and_noise(raw):
 
 SMALL_TRAIN = {"steps": 10, "learning_rate": 0.4, "patience": 2,
                "warmup_steps": 2, "weight_decay": 1e-4, "drop_rate": 0.1,
-               "batch_size": 8, "eval_every": 5, "seed": 1, "hidden_size": 8,
+               "batch_size": 8, "eval_every": 5, "hidden_size": 8,
                "init_seed": 2}
 
 
@@ -238,7 +225,7 @@ def valid_configs(tmp_path_factory):
                              {"keywords": ["tok0017"], "label": "class2"}]},
          "featurizer": {"hash_dim": 256, "ngram_orders": [1, 2], "hash_seed": 1},
          "train": SMALL_TRAIN,
-         "cleaning": {"folds": 3, "tuning_quantiles": [0.5, 0.9], "seed": 1},
+         "cleaning": {"folds": 3, "tuning_quantiles": [0.5, 0.9]},
          "runs": 2, "base_seed": 1, "noise_validation": False,
          "reproducible": True, "output": "report.json"},
         {"method": "hme", "dataset": {"path": str(corpus), "format": "jsonl"},
