@@ -283,11 +283,17 @@ def backward_from_logit_grads(
         d_head = g @ h.weights.T
         d_hidden += d_head if scale is None else d_head * scale
     d_pre = d_hidden * (pre > 0.0)
-    # x restricted to its distinct columns: each block row sums over the
-    # batch rows in the same order as x.T @ d_pre, so the bits match
-    rows, inverse = np.unique(x.indices, return_inverse=True)
-    xr = sparse.csr_array((x.data, inverse, x.indptr), shape=(x.shape[0], len(rows)))
-    return Grads(rows, xr.T @ d_pre, head_grads)
+    # x.T restricted to x's distinct columns, which slot[] numbers in
+    # ascending order: each block row sums over the batch rows in the same
+    # order as x.T @ d_pre, so the bits match
+    mark = np.zeros(x.shape[1], dtype=bool)
+    mark[x.indices] = True
+    rows = np.flatnonzero(mark)
+    slot = np.empty(x.shape[1], dtype=np.intp)
+    slot[rows] = np.arange(len(rows))
+    xt = sparse.csc_array((x.data, slot[x.indices], x.indptr),
+                          shape=(len(rows), x.shape[0]))
+    return Grads(rows, xt @ d_pre, head_grads)
 
 
 def mean_ce_and_grads(params: ModelParams, x: sparse.csr_array, y: np.ndarray,

@@ -63,7 +63,12 @@ class EarlyStopState:
         """Record one evaluation; returns True on improvement."""
         if accuracy > self.best_val_accuracy:
             self.best_val_accuracy = accuracy
-            self.best_snapshots = tuple(p.copy() for p in params)
+            if not self.best_snapshots:
+                self.best_snapshots = tuple(p.copy() for p in params)
+            else:  # overwrite the snapshots in place rather than allocate new ones
+                for snap, p in zip(self.best_snapshots, params):
+                    for dst, src in zip(snap.arrays(), p.arrays()):
+                        np.copyto(dst, src)
             self.evals_since_improvement = 0
             return True
         self.evals_since_improvement += 1
@@ -74,26 +79,29 @@ class EarlyStopState:
 
 
 class _Batcher:
-    """Endless seeded minibatches: reshuffle each epoch, drop ragged tails."""
+    """Endless seeded minibatches: reshuffle each epoch, drop ragged tails.
 
-    def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
-        self.n = n
-        self.batch_size = min(batch_size, n)
-        self.rng = rng
-        self._queue: list[np.ndarray] = []
+    An epoch's rows are gathered from x once, and each batch is a contiguous
+    row slice of that gather: the same rows, indices and values, in the same
+    order, as x[batch].
+    """
 
-    @property
-    def steps_per_epoch(self) -> int:
-        return max(1, self.n // self.batch_size)
+    def __init__(self, x: sparse.csr_array, y: np.ndarray, batch_size: int,
+                 rng: np.random.Generator):
+        self.x, self.y, self.rng = x, y, rng
+        self.batch_size = min(batch_size, x.shape[0])
+        self.steps_per_epoch = max(1, x.shape[0] // self.batch_size)
+        self._step = self.steps_per_epoch
 
-    def next(self) -> np.ndarray:
-        if not self._queue:
-            perm = self.rng.permutation(self.n)
-            self._queue = [perm[s:s + self.batch_size]
-                           for s in range(0, self.n - self.batch_size + 1,
-                                          self.batch_size)]
-            self._queue.reverse()  # pop() then consumes epoch order
-        return self._queue.pop()
+    def next(self) -> tuple[np.ndarray, sparse.csr_array, np.ndarray]:
+        """The next batch's row indexes into x, its rows and its labels."""
+        if self._step == self.steps_per_epoch:
+            self._perm = self.rng.permutation(self.x.shape[0])[
+                :self.steps_per_epoch * self.batch_size]
+            self._x, self._y, self._step = self.x[self._perm], self.y[self._perm], 0
+        s = slice(self._step * self.batch_size, (self._step + 1) * self.batch_size)
+        self._step += 1
+        return self._perm[s], self._x[s], self._y[s]
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,21 +157,23 @@ def _init_seed(cfg: TrainConfig) -> int:
 
 
 def _train_loop(data: Featurized, cfg: TrainConfig, nets: list[ModelParams],
-                step_fn: Callable[[int, np.ndarray, int], dict],
+                step_fn: Callable[[int, np.ndarray, sparse.csr_array, np.ndarray, int],
+                                  dict],
                 eval_head: int | str) -> tuple[tuple[ModelParams, ...], list[dict]]:
     """The minibatch loop every trainer runs.
 
-    step_fn(step, batch, steps_per_epoch) updates nets on one batch of row
-    indexes and returns that step's history row. Every cfg.eval_every steps,
-    and at the last step, the loop scores nets[0] on the validation split,
-    snapshots all nets on improvement and stops after cfg.patience
-    evaluations without one. Returns the best snapshots and the history.
+    step_fn(step, batch, xb, yb, steps_per_epoch) updates nets on one batch
+    (its row indexes into data.x, those rows and their labels) and returns
+    that step's history row. Every cfg.eval_every steps, and at the last
+    step, the loop scores nets[0] on the validation split, snapshots all
+    nets on improvement and stops after cfg.patience evaluations without
+    one. Returns the best snapshots and the history.
     """
-    batcher = _Batcher(len(data), cfg.batch_size, derive_rng(cfg.seed, "batches"))
+    batcher = _Batcher(data.x, data.y, cfg.batch_size, derive_rng(cfg.seed, "batches"))
     state = EarlyStopState()
     history: list[dict] = []
     for step in range(1, cfg.steps + 1):
-        row = step_fn(step, batcher.next(), batcher.steps_per_epoch)
+        row = step_fn(step, *batcher.next(), batcher.steps_per_epoch)
         history.append(row)
         if step % cfg.eval_every == 0 or step == cfg.steps:
             acc = evaluate_features(nets[0], data.x_val, data.y_val,
@@ -197,10 +207,9 @@ def _train_vanilla(data: Featurized, cfg: TrainConfig
                          n_heads=1, drop_rate=cfg.drop_rate, seed=init_seed)
     dropout_rng = derive_rng(init_seed, "dropout")
 
-    def step_fn(step, batch, _):
-        loss, grads = mean_ce_and_grads(params, data.x[batch], data.y[batch],
-                                        heads=[0], scale_rng=dropout_rng,
-                                        train_mode=True)
+    def step_fn(step, _, xb, yb, __):
+        loss, grads = mean_ce_and_grads(params, xb, yb, heads=[0],
+                                        scale_rng=dropout_rng, train_mode=True)
         apply_grads(params, grads, cfg.effective_lr(step), cfg.weight_decay)
         return {"step": step, "train_batch_loss": loss}
 
@@ -261,14 +270,12 @@ def _train_coteaching(data: Featurized, cfg: TrainConfig, sched: CoteachSchedule
                         cfg.drop_rate, seed=s) for s in seeds]
     dropout = [derive_rng(s, "dropout") for s in seeds]
 
-    def step_fn(step, batch, _):
+    def step_fn(step, batch, xb, yb, _):
         keep = math.ceil((1.0 - sched.forget_rate(step)) * len(batch))
         if keep < 1:
             raise ValidationError(
                 f"forget rate {sched.forget_rate(step):.3f} keeps no instances "
                 f"from a batch of {len(batch)}")
-        xb = data.x[batch]
-        yb = data.y[batch]
         # simultaneous small-loss selection, then crossed updates
         kept = []
         for net in nets:
@@ -276,8 +283,7 @@ def _train_coteaching(data: Featurized, cfg: TrainConfig, sched: CoteachSchedule
             kept.append(np.sort(np.argsort(losses, kind="stable")[:keep]))
         losses_out = []
         for net, other_kept, rng in zip(nets, (kept[1], kept[0]), dropout):
-            sel = batch[other_kept]
-            loss, grads = mean_ce_and_grads(net, data.x[sel], data.y[sel],
+            loss, grads = mean_ce_and_grads(net, xb[other_kept], yb[other_kept],
                                             heads=[0], scale_rng=rng,
                                             train_mode=True)
             apply_grads(net, grads, cfg.effective_lr(step), cfg.weight_decay)
@@ -398,11 +404,10 @@ def _train_ceta(data: Featurized, cfg: TrainConfig, ceta: CetaConfig
     dropout_rng = derive_rng(init_seed, "dropout")
     empty_streak = 0
 
-    def step_fn(step, batch, steps_per_epoch):
+    def step_fn(step, _, xb, yb, steps_per_epoch):
         nonlocal empty_streak
         loss, grads, consensus, tv_mean = ceta_batch_objective(
-            params, data.x[batch], data.y[batch], ceta,
-            scale_rng=dropout_rng, train_mode=True)
+            params, xb, yb, ceta, scale_rng=dropout_rng, train_mode=True)
         apply_grads(params, grads, cfg.effective_lr(step), cfg.weight_decay)
         empty_streak = 0 if consensus.any() else empty_streak + 1
         if empty_streak >= steps_per_epoch:

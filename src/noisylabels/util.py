@@ -18,9 +18,11 @@ def stable_hash(data: str, seed: int = 0) -> int:
 
     Python's builtin hash() is salted per process, so anything that must be
     reproducible (feature hashing, per-text fallback labels) goes through here.
+    Any int seed works: the key is seed mod 2**64, which for a seed in
+    [-2**63, 2**63) is its two's-complement 8 bytes.
     """
     h = hashlib.blake2b(data.encode("utf-8"), digest_size=8,
-                        key=seed.to_bytes(8, "little", signed=True))
+                        key=(seed % 2**64).to_bytes(8, "little"))
     return int.from_bytes(h.digest(), "little")
 
 
@@ -30,7 +32,7 @@ def derive_rng(seed: int, *tags: str | int) -> np.random.Generator:
     Distinct tags give statistically independent streams, so e.g. batch
     shuffling and dropout can be reseeded separately without interfering.
     """
-    entropy = [seed & 0xFFFFFFFFFFFFFFFF if seed >= 0 else seed + 2**64]
+    entropy = [seed % 2**64]
     for tag in tags:
         if isinstance(tag, str):
             entropy.append(stable_hash(tag))

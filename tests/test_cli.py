@@ -54,6 +54,18 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg), *flag]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("overrides", [
+        {"method": "nc", "cleaning": {"folds": 3}, "base_seed": 2**63},
+        {"base_seed": -2**64 - 1},
+    ])
+    def test_seeds_past_64_bits_run(self, tmp_path, overrides):
+        # every seed is taken mod 2**64, so no seed overflows a hash key
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "report.json"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        [run] = json.loads(out.read_text())["per_run"]
+        assert "accuracy" in run and "error" not in run
+
     def test_missing_config_file_is_one(self, tmp_path):
         missing = tmp_path / "nope.json"
         cfg = write_config(tmp_path / "cfg.json")

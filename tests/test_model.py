@@ -1,3 +1,4 @@
+import hashlib
 import os
 import sys
 import threading
@@ -20,7 +21,8 @@ from noisylabels import (
 )
 from noisylabels import DivergenceError, model
 from noisylabels.model import Grads, _encode, _head_logits, _log_softmax, \
-    apply_grads, evaluate_features, mean_ce_and_grads, predict_probs
+    apply_grads, backward_from_logit_grads, evaluate_features, mean_ce_and_grads, \
+    predict_probs
 from noisylabels.util import stable_hash
 
 
@@ -207,6 +209,13 @@ class TestFeaturizer:
             for attr in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(sliced, attr),
                                       getattr(direct, attr)), attr
+
+    @pytest.mark.parametrize("seed", [-2**63, -1, 0, 2**63 - 1])
+    def test_stable_hash_key_is_the_signed_seed(self, seed):
+        key = seed.to_bytes(8, "little", signed=True)
+        digest = hashlib.blake2b(b"gram", digest_size=8, key=key).digest()
+        assert stable_hash("gram", seed) == int.from_bytes(digest, "little")
+        assert stable_hash("gram", seed + 2**64) == stable_hash("gram", seed)
 
     def test_hash_seed_changes_indices(self):
         text = ["alpha beta gamma"]
@@ -395,6 +404,37 @@ class TestGradients:
         reference.encoder *= 1.0 - lr * weight_decay
         apply_grads(params, grads, lr, weight_decay)
         assert np.array_equal(params.encoder, reference.encoder)
+
+    @pytest.mark.parametrize("texts", [
+        ["red fox jumps", "red fox sleeps", "", "fox jumps high", "red red red"],
+        ["a single row"],
+        ["shared a", "shared b c", "shared", "d shared e"],
+        ["", ""],
+        [" ".join(f"w{i * j % 23}" for j in range(1 + i % 7)) for i in range(32)],
+    ])
+    def test_gradient_block_matches_unique_reference(self, texts):
+        # hash_dim 64 makes different n-grams collide in one feature row
+        feat = Featurizer(hash_dim=64, hash_seed=0)
+        params = init_params(feat, n_labels=3, hidden_size=8, n_heads=2, seed=4)
+        x = featurize_texts(feat, texts)
+        pre, _ = _encode(params, x)
+        g = np.random.default_rng(len(texts)).normal(size=(len(texts), 3))
+        scale = np.random.default_rng(1).random(pre.shape) < 0.8
+        grads = backward_from_logit_grads(params, x, pre, [None, scale * 1.25],
+                                          {0: g, 1: -g})
+
+        # the reference: x restricted to np.unique's distinct columns, then
+        # transposed, times d_pre as the backward pass forms it
+        d_hidden = np.zeros_like(pre)
+        d_hidden += g @ params.heads[0].weights.T
+        d_hidden += (-g @ params.heads[1].weights.T) * (scale * 1.25)
+        d_pre = d_hidden * (pre > 0.0)
+        rows, inverse = np.unique(x.indices, return_inverse=True)
+        xr = sparse.csr_array((x.data, inverse, x.indptr),
+                              shape=(x.shape[0], len(rows)))
+        assert np.array_equal(grads.rows, rows)
+        assert np.array_equal(grads.encoder, xr.T @ d_pre)
+        assert grads.encoder.shape == (len(rows), 8)
 
     def test_weight_decay_shrinks_weights_monotonically(self):
         # empty texts give zero feature vectors, hence zero weight gradients;

@@ -24,7 +24,8 @@ from noisylabels import (
 )
 from noisylabels import SplitSpec
 from noisylabels.model import featurize_dataset, featurize_texts
-from noisylabels.training import ceta_batch_objective
+from noisylabels.training import EarlyStopState, _Batcher, ceta_batch_objective
+from noisylabels.util import derive_rng
 from tests.test_model import assert_matches_central_differences, \
     dense_encoder_grad
 
@@ -82,6 +83,54 @@ class TestVanilla:
         other = generate_synthetic_corpus(4, 40, 8, 0.0, seed=1)
         with pytest.raises(ValidationError, match="label sets"):
             train_vanilla(train, other, fast_config, tiny_featurizer)
+
+
+class TestBatcher:
+    @pytest.mark.parametrize("n, batch_size", [(37, 8), (37, 37), (37, 50), (1, 4)])
+    def test_batches_equal_fancy_indexed_rows(self, n, batch_size,
+                                              tiny_featurizer):
+        # n % batch_size != 0 drops a ragged tail; batch_size > n shrinks to n
+        rng = np.random.default_rng(n + batch_size)
+        words = [f"w{i}" for i in range(60)]
+        x = featurize_texts(tiny_featurizer, [
+            " ".join(rng.choice(words, size=rng.integers(0, 9))) for _ in range(n)])
+        y = rng.integers(0, 3, size=n)
+        batcher = _Batcher(x, y, batch_size, derive_rng(5, "batches"))
+        size = min(batch_size, n)
+        assert batcher.steps_per_epoch == n // size
+        # the batch order: each epoch's permutation cut into whole batches
+        reference = derive_rng(5, "batches")
+        for _ in range(3):
+            perm = reference.permutation(n)
+            for start in range(0, n - size + 1, size):
+                batch, xb, yb = batcher.next()
+                assert np.array_equal(batch, perm[start:start + size])
+                expected = x[batch]
+                for attr in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(xb, attr), getattr(expected, attr))
+                assert xb.shape == expected.shape
+                assert np.array_equal(yb, y[batch])
+
+
+class TestEarlyStopState:
+    def test_snapshots_are_copies_taken_at_the_last_improvement(self,
+                                                                tiny_featurizer):
+        params = init_params(tiny_featurizer, n_labels=3, hidden_size=4, seed=0)
+        state = EarlyStopState()
+        assert state.update(0.5, params)
+        first = state.best_snapshots[0]
+        for a in params.arrays():
+            a += 1.0
+        assert state.update(0.6, params)
+        at_second = params.copy()
+        for a in params.arrays():
+            a += 1.0
+        assert not state.update(0.55, params)
+        [best] = state.best_snapshots
+        assert best is first  # overwritten in place, not reallocated
+        assert params_equal(best, at_second)
+        for snap, live in zip(best.arrays(), params.arrays()):
+            assert not np.shares_memory(snap, live)
 
 
 @pytest.fixture(scope="module")
