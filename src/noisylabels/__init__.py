@@ -7,7 +7,6 @@ probability-averaging ensembles, and loss-threshold noise cleaning.
 from .cleaning import (
     CleanConfig,
     CleaningReport,
-    PRETRAINED_LOSS_GRID,
     ThresholdDiagnostic,
     clean_dataset,
     fold_partition,
@@ -73,7 +72,6 @@ from .noise import (
     inject_uniform_noise,
     noise_level,
     noise_matrix,
-    rule_coverage,
 )
 from .harness import (
     ComparisonTable,
@@ -81,7 +79,6 @@ from .harness import (
     ExperimentConfig,
     ExperimentReport,
     compare_methods,
-    load_config,
     noise_matrices_csv,
     run_experiment,
     threshold_sweep_csv,

@@ -9,7 +9,7 @@ to report noise levels before and after cleaning when it happens to exist.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +21,6 @@ from .model import Featurizer, ModelParams, TrainConfig, evaluate, \
 from .noise import noise_level
 from .training import Featurized, _train_vanilla, train_vanilla
 from .util import derive_rng, stable_hash
-
-# Absolute cross-entropy cut-offs sized for fine-tuned large pretrained
-# encoders, whose per-instance losses are far larger than the built-in
-# model's. Kept as a documented preset; the default grid is quantile-based
-# because absolute loss scales are model-dependent.
-PRETRAINED_LOSS_GRID = (6.0, 6.5, 7.0, 7.5, 8.0)
 
 DEFAULT_TUNING_QUANTILES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -75,16 +69,7 @@ class CleaningReport:
     fold_of: dict[str, int]
 
     def to_json(self) -> str:
-        payload = {
-            "kept_ids": list(self.kept_ids),
-            "removed_ids": list(self.removed_ids),
-            "per_instance_loss": self.per_instance_loss,
-            "threshold_used": self.threshold_used,
-            "noise_before": self.noise_before,
-            "noise_after": self.noise_after,
-            "fold_of": self.fold_of,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json() + "\n", encoding="utf-8")

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: gen, noise, train, clean, ensemble, compare, plotdata.
-Exit codes: 0 success, 1 validation error, 2 method failure.
+Exit codes: 0 success, 1 validation or file-system error, 2 method failure.
 A JSON experiment config (see README) can drive train/clean/ensemble/compare;
 its runs, folds, threshold candidates and ensemble members run in order.
 """
@@ -259,8 +259,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # output file paths are checked before any work or write
+        for out in (getattr(args, "out", None), getattr(args, "matrix_out", None)):
+            if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+                raise ValidationError(f"output file {out} is a directory or its "
+                                      "directory does not exist")
         return args.fn(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # OSError: an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NoisyLabelsError as exc:

@@ -202,8 +202,7 @@ class _LabelCollector:
         return self.index[name]
 
 
-def load_dataset(path: str | Path, format: str = "jsonl",
-                 split: str | None = None) -> Dataset:
+def load_dataset(path: str | Path, format: str = "jsonl") -> Dataset:
     """Read a corpus file into a validated Dataset, preserving row order."""
     path = Path(path)
     if not path.exists():
@@ -276,12 +275,11 @@ def load_dataset(path: str | Path, format: str = "jsonl",
 
     if len(labels.names) < 2:
         raise DataFormatError(f"corpus defines {len(labels.names)} label(s); need >= 2")
-    return Dataset(LabelSet(tuple(labels.names)), tuple(rows), split)
+    return Dataset(LabelSet(tuple(labels.names)), tuple(rows))
 
 
-def save_dataset(dataset: Dataset, path: str | Path, format: str = "jsonl",
-                 write_sidecar: bool = True) -> None:
-    """Write a corpus file (and by default the labels.txt sidecar).
+def save_dataset(dataset: Dataset, path: str | Path, format: str = "jsonl") -> None:
+    """Write a corpus file and its labels.txt sidecar.
 
     The sidecar pins the label order so save -> load -> save is byte-stable
     even when the label order is not first-appearance order.
@@ -325,8 +323,7 @@ def save_dataset(dataset: Dataset, path: str | Path, format: str = "jsonl",
         raise ValidationError(f"{exc.object[exc.start:exc.end]!r} cannot be saved as "
                               f"UTF-8 ({exc.reason})") from None
     path.write_bytes(body)
-    if write_sidecar:
-        _sidecar_path(path).write_bytes(sidecar)
+    _sidecar_path(path).write_bytes(sidecar)
 
 
 # ---------------------------------------------------------------------------

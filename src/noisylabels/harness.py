@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -88,8 +88,6 @@ class ExperimentConfig:
                 "dataset must name a preset (and optionally a corpus_seed), a "
                 "synthetic spec, or a path (and optionally a format), and nothing else")
 
-    # -- config file round-trip ------------------------------------------
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """The config a JSON object describes; a null value means the
@@ -110,22 +108,6 @@ class ExperimentConfig:
                                           "seed is base_seed + its index")
                 kwargs[name] = checked_call(factory, kwargs[name], f"'{name}'")
         return checked_call(cls, kwargs, "config")
-
-    def to_dict(self) -> dict:
-        def plain(obj):
-            if obj is None or isinstance(obj, (str, int, float, bool)):
-                return obj
-            if isinstance(obj, (list, tuple)):
-                return [plain(v) for v in obj]
-            if isinstance(obj, dict):
-                return {k: plain(v) for k, v in obj.items()}
-            return {k: plain(v) for k, v in obj.__dict__.items()}
-
-        return plain(self)
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(_read_json(path, "config"))
 
 
 def _read_json(path: str | Path, what: str):
@@ -228,16 +210,7 @@ class ExperimentReport:
     partial: bool
 
     def to_json(self) -> str:
-        payload = {
-            "method": self.method,
-            "per_run": self.per_run,
-            "accuracy_mean": self.accuracy_mean,
-            "accuracy_std": self.accuracy_std,
-            "config": self.config,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "partial": self.partial,
-            "runs": len(self.per_run),
-        }
+        payload = {**asdict(self), "runs": len(self.per_run)}
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def save(self, path: str | Path) -> None:
@@ -335,7 +308,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         per_run=per_run,
         accuracy_mean=float(np.mean(accuracies)),
         accuracy_std=float(np.std(accuracies)),
-        config=cfg.to_dict(),
+        config=asdict(cfg),
         wall_clock_seconds=None if cfg.reproducible
         else time.perf_counter() - started,
         partial=len(accuracies) < cfg.runs,

@@ -355,8 +355,7 @@ def apply_grads(params: ModelParams, grads: Grads, lr_effective: float,
 @dataclass
 class EvalResult:
     accuracy: float
-    probs: np.ndarray   # n x classes
-    losses: np.ndarray  # n
+    probs: np.ndarray  # n x classes
 
 
 def predict_probs(params: ModelParams, x: sparse.csr_array,
@@ -378,15 +377,13 @@ def evaluate_features(params: ModelParams, x: sparse.csr_array, y: np.ndarray,
     y = np.asarray(y, dtype=np.int64)
     probs = predict_probs(params, x, head)
     predictions = probs.argmax(axis=1)  # argmax ties break to the lowest index
-    accuracy = float(np.mean(predictions == y))
-    losses = -np.log(np.maximum(probs[np.arange(len(y)), y], 1e-300))
-    return EvalResult(accuracy, probs, losses)
+    return EvalResult(float(np.mean(predictions == y)), probs)
 
 
 def evaluate(params: ModelParams, dataset: Dataset, featurizer: Featurizer,
              head: int | str = "averaged") -> EvalResult:
     """Accuracy of argmax predictions against observed labels, plus
-    per-instance probabilities and cross-entropy losses."""
+    per-instance probabilities."""
     x = featurize_dataset(featurizer, dataset)
     return evaluate_features(params, x, dataset.observed(), head)
 

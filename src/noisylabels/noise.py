@@ -40,15 +40,6 @@ class NoiseMatrix:
             raise ValidationError("counts must be a non-negative KxK matrix")
         object.__setattr__(self, "counts", counts)
 
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def off_diagonal_fraction(self) -> float:
-        total = self.total()
-        if total == 0:
-            raise ValidationError("empty noise matrix")
-        return 1.0 - float(np.trace(self.counts)) / total
-
     def row_normalized(self) -> np.ndarray:
         """Rows as probability distributions; all-zero rows stay zero."""
         sums = self.counts.sum(axis=1, keepdims=True)
@@ -189,19 +180,6 @@ def inject_rule_noise(dataset: Dataset, labeler: RuleLabeler) -> Dataset:
         lab = labeler.label_for(inst.text, k)
         observed.append(inst.gold_label if lab is None else lab)
     return dataset.with_observed(observed)
-
-
-def rule_coverage(dataset: Dataset, labeler: RuleLabeler) -> np.ndarray:
-    """Boolean mask of instances a rule actually labeled.
-
-    With fallback="abstain" the unmatched (False) instances were left at their
-    gold label by inject_rule_noise.
-    """
-    k = len(dataset.label_set)
-    labeler.validate_against(k)
-    hits = [labeler.label_for(inst.text, k) is not None or labeler.fallback == "random"
-            for inst in dataset.instances]
-    return np.array(hits, dtype=bool)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ import pytest
 
 from noisylabels import (
     CleanConfig,
+    CleaningReport,
     Dataset,
     EmptyCleanedSetError,
-    PRETRAINED_LOSS_GRID,
     SplitSpec,
     TrainConfig,
     ValidationError,
@@ -199,8 +199,36 @@ class TestTuneThreshold:
         with pytest.raises(EmptyCleanedSetError):
             tune_threshold(train, val, ccfg, cfg, tiny_featurizer)
 
-    def test_large_model_grid_preserved(self):
-        assert PRETRAINED_LOSS_GRID == (6.0, 6.5, 7.0, 7.5, 8.0)
+
+class TestCleaningReport:
+    def test_saved_bytes(self, tmp_path):
+        report = CleaningReport(
+            kept_ids=("i0",), removed_ids=("i1",),
+            per_instance_loss={"i0": 0.25, "i1": 2.302585092994046},
+            threshold_used=1.0, noise_before=0.5, noise_after=None,
+            fold_of={"i0": 1, "i1": 0})
+        report.save(tmp_path / "cleaning_report.json")
+        assert (tmp_path / "cleaning_report.json").read_bytes() == b"""\
+{
+  "fold_of": {
+    "i0": 1,
+    "i1": 0
+  },
+  "kept_ids": [
+    "i0"
+  ],
+  "noise_after": null,
+  "noise_before": 0.5,
+  "per_instance_loss": {
+    "i0": 0.25,
+    "i1": 2.302585092994046
+  },
+  "removed_ids": [
+    "i1"
+  ],
+  "threshold_used": 1.0
+}
+"""
 
 
 class TestRetrain:

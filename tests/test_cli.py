@@ -7,7 +7,7 @@ import pytest
 
 from noisylabels import clean_dataset, save_dataset, tune_threshold
 from noisylabels.cli import main
-from noisylabels.harness import _apply_noise, _materialize, load_config, \
+from noisylabels.harness import ExperimentConfig, _apply_noise, _materialize, \
     noise_matrices_csv, threshold_sweep_csv
 
 
@@ -233,10 +233,61 @@ class TestWrongShapeInputs:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestOutputPathErrors:
+    """An output path that cannot be written is exit 1 with an error line."""
+
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+    @staticmethod
+    def argv(tmp_path, command):
+        """argv running `command` with an unwritable output path: "nodir"
+        does not exist, "afile" is a file and "adir" a directory."""
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        (tmp_path / "adir").mkdir()
+        gen = ["gen", "--classes", "3", "--instances", "30",
+               "--vocab-per-class", "8"]
+        if command == "gen":
+            return gen + ["--out", "nodir/x.jsonl"]
+        if command in ("noise", "noise-matrix-dir"):
+            assert main(gen + ["--out", "corpus.jsonl"]) == 0
+            return ["noise", "--in", "corpus.jsonl", "--kind", "uniform_random",
+                    "--level", "0.2", "--out", "noised.jsonl", "--matrix-out",
+                    "adir" if command == "noise-matrix-dir" else "nodir/m.csv"]
+        configs = {
+            "train": {},
+            "ensemble": {"method": "boosting", "ensemble": {"members": 2}},
+            "compare": {"experiments": [{"method": "vanilla"}]},
+            "clean": {"method": "nc", "cleaning": {"folds": 3}},
+            "plotdata": {"method": "nc", "cleaning": {"folds": 3}}}
+        cfg = str(write_config(tmp_path / "cfg.json", **configs[command]))
+        out = {"train": ["--out", "nodir/r.json"],
+               "ensemble": ["--out", "nodir/r.json"],
+               "compare": ["--out", "nodir/t.csv"],
+               "clean": ["--out-dir", "afile/x"],
+               "plotdata": ["--out-dir", "afile"]}[command]
+        return [command, "--config", cfg, *out]
+
+    @pytest.mark.parametrize("command", ["gen", "noise", "noise-matrix-dir",
+                                         "train", "ensemble", "clean", "compare",
+                                         "plotdata"])
+    def test_unwritable_output_is_one(self, tmp_path, capsys, command):
+        argv = self.argv(tmp_path, command)
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        # noise checks --matrix-out before it writes --out
+        assert not (tmp_path / "noised.jsonl").exists()
+
+
 def reference_cleaning(cfg_path, out_dir, clean=True):
     """The clean/plotdata outputs as composed from tune_threshold and
     clean_dataset, each computing its own held-out losses."""
-    cfg = load_config(cfg_path)
+    cfg = ExperimentConfig.from_dict(
+        json.loads(cfg_path.read_text(encoding="utf-8")))
     mat = _materialize(cfg)
     train, val = _apply_noise(mat, cfg, cfg.base_seed)
     ccfg = replace(cfg.cleaning, seed=cfg.base_seed)

@@ -323,8 +323,8 @@ class TestSyntheticCorpus:
         b = generate_synthetic_corpus(**kwargs)
         assert a == b
         pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        save_dataset(a, pa, "jsonl", write_sidecar=False)
-        save_dataset(b, pb, "jsonl", write_sidecar=False)
+        save_dataset(a, pa, "jsonl")
+        save_dataset(b, pb, "jsonl")
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_gold_equals_observed_initially(self):

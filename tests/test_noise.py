@@ -17,7 +17,6 @@ from noisylabels import (
     inject_uniform_noise,
     noise_level,
     noise_matrix,
-    rule_coverage,
     synthetic_class_vocabularies,
 )
 
@@ -129,7 +128,6 @@ class TestRuleNoise:
         noised = inject_rule_noise(d, labeler)
         assert noised.instances[0].observed_label == 0  # abstained, kept gold
         assert noised.instances[1].observed_label == 0  # rule fired
-        assert rule_coverage(d, labeler).tolist() == [False, True]
 
     def test_unknown_label_index_rejected(self):
         d = balanced_corpus(2, 20)
@@ -185,17 +183,17 @@ class TestNoiseStats:
         d = balanced_corpus(3, 120)
         m = noise_matrix(d)
         assert np.trace(m.counts) == 120
-        assert m.off_diagonal_fraction() == 0.0
+        assert noise_level(d) == 0.0
 
     def test_total_is_dataset_size(self):
         d = inject_uniform_noise(balanced_corpus(4, 500), 0.37, seed=3)
-        assert noise_matrix(d).total() == 500
+        assert noise_matrix(d).counts.sum() == 500
 
     def test_reference_levels_measured_exactly(self):
         # published corpus noise rates: 33.28% and 50.37%
         d = balanced_corpus(7, 10000, seed=1)
         noised = inject_uniform_noise(d, 0.3328, seed=2)
-        assert abs(noise_matrix(noised).off_diagonal_fraction() - 0.3328) <= 5e-4
+        assert abs(noise_level(noised) - 0.3328) <= 5e-4
         d = balanced_corpus(5, 10000, seed=2)
         noised = inject_uniform_noise(d, 0.5037, seed=3)
         assert abs(noise_level(noised) - 0.5037) <= 5e-4
@@ -203,8 +201,7 @@ class TestNoiseStats:
     def test_level_matches_matrix(self):
         d = inject_uniform_noise(balanced_corpus(5, 777), 0.21, seed=9)
         m = noise_matrix(d)
-        assert abs(noise_level(d) - m.off_diagonal_fraction()) < 1e-12
-        assert abs(noise_level(d) - (1 - np.trace(m.counts) / m.total())) < 1e-12
+        assert abs(noise_level(d) - (1 - np.trace(m.counts) / m.counts.sum())) < 1e-12
 
     def test_row_normalized(self):
         d = inject_uniform_noise(balanced_corpus(4, 400), 0.4, seed=7)
