@@ -84,8 +84,6 @@ from .harness import (
     threshold_sweep_csv,
 )
 from .presets import (
-    DESK_FEATURIZER,
-    DESK_TRAIN,
     PRESET_NAMES,
     Preset,
     core_vocabulary_rules,

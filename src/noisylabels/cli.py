@@ -69,6 +69,27 @@ def _report_summary(report) -> str:
             + (" (partial)" if report.partial else ""))
 
 
+def _check_file(out) -> None:
+    """Raise ValidationError unless out is empty or a file path that can be
+    written: not a directory, and in a directory that exists."""
+    if out and (not isinstance(out, str) or "\0" in out):
+        raise ValidationError("'output' must be a file path")
+    if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        raise ValidationError(f"output file {out} is a directory or its "
+                              "directory does not exist")
+
+
+def _checked_dir(out: str) -> Path:
+    """Path(out), after raising ValidationError if it, or its nearest
+    ancestor that exists, is not a directory."""
+    path = Path(out)
+    nearest = next((p for p in (path, *path.parents) if p.exists()), path)
+    if "\0" in out or not nearest.is_dir():
+        raise ValidationError(f"output directory {out!r} is not a directory "
+                              "or lies under a file")
+    return path
+
+
 def _load_cli_config(args) -> tuple[ExperimentConfig, dict]:
     raw = _read_json(args.config, "config")
     cfg = ExperimentConfig.from_dict(raw)
@@ -84,8 +105,9 @@ def _cmd_train(args, ensemble_only: bool = False) -> int:
     if ensemble_only and cfg.method not in ("hme", "hte", "boosting"):
         raise ValidationError("ensemble subcommand needs method hme, hte or "
                               f"boosting (got {cfg.method!r})")
-    report = run_experiment(cfg)
     out = args.out or raw.get("output")
+    _check_file(out)
+    report = run_experiment(cfg)
     if out:
         report.save(out)
         print(f"report written to {out}")
@@ -93,22 +115,22 @@ def _cmd_train(args, ensemble_only: bool = False) -> int:
     return 0
 
 
-def _clean_from_config(args, **cleaning):
-    """The config's raw JSON, its noised train split, and one cleaning pass
-    over that split with the config's cleaning section updated by cleaning."""
-    cfg, raw = _load_cli_config(args)
+def _clean_from_config(cfg: ExperimentConfig, **cleaning):
+    """The config's noised train split, and one cleaning pass over that
+    split with the config's cleaning section updated by cleaning."""
     mat = _materialize(cfg)
     train, val = _apply_noise(mat, cfg, cfg.base_seed)
     ccfg = replace(cfg.cleaning, seed=cfg.base_seed, **cleaning)
-    tcfg = replace(mat.train_cfg, seed=cfg.base_seed)
+    tcfg = replace(cfg.train, seed=cfg.base_seed)
     cleaned, report, diagnostics, _ = _clean_pass(train, val, ccfg, tcfg,
-                                                  mat.featurizer)
-    return raw, train, cleaned, report, diagnostics
+                                                  cfg.featurizer)
+    return train, cleaned, report, diagnostics
 
 
 def _cmd_clean(args) -> int:
-    raw, train, cleaned, report, diagnostics = _clean_from_config(args)
-    out_dir = Path(args.out_dir or raw.get("output") or "cleaning_out")
+    cfg, raw = _load_cli_config(args)
+    out_dir = _checked_dir(args.out_dir or raw.get("output") or "cleaning_out")
+    train, cleaned, report, diagnostics = _clean_from_config(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     if diagnostics is not None:
         (out_dir / "threshold_sweep.csv").write_text(
@@ -139,8 +161,9 @@ def _cmd_compare(args) -> int:
                               "objects")
     shared = {k: v for k, v in raw.items() if k not in ("experiments", "output")}
     cfgs = [ExperimentConfig.from_dict({**shared, **exp}) for exp in experiments]
-    table, _ = compare_methods(cfgs, include_clean_baseline=not args.no_clean_row)
     out = args.out or raw.get("output")
+    _check_file(out)
+    table, _ = compare_methods(cfgs, include_clean_baseline=not args.no_clean_row)
     if out:
         Path(out).write_text(table.to_csv(), encoding="utf-8")
         print(f"CSV written to {out}")
@@ -166,20 +189,21 @@ def _accuracy_runs_csv(report) -> str:
 def _cmd_plotdata(args) -> int:
     if not (args.config or args.report):
         raise ValidationError("plotdata needs --config and/or --report")
-    # every input is read and checked before the output directory exists
+    # every input and the output directory are checked before any work, and
+    # the directory is made only after the work
+    out_dir = _checked_dir(args.out_dir or "plot_data")
     accuracy_runs = (_accuracy_runs_csv(_read_json(args.report, "report"))
                      if args.report else None)
     outputs = {}
     if args.config:
         # the sweep is always tuned, even when the config fixes a threshold
-        _, train, cleaned, _, diagnostics = _clean_from_config(args,
-                                                               threshold=None)
+        cfg, _ = _load_cli_config(args)
+        train, cleaned, _, diagnostics = _clean_from_config(cfg, threshold=None)
         outputs["threshold_sweep.csv"] = threshold_sweep_csv(diagnostics)
         if train.has_gold():
             outputs["noise_matrices.csv"] = noise_matrices_csv(train, cleaned)
     if accuracy_runs is not None:
         outputs["accuracy_runs.csv"] = accuracy_runs
-    out_dir = Path(args.out_dir or "plot_data")
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in outputs.items():
         (out_dir / name).write_text(text, encoding="utf-8")
@@ -259,11 +283,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # output file paths are checked before any work or write
+        # output file flags are checked before any work or write; the
+        # commands check the outputs a config names the same way
         for out in (getattr(args, "out", None), getattr(args, "matrix_out", None)):
-            if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
-                raise ValidationError(f"output file {out} is a directory or its "
-                                      "directory does not exist")
+            _check_file(out)
         return args.fn(args)
     except (ValidationError, OSError) as exc:  # OSError: an unwritable output
         print(f"error: {exc}", file=sys.stderr)

@@ -394,10 +394,9 @@ def synthetic_class_vocabularies(n_classes: int, vocab_per_class: int,
 def generate_synthetic_corpus(
     n_classes: int,
     n_instances: int,
-    vocab_per_class: int,
-    overlap: float,
-    seed: int,
-    class_names: Sequence[str] | None = None,
+    vocab_per_class: int = 40,
+    overlap: float = 0.0,
+    seed: int = 0,
     class_weights: Sequence[float] | None = None,
     tokens_per_text: tuple[int, int] = (8, 14),
     global_token_fraction: float = 0.0,
@@ -416,10 +415,6 @@ def generate_synthetic_corpus(
     if n_instances < n_classes:
         raise ValidationError("need at least one instance per class")
     vocabs = synthetic_class_vocabularies(n_classes, vocab_per_class, overlap)
-    if class_names is None:
-        class_names = tuple(f"class{c}" for c in range(n_classes))
-    elif len(class_names) != n_classes:
-        raise ValidationError("class_names length must equal n_classes")
     lo, hi = tokens_per_text
     if lo < 1 or hi < lo:
         raise ValidationError("tokens_per_text must satisfy 1 <= lo <= hi")
@@ -476,4 +471,5 @@ def generate_synthetic_corpus(
             annotators = tuple(labs)
         instances.append(Instance(f"syn{i:0{width}d}", " ".join(tokens), c, c,
                                   annotators))
-    return Dataset(LabelSet(tuple(class_names)), tuple(instances))
+    return Dataset(LabelSet(tuple(f"class{c}" for c in range(n_classes))),
+                   tuple(instances))

@@ -34,8 +34,6 @@ from .util import checked_call
 
 METHODS = ("vanilla", "coteaching", "ceta", "hme", "hte", "boosting", "nc")
 
-DEFAULT_COTEACH = CoteachSchedule(tau=0.35, ramp_steps=120)
-DEFAULT_CETA = CetaConfig()
 # dataset source -> the keys a dataset section naming it may hold
 DATASET_KEYS = {"preset": {"preset", "corpus_seed"}, "synthetic": {"synthetic"},
                 "path": {"path", "format"}}
@@ -65,10 +63,10 @@ class ExperimentConfig:
     dataset: dict
     noise: dict | None = None
     split: dict | None = None
-    featurizer: Featurizer | None = None
-    train: TrainConfig | None = None
-    coteaching: CoteachSchedule = DEFAULT_COTEACH
-    ceta: CetaConfig = DEFAULT_CETA
+    featurizer: Featurizer = Featurizer()
+    train: TrainConfig = TrainConfig()
+    coteaching: CoteachSchedule = CoteachSchedule()
+    ceta: CetaConfig = CetaConfig()
     ensemble: EnsembleSettings = EnsembleSettings()
     cleaning: CleanConfig = CleanConfig()
     runs: int = 5
@@ -133,12 +131,10 @@ class _Materialized:
     val: Dataset
     test: Dataset
     preset: Preset | None
-    featurizer: Featurizer
-    train_cfg: TrainConfig
 
 
 def _materialize(cfg: ExperimentConfig) -> _Materialized:
-    """Clean splits plus the featurizer/train defaults for this source."""
+    """Clean splits, and the preset if the dataset names one."""
     source, preset = cfg.dataset, None
     if "preset" in source:
         if cfg.split is not None:
@@ -147,8 +143,6 @@ def _materialize(cfg: ExperimentConfig) -> _Materialized:
                                            "corpus_seed": source.get("corpus_seed")},
                               "'dataset'")
         train, val, test = preset.clean_splits()
-        featurizer = cfg.featurizer or preset.featurizer
-        train_cfg = cfg.train or preset.train_config
     else:
         if "synthetic" in source:
             spec, names = source["synthetic"], {"classes": "n_classes",
@@ -158,9 +152,8 @@ def _materialize(cfg: ExperimentConfig) -> _Materialized:
                 raise ValidationError("'synthetic' must be an object with "
                                       "'classes' and 'instances'")
             corpus = checked_call(generate_synthetic_corpus, {
-                "vocab_per_class": 40, "overlap": 0.0, "seed": 0,
-                **{names.get(k, k): tuple(v) if isinstance(v, list) else v
-                   for k, v in spec.items()}}, "'synthetic'")
+                names.get(k, k): tuple(v) if isinstance(v, list) else v
+                for k, v in spec.items()}, "'synthetic'")
         else:
             corpus = checked_call(load_dataset, dict(source), "'dataset'")
         split = cfg.split or {}
@@ -171,12 +164,10 @@ def _materialize(cfg: ExperimentConfig) -> _Materialized:
                                   f"{sorted(split.keys() - fields.keys())}")
         train, val, test = split_dataset(corpus, checked_call(
             SplitSpec, {fields[k]: v for k, v in split.items()}, "'split'"))
-        featurizer = cfg.featurizer or Featurizer()
-        train_cfg = cfg.train or TrainConfig()
     if test.has_gold() and (test.observed() != test.gold()).any():
         raise ValidationError("test split carries label noise; headline "
                               "evaluation requires a clean test split")
-    return _Materialized(train, val, test, preset, featurizer, train_cfg)
+    return _Materialized(train, val, test, preset)
 
 
 def _apply_noise(mat: _Materialized, cfg: ExperimentConfig, run_seed: int
@@ -221,8 +212,8 @@ def _run_method(cfg: ExperimentConfig, mat: _Materialized, train: Dataset,
                 val: Dataset, run_seed: int, x_test) -> dict:
     """Train one method for one run and evaluate on the clean test split,
     whose features x_test the caller computed once for all runs."""
-    tcfg = replace(mat.train_cfg, seed=run_seed)
-    feat = mat.featurizer
+    tcfg = replace(cfg.train, seed=run_seed)
+    feat = cfg.featurizer
     y_test = mat.test.observed()
     record: dict = {}
     if cfg.method == "vanilla":
@@ -289,7 +280,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """
     started = time.perf_counter()
     mat = _materialize(cfg)
-    x_test = featurize_dataset(mat.featurizer, mat.test)
+    x_test = featurize_dataset(cfg.featurizer, mat.test)
 
     per_run = []
     for run_seed in range(cfg.base_seed, cfg.base_seed + cfg.runs):

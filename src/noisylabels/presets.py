@@ -28,14 +28,6 @@ from .noise import LabelRule, RuleLabeler, apply_noise
 
 PRESET_NAMES = ("separable", "yoruba_like", "hausa_like")
 
-# Desk-scale training defaults shared by the presets (the built-in model
-# trains in hundreds of steps at learning rates far above transformer scale).
-DESK_TRAIN = TrainConfig(steps=600, learning_rate=0.5, patience=8,
-                         warmup_steps=0, weight_decay=1e-4, drop_rate=0.1,
-                         batch_size=32, eval_every=25, seed=0, hidden_size=64)
-
-DESK_FEATURIZER = Featurizer()
-
 
 def core_vocabulary_rules(
     n_classes: int,
@@ -88,8 +80,10 @@ class Preset:
     split: SplitSpec
     annotators_per_instance: int = 0
     annotator_disagreement: float = 0.35
-    featurizer: Featurizer = DESK_FEATURIZER
-    train_config: TrainConfig = DESK_TRAIN
+    # not fields: every preset trains with the library defaults, as does a
+    # config that names it and has no featurizer or train section
+    featurizer = Featurizer()
+    train_config = TrainConfig()
 
     def clean_splits(self) -> tuple[Dataset, Dataset, Dataset]:
         corpus = generate_synthetic_corpus(

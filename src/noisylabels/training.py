@@ -208,8 +208,8 @@ def _train_vanilla(data: Featurized, cfg: TrainConfig
     dropout_rng = derive_rng(init_seed, "dropout")
 
     def step_fn(step, _, xb, yb, __):
-        loss, grads = mean_ce_and_grads(params, xb, yb, heads=[0],
-                                        scale_rng=dropout_rng, train_mode=True)
+        loss, grads = mean_ce_and_grads(params, xb, yb, scale_rng=dropout_rng,
+                                        train_mode=True)
         apply_grads(params, grads, cfg.effective_lr(step), cfg.weight_decay)
         return {"step": step, "train_batch_loss": loss}
 
@@ -226,8 +226,8 @@ def _train_vanilla(data: Featurized, cfg: TrainConfig
 class CoteachSchedule:
     """Forget rate ramps linearly from 0 to tau over ramp_steps."""
 
-    tau: float = 0.2
-    ramp_steps: int = 100
+    tau: float = 0.35
+    ramp_steps: int = 120
 
     def __post_init__(self):
         if not 0.0 <= self.tau <= 1.0 or self.ramp_steps < 0:
@@ -284,8 +284,7 @@ def _train_coteaching(data: Featurized, cfg: TrainConfig, sched: CoteachSchedule
         losses_out = []
         for net, other_kept, rng in zip(nets, (kept[1], kept[0]), dropout):
             loss, grads = mean_ce_and_grads(net, xb[other_kept], yb[other_kept],
-                                            heads=[0], scale_rng=rng,
-                                            train_mode=True)
+                                            scale_rng=rng, train_mode=True)
             apply_grads(net, grads, cfg.effective_lr(step), cfg.weight_decay)
             losses_out.append(loss)
         return {
@@ -320,15 +319,12 @@ class CetaConfig:
 
     consensus_rule: str = "heads_agree"
     lambda_w: float = 0.1
-    ground_metric: str = "discrete"
 
     def __post_init__(self):
         if self.consensus_rule not in CONSENSUS_RULES:
             raise ValidationError(f"consensus_rule must be one of {CONSENSUS_RULES}")
         if not 0 <= self.lambda_w < math.inf:
             raise ValidationError("lambda_w must be finite and >= 0")
-        if self.ground_metric != "discrete":
-            raise ValidationError("only the discrete ground metric is supported")
 
 
 def _tv_logit_grad(p_self: np.ndarray, p_other: np.ndarray,

@@ -271,8 +271,8 @@ class TestCriterion7:
                                np.array([0.0, 1.0])) == 1.0
 
         feat = Featurizer(hash_dim=256, hash_seed=0)
-        params = init_params(feat, n_labels=4, hidden_size=8, n_heads=2,
-                             seed=3, head_seeds=[5, 5])
+        params = init_params(feat, n_labels=4, hidden_size=8, n_heads=2, seed=3)
+        params.heads[1] = params.heads[0].copy()
         x = featurize_texts(feat, ["aa bb cc", "dd ee", "ff gg hh ii"])
         y = np.array([0, 1, 2])
         _, _, consensus, tv_mean = ceta_batch_objective(
@@ -297,10 +297,10 @@ class TestCriterion8:
         y = np.array([0, 1, 2, 1, 0])
 
         def objective():
-            loss, _ = mean_ce_and_grads(params, x, y, heads=[0])
+            loss, _ = mean_ce_and_grads(params, x, y)
             return loss
 
-        _, grads = mean_ce_and_grads(params, x, y, heads=[0])
+        _, grads = mean_ce_and_grads(params, x, y)
         arrays = [(params.encoder, dense_encoder_grad(params, grads)),
                   (params.heads[0].weights, grads.heads[0][0]),
                   (params.heads[0].bias, grads.heads[0][1])]

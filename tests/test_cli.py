@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from noisylabels import clean_dataset, save_dataset, tune_threshold
+from noisylabels import cli
 from noisylabels.cli import main
 from noisylabels.harness import ExperimentConfig, _apply_noise, _materialize, \
     noise_matrices_csv, threshold_sweep_csv
@@ -234,46 +235,69 @@ class TestWrongShapeInputs:
 
 
 class TestOutputPathErrors:
-    """An output path that cannot be written is exit 1 with an error line."""
+    """An output path that cannot be written is exit 1 with an error line,
+    found before any training starts."""
 
     @pytest.fixture(autouse=True)
     def in_tmp_path(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
 
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise AssertionError("work started before the output was checked")
+
+        for name in ("run_experiment", "compare_methods", "_clean_pass"):
+            monkeypatch.setattr(cli, name, reached)
+
     @staticmethod
-    def argv(tmp_path, command):
-        """argv running `command` with an unwritable output path: "nodir"
-        does not exist, "afile" is a file and "adir" a directory."""
+    def argv(tmp_path, case):
+        """argv running case's command with an unwritable output path:
+        "nodir" does not exist, "afile" is a file and "adir" a directory.
+        A "-config" case names the path in the config's "output" key, and a
+        "-nul" one names a path holding a NUL byte."""
         (tmp_path / "afile").write_text("", encoding="utf-8")
         (tmp_path / "adir").mkdir()
         gen = ["gen", "--classes", "3", "--instances", "30",
                "--vocab-per-class", "8"]
-        if command == "gen":
+        if case == "gen":
             return gen + ["--out", "nodir/x.jsonl"]
-        if command in ("noise", "noise-matrix-dir"):
+        if case in ("noise", "noise-matrix-dir"):
             assert main(gen + ["--out", "corpus.jsonl"]) == 0
             return ["noise", "--in", "corpus.jsonl", "--kind", "uniform_random",
                     "--level", "0.2", "--out", "noised.jsonl", "--matrix-out",
-                    "adir" if command == "noise-matrix-dir" else "nodir/m.csv"]
+                    "adir" if case == "noise-matrix-dir" else "nodir/m.csv"]
+        command = case.split("-")[0]
         configs = {
             "train": {},
             "ensemble": {"method": "boosting", "ensemble": {"members": 2}},
             "compare": {"experiments": [{"method": "vanilla"}]},
             "clean": {"method": "nc", "cleaning": {"folds": 3}},
             "plotdata": {"method": "nc", "cleaning": {"folds": 3}}}
-        cfg = str(write_config(tmp_path / "cfg.json", **configs[command]))
         out = {"train": ["--out", "nodir/r.json"],
+               "train-config": {"output": "nodir/r.json"},
+               "train-config-nul": {"output": "r\0.json"},
                "ensemble": ["--out", "nodir/r.json"],
+               "ensemble-config": {"output": "nodir/r.json"},
                "compare": ["--out", "nodir/t.csv"],
+               "compare-config": {"output": "nodir/t.csv"},
                "clean": ["--out-dir", "afile/x"],
-               "plotdata": ["--out-dir", "afile"]}[command]
-        return [command, "--config", cfg, *out]
+               "clean-file": ["--out-dir", "afile"],
+               "clean-config": {"output": "afile/x"},
+               "clean-config-nul": {"output": "x\0y"},
+               "plotdata": ["--out-dir", "afile"],
+               "plotdata-under-file": ["--out-dir", "afile/x"]}[case]
+        overrides = {**configs[command], **(out if isinstance(out, dict) else {})}
+        cfg = str(write_config(tmp_path / "cfg.json", **overrides))
+        return [command, "--config", cfg, *(out if isinstance(out, list) else [])]
 
-    @pytest.mark.parametrize("command", ["gen", "noise", "noise-matrix-dir",
-                                         "train", "ensemble", "clean", "compare",
-                                         "plotdata"])
-    def test_unwritable_output_is_one(self, tmp_path, capsys, command):
-        argv = self.argv(tmp_path, command)
+    @pytest.mark.parametrize("case", [
+        "gen", "noise", "noise-matrix-dir", "train", "train-config",
+        "train-config-nul", "ensemble", "ensemble-config", "clean", "clean-file",
+        "clean-config", "clean-config-nul", "compare", "compare-config",
+        "plotdata", "plotdata-under-file"])
+    def test_unwritable_output_is_one(self, tmp_path, capsys, case):
+        argv = self.argv(tmp_path, case)
         capsys.readouterr()
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -291,14 +315,14 @@ def reference_cleaning(cfg_path, out_dir, clean=True):
     mat = _materialize(cfg)
     train, val = _apply_noise(mat, cfg, cfg.base_seed)
     ccfg = replace(cfg.cleaning, seed=cfg.base_seed)
-    tcfg = replace(mat.train_cfg, seed=cfg.base_seed)
+    tcfg = replace(cfg.train, seed=cfg.base_seed)
     out_dir.mkdir()
     threshold, diagnostics = tune_threshold(train, val, ccfg, tcfg,
-                                            mat.featurizer)
+                                            cfg.featurizer)
     (out_dir / "threshold_sweep.csv").write_text(
         threshold_sweep_csv(diagnostics), encoding="utf-8")
     cleaned, report = clean_dataset(train, replace(ccfg, threshold=threshold),
-                                    tcfg, mat.featurizer, val)
+                                    tcfg, cfg.featurizer, val)
     (out_dir / "noise_matrices.csv").write_text(
         noise_matrices_csv(train, cleaned), encoding="utf-8")
     if clean:

@@ -1,7 +1,8 @@
 import copy
+import itertools
 import json
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisylabels import (
+    PRESET_NAMES,
     CleanConfig,
+    CoteachSchedule,
     ExperimentConfig,
+    Featurizer,
     SplitSpec,
+    TrainConfig,
     ValidationError,
     compare_methods,
     generate_synthetic_corpus,
+    get_preset,
     inject_uniform_noise,
     noise_matrices_csv,
     run_experiment,
@@ -100,11 +106,11 @@ class TestRunExperiment:
         mat = _materialize(cfg)
         train, val = _apply_noise(mat, cfg, cfg.base_seed)
         ccfg = replace(cfg.cleaning, seed=cfg.base_seed)
-        tcfg = replace(mat.train_cfg, seed=cfg.base_seed)
-        threshold, _ = tune_threshold(train, val, ccfg, tcfg, mat.featurizer)
+        tcfg = replace(cfg.train, seed=cfg.base_seed)
+        threshold, _ = tune_threshold(train, val, ccfg, tcfg, cfg.featurizer)
         cleaned, report = clean_dataset(train, replace(ccfg, threshold=threshold),
-                                        tcfg, mat.featurizer, val)
-        _, accuracy = retrain_on_cleaned(cleaned, val, tcfg, mat.featurizer,
+                                        tcfg, cfg.featurizer, val)
+        _, accuracy = retrain_on_cleaned(cleaned, val, tcfg, cfg.featurizer,
                                          mat.test)
         assert run == {"threshold_used": threshold,
                        "cleaned_size": len(cleaned),
@@ -232,8 +238,7 @@ def valid_configs(tmp_path_factory):
          "split": split, "noise": {"kind": "pseudo_real_world", "level": 0.1},
          "ensemble": {"members": 2, "subset_fraction": 0.8, "grid": "compact"},
          "coteaching": {"tau": 0.3, "ramp_steps": 5},
-         "ceta": {"consensus_rule": "heads_agree", "lambda_w": 0.2,
-                  "ground_metric": "discrete"},
+         "ceta": {"consensus_rule": "heads_agree", "lambda_w": 0.2},
          "cleaning": {"folds": 2, "threshold": 0.5, "tuning_grid": [0.1, 0.2]}},
         {"method": "vanilla", "dataset": {"preset": "separable", "corpus_seed": 5},
          "noise": {"kind": "uniform_random", "level": 0.1}, "train": SMALL_TRAIN},
@@ -312,6 +317,31 @@ class TestMalformedConfigProperties:
         raw = data.draw(malformed(data.draw(st.sampled_from(valid_configs))))
         with pytest.raises(ValidationError):
             materialize_and_noise(raw)
+
+
+class TestOneDefaultPerKnob:
+    """A preset config whose train, featurizer or coteaching section restates
+    any subset of the defaults names the same model as one without it."""
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    @pytest.mark.parametrize("section, default", [
+        ("train", TrainConfig()), ("featurizer", Featurizer()),
+        ("coteaching", CoteachSchedule())],
+        ids=["train", "featurizer", "coteaching"])
+    def test_restated_defaults_change_nothing(self, preset, section, default):
+        raw = {"method": "coteaching", "dataset": {"preset": preset}}
+        plain = ExperimentConfig.from_dict(raw)
+        # a train section takes no seed: run r's seed is base_seed + r
+        values = {k: list(v) if isinstance(v, tuple) else v
+                  for k, v in asdict(default).items() if k != "seed"}
+        for n in range(len(values) + 1):
+            for keys in itertools.combinations(values, n):
+                restated = ExperimentConfig.from_dict(
+                    {**raw, section: {k: values[k] for k in keys}})
+                assert restated == plain, keys
+        assert _materialize(restated) == _materialize(plain)
+        assert (plain.featurizer, plain.train) == (
+            get_preset(preset).featurizer, get_preset(preset).train_config)
 
 
 def test_readme_configs_parse():

@@ -59,9 +59,8 @@ def assert_matches_central_differences(objective, arrays, probes, rng):
 
 def train_step(params, x, y, lr_effective, weight_decay=0.0, seed=0):
     """One train-mode SGD step of head 0, built from the public primitives."""
-    _, grads = mean_ce_and_grads(params, x, y, heads=[0],
-                                 scale_rng=np.random.default_rng(seed),
-                                 train_mode=True)
+    _, grads = mean_ce_and_grads(params, x, y, train_mode=True,
+                                 scale_rng=np.random.default_rng(seed))
     apply_grads(params, grads, lr_effective, weight_decay)
 
 
@@ -250,7 +249,7 @@ class TestForward:
         y = np.array([0, 2])
 
         def train_loss(seed):
-            loss, _ = mean_ce_and_grads(params, x, y, heads=[0], train_mode=True,
+            loss, _ = mean_ce_and_grads(params, x, y, train_mode=True,
                                         scale_rng=np.random.default_rng(seed))
             return loss
 
@@ -262,8 +261,7 @@ class TestForward:
                              drop_rate=0.5, seed=1)
         x = featurize_texts(self.feat, ["one two"])
         with pytest.raises(ValidationError, match="rng"):
-            mean_ce_and_grads(params, x, np.array([0]), heads=[0],
-                              train_mode=True)
+            mean_ce_and_grads(params, x, np.array([0]), train_mode=True)
 
     def test_prob_sums_property(self):
         # 1000 random parameter draws all produce normalized outputs
@@ -320,10 +318,10 @@ class TestGradients:
         y = np.array([0, 2, 1, 2])
 
         def objective():
-            loss, _ = mean_ce_and_grads(params, x, y, heads=[0])
+            loss, _ = mean_ce_and_grads(params, x, y)
             return loss
 
-        _, grads = mean_ce_and_grads(params, x, y, heads=[0])
+        _, grads = mean_ce_and_grads(params, x, y)
         arrays = [(params.encoder, dense_encoder_grad(params, grads)),
                   (params.heads[0].weights, grads.heads[0][0]),
                   (params.heads[0].bias, grads.heads[0][1])]
@@ -334,26 +332,24 @@ class TestGradients:
 
     def test_matches_central_differences_through_dropout(self):
         # train mode with a fixed dropout mask: scale_rng is re-seeded on
-        # every call, so each objective evaluation sees the same mask; two
-        # heads share that mask and both backpropagate into the encoder
+        # every call, so each objective evaluation sees the same mask
         feat = Featurizer(hash_dim=64, hash_seed=0)
-        params = init_params(feat, n_labels=3, hidden_size=8, n_heads=2,
-                             drop_rate=0.5, seed=5)
+        params = init_params(feat, n_labels=3, hidden_size=8, drop_rate=0.5,
+                             seed=5)
         x = featurize_texts(feat, ["aa bb cc dd", "ee ff gg", "hh ii",
                                    "jj kk ll mm"])
         y = np.array([0, 2, 1, 2])
 
         def train_mode(params):
-            return mean_ce_and_grads(params, x, y, heads=[0, 1], train_mode=True,
+            return mean_ce_and_grads(params, x, y, train_mode=True,
                                      scale_rng=np.random.default_rng(23))
 
         loss, grads = train_mode(params)
-        eval_loss, _ = mean_ce_and_grads(params, x, y, heads=[0, 1])
+        eval_loss, _ = mean_ce_and_grads(params, x, y)
         assert loss != eval_loss  # the mask is in effect
-        arrays = [(params.encoder, dense_encoder_grad(params, grads))]
-        for h in (0, 1):
-            arrays.append((params.heads[h].weights, grads.heads[h][0]))
-            arrays.append((params.heads[h].bias, grads.heads[h][1]))
+        arrays = [(params.encoder, dense_encoder_grad(params, grads)),
+                  (params.heads[0].weights, grads.heads[0][0]),
+                  (params.heads[0].bias, grads.heads[0][1])]
         assert_matches_central_differences(lambda: train_mode(params)[0], arrays,
                                            100, np.random.default_rng(29))
 
@@ -362,10 +358,10 @@ class TestGradients:
         params = init_params(feat, n_labels=2, hidden_size=8, seed=2)
         x = featurize_texts(feat, ["left words", "right tokens"] * 4)
         y = np.array([0, 1] * 4)
-        first, _ = mean_ce_and_grads(params, x, y, heads=[0])
+        first, _ = mean_ce_and_grads(params, x, y)
         for _ in range(200):
             train_step(params, x, y, lr_effective=0.5)
-        last, _ = mean_ce_and_grads(params, x, y, heads=[0])
+        last, _ = mean_ce_and_grads(params, x, y)
         assert last < first
 
     def test_zero_lr_no_change(self):
@@ -385,7 +381,7 @@ class TestGradients:
         x = featurize_texts(feat, ["red fox jumps", "red fox sleeps", "",
                                    "fox jumps high", "red red red"])
         y = np.array([0, 1, 2, 1, 0])
-        _, grads = mean_ce_and_grads(params, x, y, heads=[0])
+        _, grads = mean_ce_and_grads(params, x, y)
         assert grads.encoder.shape == (len(np.unique(x.indices)), 8)
 
         # the dense reference: d_pre as the backward pass forms it, then the

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ from noisylabels import (
     train_vanilla,
 )
 from noisylabels import SplitSpec
+from noisylabels.cli import main
 from noisylabels.model import featurize_dataset, featurize_texts
 from noisylabels.training import EarlyStopState, _Batcher, ceta_batch_objective
 from noisylabels.util import derive_rng
@@ -244,7 +246,8 @@ class TestCeta:
                                                     tiny_featurizer):
         train, _, _ = small_splits
         params = init_params(tiny_featurizer, n_labels=3, hidden_size=16,
-                             n_heads=2, seed=4, head_seeds=[7, 7])
+                             n_heads=2, seed=4)
+        params.heads[1] = params.heads[0].copy()
         x = featurize_dataset(tiny_featurizer, train)[:32]
         y = train.observed()[:32]
         _, _, consensus, tv_mean = ceta_batch_objective(
@@ -300,7 +303,8 @@ class TestCeta:
         # identical heads only disagree if their masks differ
         train, _, _ = small_splits
         params = init_params(tiny_featurizer, n_labels=3, hidden_size=16,
-                             n_heads=2, drop_rate=0.5, seed=4, head_seeds=[7, 7])
+                             n_heads=2, drop_rate=0.5, seed=4)
+        params.heads[1] = params.heads[0].copy()
         x = featurize_dataset(tiny_featurizer, train)[:32]
         y = train.observed()[:32]
         _, _, _, tv_mean = ceta_batch_objective(
@@ -333,13 +337,19 @@ class TestCeta:
         assert accs["heads_agree"] >= 0.95
         assert 0.0 <= accs["heads_agree_with_label"] <= 1.0
 
-    def test_config_validation(self):
+    def test_config_validation(self, tmp_path, capsys):
         with pytest.raises(ValidationError):
             CetaConfig(consensus_rule="bogus")
         with pytest.raises(ValidationError):
             CetaConfig(lambda_w=-0.5)
-        with pytest.raises(ValidationError):
-            CetaConfig(ground_metric="euclidean")
+        # the ground metric is always the discrete one, so it is no key
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "ceta",
+                                   "dataset": {"preset": "separable"},
+                                   "ceta": {"ground_metric": "euclidean"}}),
+                       encoding="utf-8")
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestTrainerParity:
