@@ -28,8 +28,7 @@ cfg = replace(preset.train_config, seed=0)
 feat = preset.featurizer
 
 solo, _ = train_vanilla(train, val, cfg, feat)
-print(f"single vanilla model: "
-      f"{evaluate(solo, test, feat, head=0).accuracy:.4f}")
+print(f"single vanilla model: {evaluate(solo, test, feat):.4f}")
 
 # homogeneous: same method, configs sampled from the grid (distinct
 # steps/learning-rate pairs per member)

@@ -22,7 +22,7 @@ for preset in (yoruba_like_preset(), hausa_like_preset()):
     feat = preset.featurizer
 
     baseline, _ = train_vanilla(train, val, cfg, feat)
-    baseline_acc = evaluate(baseline, test, feat, head=0).accuracy
+    baseline_acc = evaluate(baseline, test, feat)
 
     clean_cfg = CleanConfig(folds=5, seed=0)
     threshold, diagnostics = tune_threshold(train, val, clean_cfg, cfg, feat)

@@ -30,7 +30,6 @@ from .ensembles import (
     EnsemblePredictions,
     EnsembleSpec,
     GridLists,
-    LARGE_MODEL_GRID,
     load_ensemble,
     predict_ensemble,
     sample_grid_configs,
@@ -50,7 +49,6 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    EvalResult,
     Featurizer,
     ModelParams,
     TrainConfig,

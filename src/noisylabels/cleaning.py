@@ -120,7 +120,7 @@ def _heldout(data: Featurized, cfg: CleanConfig, train_cfg: TrainConfig
                 f"fold {i}: training complement of {complement.size} is too small")
         fold_cfg = replace(train_cfg, seed=_fold_seed(train_cfg, i))
         params, _ = _train_vanilla(data.rows(complement), fold_cfg)
-        losses[held] = instance_losses(params, data.x[held], data.y[held], head=0)
+        losses[held] = instance_losses(params, data.x[held], data.y[held])
         del params  # free this fold's model before the next one trains
     return losses, fold_of
 
@@ -230,7 +230,7 @@ def _tune(data: Featurized, losses: np.ndarray, cfg: CleanConfig,
         acc = None
         if kept.size:
             params, _ = _train_vanilla(data.rows(kept), train_cfg)
-            acc = evaluate_features(params, data.x_val, data.y_val, head=0).accuracy
+            acc = evaluate_features(params, data.x_val, data.y_val)
             if best_acc is None or acc > best_acc:  # ties go to the smaller threshold
                 best_acc, best_threshold, best_params = acc, threshold, params
             del params  # only the best model so far stays alive
@@ -248,7 +248,4 @@ def retrain_on_cleaned(cleaned: Dataset, val: Dataset, train_cfg: TrainConfig,
     if len(cleaned) == 0:
         raise ValidationError("cannot retrain on an empty cleaned set")
     params, _ = train_vanilla(cleaned, val, train_cfg, featurizer)
-    accuracy = None
-    if test is not None:
-        accuracy = evaluate(params, test, featurizer, head=0).accuracy
-    return params, accuracy
+    return params, None if test is None else evaluate(params, test, featurizer)

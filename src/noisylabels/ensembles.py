@@ -49,18 +49,7 @@ class GridLists:
     drop_rate: tuple[float, ...]
 
 
-# Sized for fine-tuning large pretrained encoders; far too slow a learning
-# rate for the built-in hashed-ngram model, which uses COMPACT_GRID instead.
-LARGE_MODEL_GRID = GridLists(
-    steps=(2000, 3000, 4000, 5000, 6000),
-    learning_rate=(0.0002, 0.0004, 0.0005, 0.00001, 0.00002, 0.00003, 0.00004,
-                   0.00005),
-    patience=(25, 30, 40, 50),
-    warmup_steps=(0, 1, 5, 7, 10),
-    weight_decay=(0.1, 0.001, 0.0001),
-    drop_rate=(0.1, 0.25, 0.5, 0.8),
-)
-
+# sized for the built-in hashed n-gram model; the harness's hme samples it
 COMPACT_GRID = GridLists(
     steps=(400, 600, 800, 1000),
     learning_rate=(0.25, 0.35, 0.5, 0.7),
@@ -249,8 +238,7 @@ def predict_ensemble(members: list[ModelParams], dataset: Dataset,
 
 def _predict_features(members: list[ModelParams], x, y: np.ndarray
                       ) -> tuple[float, EnsemblePredictions]:
-    member_probs = np.stack([predict_probs(m, x, head="averaged")
-                             for m in members])
+    member_probs = np.stack([predict_probs(m, x) for m in members])
     averaged = member_probs.mean(axis=0)
     predicted = averaged.argmax(axis=1)
     accuracy = float(np.mean(predicted == y))

@@ -21,11 +21,10 @@ import numpy as np
 from .cleaning import CleanConfig, _clean_pass
 from .data import Dataset, SplitSpec, generate_synthetic_corpus, load_dataset, \
     split_dataset
-from .ensembles import COMPACT_GRID, EnsembleSpec, LARGE_MODEL_GRID, \
-    _predict_features, sample_grid_configs, train_boosting, train_heterogeneous, \
-    train_homogeneous
+from .ensembles import COMPACT_GRID, EnsembleSpec, _predict_features, \
+    sample_grid_configs, train_boosting, train_heterogeneous, train_homogeneous
 from .errors import MethodError, ValidationError
-from .model import Featurizer, TrainConfig, evaluate_features, featurize_dataset
+from .model import Featurizer, TrainConfig, featurize_dataset
 from .noise import apply_noise, noise_level, noise_matrix
 from .presets import Preset, get_preset
 from .training import CetaConfig, CoteachSchedule, train_ceta, train_coteaching, \
@@ -43,16 +42,10 @@ DATASET_KEYS = {"preset": {"preset", "corpus_seed"}, "synthetic": {"synthetic"},
 class EnsembleSettings:
     members: int = 5
     subset_fraction: float = 0.8
-    grid: str = "compact"  # or "large_model"
 
     def __post_init__(self):
         if self.members < 1 or not 0.0 < self.subset_fraction <= 1.0:
             raise ValidationError("bad ensemble settings")
-        if self.grid not in ("compact", "large_model"):
-            raise ValidationError("grid must be 'compact' or 'large_model'")
-
-    def grid_lists(self):
-        return COMPACT_GRID if self.grid == "compact" else LARGE_MODEL_GRID
 
 
 @dataclass(frozen=True)
@@ -164,6 +157,9 @@ def _materialize(cfg: ExperimentConfig) -> _Materialized:
                                   f"{sorted(split.keys() - fields.keys())}")
         train, val, test = split_dataset(corpus, checked_call(
             SplitSpec, {fields[k]: v for k, v in split.items()}, "'split'"))
+    if len(test) == 0:
+        raise ValidationError("the test split is empty; headline evaluation "
+                              "needs a clean test split")
     if test.has_gold() and (test.observed() != test.gold()).any():
         raise ValidationError("test split carries label noise; headline "
                               "evaluation requires a clean test split")
@@ -210,26 +206,22 @@ class ExperimentReport:
 
 def _run_method(cfg: ExperimentConfig, mat: _Materialized, train: Dataset,
                 val: Dataset, run_seed: int, x_test) -> dict:
-    """Train one method for one run and evaluate on the clean test split,
-    whose features x_test the caller computed once for all runs."""
+    """Train one method for one run and score its model (or ensemble) on the
+    clean test split, whose features x_test the caller computed once for all
+    runs."""
     tcfg = replace(cfg.train, seed=run_seed)
     feat = cfg.featurizer
-    y_test = mat.test.observed()
     record: dict = {}
     if cfg.method == "vanilla":
-        params, _ = train_vanilla(train, val, tcfg, feat)
-        accuracy = evaluate_features(params, x_test, y_test, head=0).accuracy
+        members = [train_vanilla(train, val, tcfg, feat)[0]]
     elif cfg.method == "coteaching":
-        net1, _, _ = train_coteaching(train, val, tcfg, cfg.coteaching, feat)
-        accuracy = evaluate_features(net1, x_test, y_test, head=0).accuracy
+        members = [train_coteaching(train, val, tcfg, cfg.coteaching, feat)[0]]
     elif cfg.method == "ceta":
-        params, _ = train_ceta(train, val, tcfg, cfg.ceta, feat)
-        accuracy = evaluate_features(params, x_test, y_test,
-                                     head="averaged").accuracy
+        members = [train_ceta(train, val, tcfg, cfg.ceta, feat)[0]]
     elif cfg.method in ("hme", "hte", "boosting"):
         if cfg.method == "hme":
-            grid = sample_grid_configs(cfg.ensemble.grid_lists(),
-                                       cfg.ensemble.members, run_seed, tcfg)
+            grid = sample_grid_configs(COMPACT_GRID, cfg.ensemble.members,
+                                       run_seed, tcfg)
             spec = EnsembleSpec(kind="homogeneous", member_count=len(grid),
                                 hyperparameter_grid=tuple(grid), seed=run_seed)
             members = train_homogeneous(train, val, spec, feat)
@@ -244,7 +236,6 @@ def _run_method(cfg: ExperimentConfig, mat: _Materialized, train: Dataset,
                                 subset_fraction=cfg.ensemble.subset_fraction,
                                 base_config=tcfg, seed=run_seed)
             members = train_boosting(train, val, spec, feat)
-        accuracy, _ = _predict_features(members, x_test, y_test)
         record["n_members"] = len(members)
     elif cfg.method == "nc":
         # same result as tune_threshold -> clean_dataset -> retrain_on_cleaned,
@@ -252,7 +243,7 @@ def _run_method(cfg: ExperimentConfig, mat: _Materialized, train: Dataset,
         cleaned, report, _, params = _clean_pass(
             train, val, replace(cfg.cleaning, seed=run_seed), tcfg, feat,
             retrain=True)
-        accuracy = evaluate_features(params, x_test, y_test, head=0).accuracy
+        members = [params]
         record.update({
             "threshold_used": report.threshold_used,
             "cleaned_size": len(cleaned),
@@ -261,7 +252,7 @@ def _run_method(cfg: ExperimentConfig, mat: _Materialized, train: Dataset,
         })
     else:  # pragma: no cover - guarded by config validation
         raise ValidationError(f"unhandled method {cfg.method}")
-    record["accuracy"] = accuracy
+    record["accuracy"], _ = _predict_features(members, x_test, mat.test.observed())
     record["seed"] = run_seed
     if train.has_gold():
         record["train_noise_level"] = noise_level(train)

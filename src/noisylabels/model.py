@@ -233,17 +233,26 @@ def _dropout_scales(params: ModelParams, shape: tuple[int, ...], n: int,
 
 
 def _head_logits(params: ModelParams, hidden: np.ndarray, head: int) -> np.ndarray:
-    if not 0 <= head < params.n_heads:
-        raise ValidationError(f"head index {head} out of range")
     h = params.heads[head]
     return hidden @ h.weights + h.bias
 
 
-def instance_losses(params: ModelParams, x: sparse.csr_array, y: np.ndarray,
-                    head: int = 0) -> np.ndarray:
-    """Per-row cross-entropy -log p(y), computed in evaluation mode."""
-    _, hidden = _encode(params, x)
-    logp = _log_softmax(_head_logits(params, hidden, head))
+def _forward(params: ModelParams, x: sparse.csr_array, n_heads: int,
+             train_mode: bool = False, rng: np.random.Generator | None = None):
+    """The forward pass every loss and gradient runs: the pre-activations,
+    then the dropout scales and log-probabilities of the first n_heads heads.
+    Each head draws its own dropout scale from rng, in head order."""
+    pre, hidden = _encode(params, x)
+    scales = _dropout_scales(params, pre.shape, n_heads, train_mode, rng)
+    logps = [_log_softmax(_head_logits(params, hidden if s is None else hidden * s, h))
+             for h, s in enumerate(scales)]
+    return pre, scales, logps
+
+
+def instance_losses(params: ModelParams, x: sparse.csr_array, y: np.ndarray
+                    ) -> np.ndarray:
+    """Per-row cross-entropy -log p(y) of head 0, computed in evaluation mode."""
+    _, _, [logp] = _forward(params, x, 1)
     y = np.asarray(y, dtype=np.int64)
     return -logp[np.arange(x.shape[0]), y]
 
@@ -264,8 +273,8 @@ def backward_from_logit_grads(
 ) -> Grads:
     """Map d(loss)/d(logits) per head back to parameter gradients.
 
-    `pre` must come from the _encode call that produced the logits, and
-    scales[head] is the dropout scale that head's hidden layer was
+    `pre` and `scales` must come from the _forward call that produced the
+    logits: scales[head] is the dropout scale that head's hidden layer was
     multiplied by (None for none), so dropout is treated consistently
     between loss and gradient.
     """
@@ -300,16 +309,12 @@ def mean_ce_and_grads(params: ModelParams, x: sparse.csr_array, y: np.ndarray,
     In train mode the dropout mask is drawn from scale_rng."""
     y = np.asarray(y, dtype=np.int64)
     b = x.shape[0]
-    pre, hidden = _encode(params, x)
-    [scale] = _dropout_scales(params, pre.shape, 1, train_mode, scale_rng)
-    if scale is not None:
-        hidden = hidden * scale
+    pre, scales, [logp] = _forward(params, x, 1, train_mode, scale_rng)
     rows = np.arange(b)
-    logp = _log_softmax(_head_logits(params, hidden, 0))
     g = np.exp(logp)
     g[rows, y] -= 1.0
     return float(-logp[rows, y].mean()), backward_from_logit_grads(
-        params, x, pre, [scale], {0: g / b})
+        params, x, pre, scales, {0: g / b})
 
 
 def apply_grads(params: ModelParams, grads: Grads, lr_effective: float,
@@ -343,40 +348,29 @@ def apply_grads(params: ModelParams, grads: Grads, lr_effective: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EvalResult:
-    accuracy: float
-    probs: np.ndarray  # n x classes
-
-
-def predict_probs(params: ModelParams, x: sparse.csr_array,
-                  head: int | str = "averaged") -> np.ndarray:
-    """Evaluation-mode probabilities; "averaged" means the head mean."""
+def predict_probs(params: ModelParams, x: sparse.csr_array) -> np.ndarray:
+    """Evaluation-mode probabilities: the mean of the heads' softmaxes, which
+    for a one-head model is that head's softmax exactly."""
     params.check_finite()
     _, hidden = _encode(params, x)
-    if head == "averaged":
-        probs = [_softmax(_head_logits(params, hidden, h))
-                 for h in range(params.n_heads)]
-        return np.mean(probs, axis=0)
-    return _softmax(_head_logits(params, hidden, int(head)))
+    return np.mean([_softmax(_head_logits(params, hidden, h))
+                    for h in range(params.n_heads)], axis=0)
 
 
-def evaluate_features(params: ModelParams, x: sparse.csr_array, y: np.ndarray,
-                      head: int | str = "averaged") -> EvalResult:
+def evaluate_features(params: ModelParams, x: sparse.csr_array, y: np.ndarray
+                      ) -> float:
+    """Accuracy of argmax predictions against y; ties break to the lowest
+    label index."""
     if x.shape[0] == 0:
         raise ValidationError("cannot evaluate an empty dataset")
     y = np.asarray(y, dtype=np.int64)
-    probs = predict_probs(params, x, head)
-    predictions = probs.argmax(axis=1)  # argmax ties break to the lowest index
-    return EvalResult(float(np.mean(predictions == y)), probs)
+    return float(np.mean(predict_probs(params, x).argmax(axis=1) == y))
 
 
-def evaluate(params: ModelParams, dataset: Dataset, featurizer: Featurizer,
-             head: int | str = "averaged") -> EvalResult:
-    """Accuracy of argmax predictions against observed labels, plus
-    per-instance probabilities."""
+def evaluate(params: ModelParams, dataset: Dataset, featurizer: Featurizer) -> float:
+    """Accuracy of argmax predictions against the dataset's observed labels."""
     x = featurize_dataset(featurizer, dataset)
-    return evaluate_features(params, x, dataset.observed(), head)
+    return evaluate_features(params, x, dataset.observed())
 
 
 # ---------------------------------------------------------------------------

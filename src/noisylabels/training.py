@@ -28,10 +28,7 @@ from .model import (
     TrainConfig,
     apply_grads,
     backward_from_logit_grads,
-    _dropout_scales,
-    _encode,
-    _head_logits,
-    _log_softmax,
+    _forward,
     evaluate_features,
     featurize_dataset,
     init_params,
@@ -158,8 +155,7 @@ def _init_seed(cfg: TrainConfig) -> int:
 
 def _train_loop(data: Featurized, cfg: TrainConfig, nets: list[ModelParams],
                 step_fn: Callable[[int, np.ndarray, sparse.csr_array, np.ndarray, int],
-                                  dict],
-                eval_head: int | str) -> tuple[tuple[ModelParams, ...], list[dict]]:
+                                  dict]) -> tuple[tuple[ModelParams, ...], list[dict]]:
     """The minibatch loop every trainer runs.
 
     step_fn(step, batch, xb, yb, steps_per_epoch) updates nets on one batch
@@ -176,8 +172,7 @@ def _train_loop(data: Featurized, cfg: TrainConfig, nets: list[ModelParams],
         row = step_fn(step, *batcher.next(), batcher.steps_per_epoch)
         history.append(row)
         if step % cfg.eval_every == 0 or step == cfg.steps:
-            acc = evaluate_features(nets[0], data.x_val, data.y_val,
-                                    head=eval_head).accuracy
+            acc = evaluate_features(nets[0], data.x_val, data.y_val)
             state.update(acc, *nets)
             row["val_accuracy"] = acc
             if state.should_stop(cfg.patience):
@@ -213,7 +208,7 @@ def _train_vanilla(data: Featurized, cfg: TrainConfig
         apply_grads(params, grads, cfg.effective_lr(step), cfg.weight_decay)
         return {"step": step, "train_batch_loss": loss}
 
-    (best,), history = _train_loop(data, cfg, [params], step_fn, eval_head=0)
+    (best,), history = _train_loop(data, cfg, [params], step_fn)
     return best, history
 
 
@@ -279,7 +274,7 @@ def _train_coteaching(data: Featurized, cfg: TrainConfig, sched: CoteachSchedule
         # simultaneous small-loss selection, then crossed updates
         kept = []
         for net in nets:
-            losses = instance_losses(net, xb, yb, head=0)
+            losses = instance_losses(net, xb, yb)
             kept.append(np.sort(np.argsort(losses, kind="stable")[:keep]))
         losses_out = []
         for net, other_kept, rng in zip(nets, (kept[1], kept[0]), dropout):
@@ -297,7 +292,7 @@ def _train_coteaching(data: Featurized, cfg: TrainConfig, sched: CoteachSchedule
             "kept_net2": batch[kept[1]].tolist(),
         }
 
-    (best1, best2), history = _train_loop(data, cfg, nets, step_fn, eval_head=0)
+    (best1, best2), history = _train_loop(data, cfg, nets, step_fn)
     return best1, best2, history
 
 
@@ -349,10 +344,7 @@ def ceta_batch_objective(params: ModelParams, x, y: np.ndarray, ceta: CetaConfig
         raise ValidationError("consensus training needs exactly 2 heads")
     y = np.asarray(y, dtype=np.int64)
     b = x.shape[0]
-    pre, hidden = _encode(params, x)
-    scales = _dropout_scales(params, pre.shape, 2, train_mode, scale_rng)
-    hiddens = [hidden if s is None else hidden * s for s in scales]
-    logps = [_log_softmax(_head_logits(params, hiddens[h], h)) for h in (0, 1)]
+    pre, scales, logps = _forward(params, x, 2, train_mode, scale_rng)
     probs = [np.exp(lp) for lp in logps]
 
     consensus = probs[0].argmax(axis=1) == probs[1].argmax(axis=1)
@@ -417,6 +409,5 @@ def _train_ceta(data: Featurized, cfg: TrainConfig, ceta: CetaConfig
             "tv_mean": tv_mean,
         }
 
-    (best,), history = _train_loop(data, cfg, [params], step_fn,
-                                   eval_head="averaged")
+    (best,), history = _train_loop(data, cfg, [params], step_fn)
     return best, history

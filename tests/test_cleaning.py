@@ -179,7 +179,7 @@ class TestTuneThreshold:
                 continue
             params, _ = train_vanilla(train.select(kept), val, cfg,
                                       tiny_featurizer)
-            acc = evaluate(params, val, tiny_featurizer, head=0).accuracy
+            acc = evaluate(params, val, tiny_featurizer)
             if acc > best_acc:
                 best_t, best_acc = candidate, acc
         assert t == best_t

@@ -67,6 +67,24 @@ class TestExitCodes:
         [run] = json.loads(out.read_text())["per_run"]
         assert "accuracy" in run and "error" not in run
 
+    def test_empty_test_split_is_one(self, tmp_path, capsys):
+        # rejected before any run trains, so no report (and no NaN) is written
+        cfg = write_config(tmp_path / "cfg.json", method="boosting",
+                           ensemble={"members": 2},
+                           split={"train": 0.8, "validation": 0.2, "test": 0.0})
+        out = tmp_path / "report.json"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_ensemble_grid_is_one(self, tmp_path, capsys):
+        # every ensemble samples the one grid sized for the built-in model
+        cfg = write_config(tmp_path / "cfg.json", method="hme",
+                           ensemble={"members": 2, "grid": "compact"})
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == \
+            "error: unknown 'ensemble' keys: ['grid']\n"
+
     def test_missing_config_file_is_one(self, tmp_path):
         missing = tmp_path / "nope.json"
         cfg = write_config(tmp_path / "cfg.json")

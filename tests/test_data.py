@@ -303,7 +303,7 @@ class TestSyntheticCorpus:
                                            fast_config):
         train, val, test = small_splits
         params, _ = train_vanilla(train, val, fast_config, tiny_featurizer)
-        assert evaluate(params, test, tiny_featurizer, head=0).accuracy >= 0.99
+        assert evaluate(params, test, tiny_featurizer) >= 0.99
 
     def test_full_overlap_accuracy_near_chance(self, tiny_featurizer, fast_config):
 
@@ -313,7 +313,7 @@ class TestSyntheticCorpus:
         for seed in range(3):
             params, _ = train_vanilla(train, val, replace(fast_config, seed=seed),
                                       tiny_featurizer)
-            accs.append(evaluate(params, test, tiny_featurizer, head=0).accuracy)
+            accs.append(evaluate(params, test, tiny_featurizer))
         assert abs(np.mean(accs) - 0.2) <= 0.05
 
     def test_same_seed_identical(self, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -9,11 +10,12 @@ from noisylabels import (
     COMPACT_GRID,
     EnsembleSpec,
     Featurizer,
-    LARGE_MODEL_GRID,
+    GridLists,
     MethodError,
     TrainConfig,
     ValidationError,
     evaluate,
+    featurize_dataset,
     featurize_texts,
     init_params,
     load_ensemble,
@@ -27,6 +29,18 @@ from noisylabels import (
 )
 from noisylabels.ensembles import boosting_subset
 from noisylabels.model import predict_probs
+
+# the hyperparameter lists the paper samples for fine-tuning large pretrained
+# encoders; far too slow a learning rate for the built-in model
+BERT_GRID = GridLists(
+    steps=(2000, 3000, 4000, 5000, 6000),
+    learning_rate=(0.0002, 0.0004, 0.0005, 0.00001, 0.00002, 0.00003, 0.00004,
+                   0.00005),
+    patience=(25, 30, 40, 50),
+    warmup_steps=(0, 1, 5, 7, 10),
+    weight_decay=(0.1, 0.001, 0.0001),
+    drop_rate=(0.1, 0.25, 0.5, 0.8),
+)
 
 
 def random_members(featurizer, m, k, seed=0, heads=1):
@@ -54,9 +68,9 @@ class TestAveraging:
         _, _, test = small_splits
         member = random_members(tiny_featurizer, 1, 3, seed=2)[0]
         acc, pred = predict_ensemble([member], test, tiny_featurizer)
-        solo = evaluate(member, test, tiny_featurizer, head="averaged")
-        assert acc == solo.accuracy
-        assert np.array_equal(pred.predicted, solo.probs.argmax(axis=1))
+        assert acc == evaluate(member, test, tiny_featurizer)
+        probs = predict_probs(member, featurize_dataset(tiny_featurizer, test))
+        assert np.array_equal(pred.predicted, probs.argmax(axis=1))
 
     def test_permutation_invariant(self, small_splits, tiny_featurizer):
         _, _, test = small_splits
@@ -104,7 +118,7 @@ class TestAveraging:
 
 class TestGridSampling:
     def test_distinct_steps_lr_pairs(self, fast_config):
-        for grid in (COMPACT_GRID, LARGE_MODEL_GRID):
+        for grid in (COMPACT_GRID, BERT_GRID):
             configs = sample_grid_configs(grid, 5, seed=3, base=fast_config)
             pairs = {(c.steps, c.learning_rate) for c in configs}
             assert len(pairs) == 5
@@ -117,15 +131,20 @@ class TestGridSampling:
                 assert c.weight_decay in grid.weight_decay
                 assert c.drop_rate in grid.drop_rate
 
-    def test_reference_grid_values(self):
+    def test_reference_grid_values(self, fast_config):
         # hyperparameter lists used at full pretrained-encoder scale
-        assert LARGE_MODEL_GRID.steps == (2000, 3000, 4000, 5000, 6000)
-        assert LARGE_MODEL_GRID.learning_rate == (
+        assert BERT_GRID.steps == (2000, 3000, 4000, 5000, 6000)
+        assert BERT_GRID.learning_rate == (
             0.0002, 0.0004, 0.0005, 0.00001, 0.00002, 0.00003, 0.00004, 0.00005)
-        assert LARGE_MODEL_GRID.patience == (25, 30, 40, 50)
-        assert LARGE_MODEL_GRID.warmup_steps == (0, 1, 5, 7, 10)
-        assert LARGE_MODEL_GRID.weight_decay == (0.1, 0.001, 0.0001)
-        assert LARGE_MODEL_GRID.drop_rate == (0.1, 0.25, 0.5, 0.8)
+        assert BERT_GRID.patience == (25, 30, 40, 50)
+        assert BERT_GRID.warmup_steps == (0, 1, 5, 7, 10)
+        assert BERT_GRID.weight_decay == (0.1, 0.001, 0.0001)
+        assert BERT_GRID.drop_rate == (0.1, 0.25, 0.5, 0.8)
+        # one member per (steps, learning rate) pair samples every pair once,
+        # and every value makes a valid TrainConfig
+        configs = sample_grid_configs(BERT_GRID, 40, seed=0, base=fast_config)
+        assert sorted((c.steps, c.learning_rate) for c in configs) == sorted(
+            itertools.product(BERT_GRID.steps, BERT_GRID.learning_rate))
 
     def test_too_many_members_rejected(self, fast_config):
         with pytest.raises(ValidationError):
@@ -181,7 +200,7 @@ class TestHeterogeneous:
                                 replace(fast_config, seed=fast_config.seed),
                                 tiny_featurizer)
         acc_members, _ = predict_ensemble(members, test, tiny_featurizer)
-        acc_solo = evaluate(solo, test, tiny_featurizer, head=0).accuracy
+        acc_solo = evaluate(solo, test, tiny_featurizer)
         assert acc_members == acc_solo
 
     def test_unknown_method_rejected(self):

@@ -31,7 +31,7 @@ from noisylabels import (
 )
 from noisylabels import DivergenceError, clean_dataset, retrain_on_cleaned, \
     tune_threshold
-from noisylabels import harness
+from noisylabels import harness, training
 from noisylabels.cleaning import ThresholdDiagnostic
 from noisylabels.harness import _apply_noise, _materialize, _noise_label
 
@@ -160,6 +160,17 @@ class TestRunExperiment:
         with pytest.raises(ValidationError, match="test split"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("method", harness.METHODS)
+    def test_empty_test_split_rejected_before_training(self, monkeypatch, method):
+        def reached(*args, **kwargs):
+            raise AssertionError("training started without a test split")
+
+        monkeypatch.setattr(training.Featurized, "of", reached)
+        cfg = base_config(method=method,
+                          split={"train": 0.8, "validation": 0.2, "test": 0.0})
+        with pytest.raises(ValidationError, match="test split is empty"):
+            run_experiment(cfg)
+
     def test_annotation_noise_path(self):
         cfg = base_config(
             dataset={"synthetic": {"classes": 3, "instances": 300,
@@ -236,7 +247,7 @@ def valid_configs(tmp_path_factory):
          "reproducible": True, "output": "report.json"},
         {"method": "hme", "dataset": {"path": str(corpus), "format": "jsonl"},
          "split": split, "noise": {"kind": "pseudo_real_world", "level": 0.1},
-         "ensemble": {"members": 2, "subset_fraction": 0.8, "grid": "compact"},
+         "ensemble": {"members": 2, "subset_fraction": 0.8},
          "coteaching": {"tau": 0.3, "ramp_steps": 5},
          "ceta": {"consensus_rule": "heads_agree", "lambda_w": 0.2},
          "cleaning": {"folds": 2, "threshold": 0.5, "tuning_grid": [0.1, 0.2]}},

@@ -20,9 +20,10 @@ from noisylabels import (
     save_model,
 )
 from noisylabels import DivergenceError, model
-from noisylabels.model import Grads, _encode, _head_logits, _log_softmax, \
-    apply_grads, backward_from_logit_grads, evaluate_features, mean_ce_and_grads, \
-    predict_probs
+from noisylabels.ensembles import _predict_features
+from noisylabels.model import Grads, ModelParams, _encode, _forward, \
+    _softmax, apply_grads, backward_from_logit_grads, evaluate_features, \
+    mean_ce_and_grads, predict_probs
 from noisylabels.util import stable_hash
 
 
@@ -232,15 +233,14 @@ class TestForward:
         params.encoder[:] = 0.0
         params.heads[0].weights[:] = 0.0
         x = featurize_texts(self.feat, ["some text here"])
-        probs = predict_probs(params, x, head=0)
+        probs = predict_probs(params, x)
         assert np.allclose(probs, 0.25, atol=1e-12)
 
     def test_eval_mode_deterministic(self):
         params = init_params(self.feat, n_labels=3, hidden_size=8,
                              drop_rate=0.5, seed=1)
         x = featurize_texts(self.feat, ["deterministic output please"])
-        assert np.array_equal(predict_probs(params, x, 0),
-                              predict_probs(params, x, 0))
+        assert np.array_equal(predict_probs(params, x), predict_probs(params, x))
 
     def test_dropout_reproducible_with_seeded_rng(self):
         params = init_params(self.feat, n_labels=3, hidden_size=16,
@@ -271,7 +271,7 @@ class TestForward:
             params = init_params(self.feat, n_labels=int(rng.integers(2, 9)),
                                  hidden_size=4, seed=int(rng.integers(1 << 30)))
             params.encoder *= rng.uniform(0.1, 30)
-            probs = predict_probs(params, x, head=0)
+            probs = predict_probs(params, x)
             assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
             assert (probs >= 0).all()
 
@@ -386,10 +386,10 @@ class TestGradients:
 
         # the dense reference: d_pre as the backward pass forms it, then the
         # full hash_dim x hidden gradient
-        pre, hidden = _encode(params, x)
-        g = np.exp(_log_softmax(_head_logits(params, hidden, 0)))
+        pre, _, [logp] = _forward(params, x, 1)
+        g = np.exp(logp)
         g[np.arange(5), y] -= 1.0
-        d_hidden = np.zeros_like(hidden)
+        d_hidden = np.zeros_like(pre)
         d_hidden += (g / 5) @ params.heads[0].weights.T
         dense = x.T @ (d_hidden * (pre > 0.0))
         assert np.array_equal(dense_encoder_grad(params, grads), dense)
@@ -487,10 +487,9 @@ class TestEvaluate:
                  for _ in range(50)]
         y = rng.integers(0, 3, size=50)
         x = featurize_texts(feat, texts)
-        result = evaluate_features(params, x, y, head=0)
         recount = np.mean([int(np.argmax(p)) == yy
-                           for p, yy in zip(result.probs, y)])
-        assert result.accuracy == recount
+                           for p, yy in zip(predict_probs(params, x), y)])
+        assert evaluate_features(params, x, y) == recount
 
     def test_argmax_tie_lowest_index(self):
         feat = Featurizer(hash_dim=64, hash_seed=0)
@@ -498,23 +497,46 @@ class TestEvaluate:
         params.encoder[:] = 0.0
         params.heads[0].weights[:] = 0.0
         x = featurize_texts(feat, ["tie case"])
-        result = evaluate_features(params, x, np.array([0]), head=0)
-        assert result.accuracy == 1.0  # uniform probs, tie resolves to label 0
+        # uniform probs, tie resolves to label 0
+        assert evaluate_features(params, x, np.array([0])) == 1.0
+
+    def test_one_head_is_that_heads_softmax(self):
+        feat = Featurizer(hash_dim=64, hash_seed=0)
+        params = init_params(feat, n_labels=3, hidden_size=4, seed=0)
+        x = featurize_texts(feat, ["abc def", "ghi", "abc jkl mno"])
+        hidden = np.maximum(x @ params.encoder, 0.0)
+        head = params.heads[0]
+        assert np.array_equal(predict_probs(params, x),
+                              _softmax(hidden @ head.weights + head.bias))
 
     def test_head_averaged(self):
+        # a two-head model scores as the mean of its heads, each taken as a
+        # one-head model over the shared encoder, bit for bit
         feat = Featurizer(hash_dim=64, hash_seed=0)
         params = init_params(feat, n_labels=2, hidden_size=4, n_heads=2, seed=0)
-        x = featurize_texts(feat, ["abc def"])
-        avg = predict_probs(params, x, head="averaged")
-        manual = 0.5 * (predict_probs(params, x, 0) + predict_probs(params, x, 1))
-        assert np.allclose(avg, manual, atol=1e-15)
+        x = featurize_texts(feat, ["abc def", "ghi", "abc jkl mno"])
+        one, two = (predict_probs(ModelParams(params.encoder, [h]), x)
+                    for h in params.heads)
+        assert np.array_equal(predict_probs(params, x), (one + two) / 2)
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_evaluate_is_an_ensemble_of_one(self, n_heads):
+        feat = Featurizer(hash_dim=64, hash_seed=0)
+        params = init_params(feat, n_labels=3, hidden_size=8, n_heads=n_heads,
+                             seed=6)
+        rng = np.random.default_rng(n_heads)
+        texts = [f"tok{rng.integers(0, 30)} tok{rng.integers(0, 30)}"
+                 for _ in range(40)]
+        x = featurize_texts(feat, texts)
+        y = rng.integers(0, 3, size=40)
+        assert evaluate_features(params, x, y) == _predict_features([params], x, y)[0]
 
     def test_empty_dataset_rejected(self):
         feat = Featurizer(hash_dim=64, hash_seed=0)
         params = init_params(feat, n_labels=2, hidden_size=4, seed=0)
         x = featurize_texts(feat, [])
         with pytest.raises(ValidationError):
-            evaluate_features(params, x, np.array([], dtype=np.int64), head=0)
+            evaluate_features(params, x, np.array([], dtype=np.int64))
 
 
 class TestCheckpoints:

@@ -60,7 +60,7 @@ class TestVanilla:
         params, history = train_vanilla(train, val, fast_config, tiny_featurizer)
         best = max(h["val_accuracy"] for h in history
                    if h.get("val_accuracy") is not None)
-        again = evaluate(params, val, tiny_featurizer, head=0).accuracy
+        again = evaluate(params, val, tiny_featurizer)
         assert abs(again - best) < 1e-12
 
     def test_never_exceeds_step_budget(self, small_splits, tiny_featurizer):
@@ -318,7 +318,7 @@ class TestCeta:
         params, history = train_ceta(train, val, fast_config, CetaConfig(),
                                      tiny_featurizer)
         assert params.n_heads == 2
-        assert evaluate(params, test, tiny_featurizer).accuracy >= 0.95
+        assert evaluate(params, test, tiny_featurizer) >= 0.95
         assert all(0.0 <= h["consensus_fraction"] <= 1.0 for h in history)
 
     def test_consensus_rules_compared(self, small_splits, tiny_featurizer,
@@ -333,7 +333,7 @@ class TestCeta:
                                          CetaConfig(consensus_rule=rule),
                                          tiny_featurizer)
             assert all(0.0 <= h["consensus_fraction"] <= 1.0 for h in history)
-            accs[rule] = evaluate(params, test, tiny_featurizer).accuracy
+            accs[rule] = evaluate(params, test, tiny_featurizer)
         assert accs["heads_agree"] >= 0.95
         assert 0.0 <= accs["heads_agree_with_label"] <= 1.0
 
@@ -365,19 +365,17 @@ class TestTrainerParity:
                 cfg = replace(fast_config, seed=seed)
                 if name == "vanilla":
                     p, _ = train_vanilla(train, val, cfg, tiny_featurizer)
-                    accs.append(evaluate(p, test, tiny_featurizer,
-                                         head=0).accuracy)
+                    accs.append(evaluate(p, test, tiny_featurizer))
                 elif name == "coteaching":
                     p, _, _ = train_coteaching(
                         train, val, cfg, CoteachSchedule(tau=0.1,
                                                          ramp_steps=40),
                         tiny_featurizer)
-                    accs.append(evaluate(p, test, tiny_featurizer,
-                                         head=0).accuracy)
+                    accs.append(evaluate(p, test, tiny_featurizer))
                 else:
                     p, _ = train_ceta(train, val, cfg, CetaConfig(),
                                       tiny_featurizer)
-                    accs.append(evaluate(p, test, tiny_featurizer).accuracy)
+                    accs.append(evaluate(p, test, tiny_featurizer))
             means[name] = float(np.mean(accs))
         spread = max(means.values()) - min(means.values())
         assert spread <= 0.02, means
