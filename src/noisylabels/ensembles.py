@@ -27,14 +27,13 @@ from .model import (
     predict_probs,
     save_model,
 )
-from .training import CetaConfig, CoteachSchedule, Featurized, _train_ceta, \
-    _train_coteaching, _train_vanilla
+from .training import MEMBER_METHODS, CetaConfig, CoteachSchedule, Featurized, \
+    _train_method, _train_vanilla
 from .util import derive_rng
 
 logger = logging.getLogger(__name__)
 
 ENSEMBLE_KINDS = ("homogeneous", "heterogeneous", "boosting")
-MEMBER_METHODS = ("vanilla", "coteaching", "ceta")
 
 
 @dataclass(frozen=True)
@@ -170,16 +169,10 @@ def train_heterogeneous(train: Dataset, val: Dataset, spec: EnsembleSpec,
     if spec.kind != "heterogeneous":
         raise ValidationError("spec.kind must be 'heterogeneous'")
     data = Featurized.of(featurizer, train, val)
-
-    def job(i: int, method: str):
-        cfg = replace(spec.base_config, seed=spec.base_config.seed + i)
-        if method == "vanilla":
-            return _train_vanilla(data, cfg)[0]
-        if method == "coteaching":
-            return _train_coteaching(data, cfg, spec.coteach)[0]
-        return _train_ceta(data, cfg, spec.ceta)[0]
-
-    jobs = [lambda i=i, m=m: job(i, m) for i, m in enumerate(spec.member_methods)]
+    base = spec.base_config
+    jobs = [lambda i=i, m=m: _train_method(m, data, replace(base, seed=base.seed + i),
+                                           spec.coteach, spec.ceta)
+            for i, m in enumerate(spec.member_methods)]
     return _collect_survivors(jobs, list(spec.member_methods))
 
 
@@ -238,6 +231,8 @@ def predict_ensemble(members: list[ModelParams], dataset: Dataset,
 
 def _predict_features(members: list[ModelParams], x, y: np.ndarray
                       ) -> tuple[float, EnsemblePredictions]:
+    if x.shape[0] == 0:
+        raise ValidationError("cannot evaluate an empty dataset")
     member_probs = np.stack([predict_probs(m, x) for m in members])
     averaged = member_probs.mean(axis=0)
     predicted = averaged.argmax(axis=1)

@@ -27,11 +27,11 @@ from .errors import MethodError, ValidationError
 from .model import Featurizer, TrainConfig, featurize_dataset
 from .noise import apply_noise, noise_level, noise_matrix
 from .presets import Preset, get_preset
-from .training import CetaConfig, CoteachSchedule, train_ceta, train_coteaching, \
-    train_vanilla
+from .training import MEMBER_METHODS, CetaConfig, CoteachSchedule, Featurized, \
+    _train_method
 from .util import checked_call
 
-METHODS = ("vanilla", "coteaching", "ceta", "hme", "hte", "boosting", "nc")
+METHODS = MEMBER_METHODS + ("hme", "hte", "boosting", "nc")
 
 # dataset source -> the keys a dataset section naming it may hold
 DATASET_KEYS = {"preset": {"preset", "corpus_seed"}, "synthetic": {"synthetic"},
@@ -212,12 +212,9 @@ def _run_method(cfg: ExperimentConfig, mat: _Materialized, train: Dataset,
     tcfg = replace(cfg.train, seed=run_seed)
     feat = cfg.featurizer
     record: dict = {}
-    if cfg.method == "vanilla":
-        members = [train_vanilla(train, val, tcfg, feat)[0]]
-    elif cfg.method == "coteaching":
-        members = [train_coteaching(train, val, tcfg, cfg.coteaching, feat)[0]]
-    elif cfg.method == "ceta":
-        members = [train_ceta(train, val, tcfg, cfg.ceta, feat)[0]]
+    if cfg.method in MEMBER_METHODS:
+        members = [_train_method(cfg.method, Featurized.of(feat, train, val), tcfg,
+                                 cfg.coteaching, cfg.ceta)]
     elif cfg.method in ("hme", "hte", "boosting"):
         if cfg.method == "hme":
             grid = sample_grid_configs(COMPACT_GRID, cfg.ensemble.members,
@@ -226,8 +223,8 @@ def _run_method(cfg: ExperimentConfig, mat: _Materialized, train: Dataset,
                                 hyperparameter_grid=tuple(grid), seed=run_seed)
             members = train_homogeneous(train, val, spec, feat)
         elif cfg.method == "hte":
-            spec = EnsembleSpec(kind="heterogeneous", member_count=3,
-                                member_methods=("vanilla", "coteaching", "ceta"),
+            spec = EnsembleSpec(kind="heterogeneous", member_count=len(MEMBER_METHODS),
+                                member_methods=MEMBER_METHODS,
                                 base_config=tcfg, coteach=cfg.coteaching,
                                 ceta=cfg.ceta, seed=run_seed)
             members = train_heterogeneous(train, val, spec, feat)

@@ -37,6 +37,7 @@ from .model import (
 )
 from .util import derive_rng
 
+MEMBER_METHODS = ("vanilla", "coteaching", "ceta")
 HISTORY_COLUMNS = ("step", "train_batch_loss", "val_accuracy", "kept_fraction",
                    "consensus_fraction")
 
@@ -153,23 +154,33 @@ def _init_seed(cfg: TrainConfig) -> int:
     return cfg.seed if cfg.init_seed is None else cfg.init_seed
 
 
-def _train_loop(data: Featurized, cfg: TrainConfig, nets: list[ModelParams],
-                step_fn: Callable[[int, np.ndarray, sparse.csr_array, np.ndarray, int],
-                                  dict]) -> tuple[tuple[ModelParams, ...], list[dict]]:
-    """The minibatch loop every trainer runs.
+def _train_loop(data: Featurized, cfg: TrainConfig, n_nets: int, n_heads: int,
+                objective: Callable) -> tuple[tuple[ModelParams, ...], list[dict]]:
+    """The minibatch loop every trainer runs: it sets up the nets, feeds
+    them batches and applies their updates.
 
-    step_fn(step, batch, xb, yb, steps_per_epoch) updates nets on one batch
-    (its row indexes into data.x, those rows and their labels) and returns
-    that step's history row. Every cfg.eval_every steps, and at the last
-    step, the loop scores nets[0] on the validation split, snapshots all
-    nets on improvement and stops after cfg.patience evaluations without
-    one. Returns the best snapshots and the history.
+    Net i has n_heads heads, is initialized from the init seed + i and draws
+    its dropout from derive_rng(init seed + i, "dropout"). Each step,
+    objective(step, nets, dropout, batch, xb, yb, steps_per_epoch) gets one
+    batch (its row indexes into data.x, those rows and their labels) and
+    returns the step's history row and a list of one Grads per net, applied
+    in net order. Every cfg.eval_every steps, and at the last step, the loop
+    scores nets[0] on the validation split, snapshots all nets on
+    improvement and stops after cfg.patience evaluations without one.
+    Returns the best snapshots and the history.
     """
+    seeds = [_init_seed(cfg) + i for i in range(n_nets)]
+    nets = [init_params(data.featurizer, data.n_labels, cfg.hidden_size, n_heads,
+                        cfg.drop_rate, seed=s) for s in seeds]
+    dropout = [derive_rng(s, "dropout") for s in seeds]
     batcher = _Batcher(data.x, data.y, cfg.batch_size, derive_rng(cfg.seed, "batches"))
     state = EarlyStopState()
     history: list[dict] = []
     for step in range(1, cfg.steps + 1):
-        row = step_fn(step, *batcher.next(), batcher.steps_per_epoch)
+        row, grads = objective(step, nets, dropout, *batcher.next(),
+                               batcher.steps_per_epoch)
+        for net in nets:  # popping frees each net's gradients once applied
+            apply_grads(net, grads.pop(0), cfg.effective_lr(step), cfg.weight_decay)
         history.append(row)
         if step % cfg.eval_every == 0 or step == cfg.steps:
             acc = evaluate_features(nets[0], data.x_val, data.y_val)
@@ -195,20 +206,15 @@ def train_vanilla(train: Dataset, val: Dataset, cfg: TrainConfig,
     return _train_vanilla(Featurized.of(featurizer, train, val), cfg)
 
 
+def _vanilla_objective(step, nets, dropout, _, xb, yb, __):
+    loss, grads = mean_ce_and_grads(nets[0], xb, yb, scale_rng=dropout[0],
+                                    train_mode=True)
+    return {"step": step, "train_batch_loss": loss}, [grads]
+
+
 def _train_vanilla(data: Featurized, cfg: TrainConfig
                    ) -> tuple[ModelParams, list[dict]]:
-    init_seed = _init_seed(cfg)
-    params = init_params(data.featurizer, data.n_labels, cfg.hidden_size,
-                         n_heads=1, drop_rate=cfg.drop_rate, seed=init_seed)
-    dropout_rng = derive_rng(init_seed, "dropout")
-
-    def step_fn(step, _, xb, yb, __):
-        loss, grads = mean_ce_and_grads(params, xb, yb, scale_rng=dropout_rng,
-                                        train_mode=True)
-        apply_grads(params, grads, cfg.effective_lr(step), cfg.weight_decay)
-        return {"step": step, "train_batch_loss": loss}
-
-    (best,), history = _train_loop(data, cfg, [params], step_fn)
+    (best,), history = _train_loop(data, cfg, 1, 1, _vanilla_objective)
     return best, history
 
 
@@ -235,7 +241,8 @@ class CoteachSchedule:
 
 
 def coteach_net2_init_seed(cfg: TrainConfig) -> int:
-    """Init seed of the second co-teaching network (first uses cfg's own).
+    """Init seed of the second co-teaching network: the training loop seeds
+    net i from the init seed + i, so the first uses cfg's own.
 
     A vanilla run with init_seed set to this value and the same cfg.seed
     follows network 2's trajectory exactly when the forget rate is zero.
@@ -260,39 +267,33 @@ def train_coteaching(
 
 def _train_coteaching(data: Featurized, cfg: TrainConfig, sched: CoteachSchedule
                       ) -> tuple[ModelParams, ModelParams, list[dict]]:
-    seeds = (_init_seed(cfg), coteach_net2_init_seed(cfg))
-    nets = [init_params(data.featurizer, data.n_labels, cfg.hidden_size, 1,
-                        cfg.drop_rate, seed=s) for s in seeds]
-    dropout = [derive_rng(s, "dropout") for s in seeds]
-
-    def step_fn(step, batch, xb, yb, _):
+    def objective(step, nets, dropout, batch, xb, yb, _):
         keep = math.ceil((1.0 - sched.forget_rate(step)) * len(batch))
         if keep < 1:
             raise ValidationError(
                 f"forget rate {sched.forget_rate(step):.3f} keeps no instances "
                 f"from a batch of {len(batch)}")
-        # simultaneous small-loss selection, then crossed updates
-        kept = []
-        for net in nets:
-            losses = instance_losses(net, xb, yb)
-            kept.append(np.sort(np.argsort(losses, kind="stable")[:keep]))
-        losses_out = []
+        # simultaneous small-loss selection, then crossed gradients; each
+        # reads only its own net and dropout stream
+        kept = [np.sort(np.argsort(instance_losses(net, xb, yb), kind="stable")[:keep])
+                for net in nets]
+        losses, grads = [], []
         for net, other_kept, rng in zip(nets, (kept[1], kept[0]), dropout):
-            loss, grads = mean_ce_and_grads(net, xb[other_kept], yb[other_kept],
-                                            scale_rng=rng, train_mode=True)
-            apply_grads(net, grads, cfg.effective_lr(step), cfg.weight_decay)
-            losses_out.append(loss)
+            loss, g = mean_ce_and_grads(net, xb[other_kept], yb[other_kept],
+                                        scale_rng=rng, train_mode=True)
+            losses.append(loss)
+            grads.append(g)
         return {
             "step": step,
-            "train_batch_loss": losses_out[0],
-            "train_batch_loss_net2": losses_out[1],
+            "train_batch_loss": losses[0],
+            "train_batch_loss_net2": losses[1],
             "kept_fraction": keep / len(batch),
             "batch_indices": batch.tolist(),
             "kept_net1": batch[kept[0]].tolist(),
             "kept_net2": batch[kept[1]].tolist(),
-        }
+        }, grads
 
-    (best1, best2), history = _train_loop(data, cfg, nets, step_fn)
+    (best1, best2), history = _train_loop(data, cfg, 2, 1, objective)
     return best1, best2, history
 
 
@@ -386,17 +387,12 @@ def train_ceta(
 
 def _train_ceta(data: Featurized, cfg: TrainConfig, ceta: CetaConfig
                 ) -> tuple[ModelParams, list[dict]]:
-    init_seed = _init_seed(cfg)
-    params = init_params(data.featurizer, data.n_labels, cfg.hidden_size,
-                         n_heads=2, drop_rate=cfg.drop_rate, seed=init_seed)
-    dropout_rng = derive_rng(init_seed, "dropout")
     empty_streak = 0
 
-    def step_fn(step, _, xb, yb, steps_per_epoch):
+    def objective(step, nets, dropout, _, xb, yb, steps_per_epoch):
         nonlocal empty_streak
         loss, grads, consensus, tv_mean = ceta_batch_objective(
-            params, xb, yb, ceta, scale_rng=dropout_rng, train_mode=True)
-        apply_grads(params, grads, cfg.effective_lr(step), cfg.weight_decay)
+            nets[0], xb, yb, ceta, scale_rng=dropout[0], train_mode=True)
         empty_streak = 0 if consensus.any() else empty_streak + 1
         if empty_streak >= steps_per_epoch:
             raise ConsensusCollapseError(
@@ -407,7 +403,18 @@ def _train_ceta(data: Featurized, cfg: TrainConfig, ceta: CetaConfig
             "train_batch_loss": loss,
             "consensus_fraction": float(consensus.mean()),
             "tv_mean": tv_mean,
-        }
+        }, [grads]
 
-    (best,), history = _train_loop(data, cfg, [params], step_fn)
+    (best,), history = _train_loop(data, cfg, 1, 2, objective)
     return best, history
+
+
+def _train_method(method: str, data: Featurized, cfg: TrainConfig,
+                  coteach: CoteachSchedule, ceta: CetaConfig) -> ModelParams:
+    """The one model a run of a MEMBER_METHODS method yields (co-teaching:
+    network 1)."""
+    if method == "vanilla":
+        return _train_vanilla(data, cfg)[0]
+    if method == "coteaching":
+        return _train_coteaching(data, cfg, coteach)[0]
+    return _train_ceta(data, cfg, ceta)[0]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from noisylabels import training
 from noisylabels import (
     Dataset,
     Featurizer,
@@ -41,3 +42,18 @@ def toy_dataset():
         Instance("i2", "epsilon zeta", 0, 1),
     )
     return Dataset(labels, instances)
+
+
+@pytest.fixture()
+def no_consensus(monkeypatch):
+    """Wrap training.ceta_batch_objective so every batch's consensus mask is
+    all False; returns the list of the wrapped calls' batch sizes."""
+    real, calls = training.ceta_batch_objective, []
+
+    def wrapped(*args, **kwargs):
+        loss, grads, consensus, tv_mean = real(*args, **kwargs)
+        calls.append(len(consensus))
+        return loss, grads, np.zeros_like(consensus), tv_mean
+
+    monkeypatch.setattr(training, "ceta_batch_objective", wrapped)
+    return calls

@@ -8,6 +8,7 @@ import pytest
 
 from noisylabels import (
     COMPACT_GRID,
+    CoteachSchedule,
     EnsembleSpec,
     Featurizer,
     GridLists,
@@ -23,6 +24,7 @@ from noisylabels import (
     sample_grid_configs,
     save_ensemble,
     train_boosting,
+    train_coteaching,
     train_heterogeneous,
     train_homogeneous,
     train_vanilla,
@@ -115,6 +117,12 @@ class TestAveraging:
         with pytest.raises(ValidationError):
             predict_ensemble([], small_splits[2], tiny_featurizer)
 
+    def test_empty_dataset_rejected(self, small_splits, tiny_featurizer):
+        test = small_splits[2]
+        members = random_members(tiny_featurizer, 2, 3, seed=2)
+        with pytest.raises(ValidationError, match="cannot evaluate an empty"):
+            predict_ensemble(members, test.select([]), tiny_featurizer)
+
 
 class TestGridSampling:
     def test_distinct_steps_lr_pairs(self, fast_config):
@@ -202,6 +210,26 @@ class TestHeterogeneous:
         acc_members, _ = predict_ensemble(members, test, tiny_featurizer)
         acc_solo = evaluate(solo, test, tiny_featurizer)
         assert acc_members == acc_solo
+
+    def test_collapsed_ceta_member_dropped(self, small_splits, tiny_featurizer,
+                                           fast_config, no_consensus, caplog):
+        train, val, _ = small_splits
+        sched = CoteachSchedule(tau=0.2, ramp_steps=40)
+        spec = EnsembleSpec(kind="heterogeneous", member_count=3,
+                            member_methods=("vanilla", "coteaching", "ceta"),
+                            base_config=fast_config, coteach=sched)
+        members = train_heterogeneous(train, val, spec, tiny_featurizer)
+        # the ceta member ran one epoch, collapsed and was logged as failed
+        assert len(no_consensus) == len(train) // fast_config.batch_size
+        assert "ensemble member ceta failed: no consensus" in caplog.text
+        vanilla, _ = train_vanilla(train, val, fast_config, tiny_featurizer)
+        net1, _, _ = train_coteaching(
+            train, val, replace(fast_config, seed=fast_config.seed + 1), sched,
+            tiny_featurizer)
+        assert len(members) == 2
+        for member, expected in zip(members, (vanilla, net1)):
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(member.arrays(), expected.arrays()))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError, match="unknown"):

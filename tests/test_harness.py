@@ -121,23 +121,23 @@ class TestRunExperiment:
                        "train_noise_level": report.noise_before}
 
     def test_only_method_errors_become_failed_runs(self, monkeypatch):
-        def diverge_on_seed_3(train, val, cfg, featurizer):
+        def diverge_on_seed_3(method, data, cfg, coteach, ceta):
             if cfg.seed == 3:
                 raise DivergenceError("diverged")
-            return real(train, val, cfg, featurizer)
+            return real(method, data, cfg, coteach, ceta)
 
-        real = harness.train_vanilla
-        monkeypatch.setattr(harness, "train_vanilla", diverge_on_seed_3)
+        real = harness._train_method
+        monkeypatch.setattr(harness, "_train_method", diverge_on_seed_3)
         report = run_experiment(base_config())
         assert report.partial
         assert report.per_run[0] == {"seed": 3,
                                      "error": "DivergenceError: diverged"}
         assert "accuracy" in report.per_run[1]
 
-        def buggy(train, val, cfg, featurizer):
+        def buggy(method, data, cfg, coteach, ceta):
             raise TypeError("a bug, not a method failure")
 
-        monkeypatch.setattr(harness, "train_vanilla", buggy)
+        monkeypatch.setattr(harness, "_train_method", buggy)
         with pytest.raises(TypeError, match="a bug"):
             run_experiment(base_config())
 

@@ -7,6 +7,7 @@ import pytest
 
 from noisylabels import (
     CetaConfig,
+    ConsensusCollapseError,
     CoteachSchedule,
     Featurizer,
     TrainConfig,
@@ -26,7 +27,8 @@ from noisylabels import (
 from noisylabels import SplitSpec
 from noisylabels.cli import main
 from noisylabels.model import featurize_dataset, featurize_texts
-from noisylabels.training import EarlyStopState, _Batcher, ceta_batch_objective
+from noisylabels.training import MEMBER_METHODS, EarlyStopState, Featurized, \
+    _Batcher, _train_method, ceta_batch_objective
 from noisylabels.util import derive_rng
 from tests.test_model import assert_matches_central_differences, \
     dense_encoder_grad
@@ -321,6 +323,16 @@ class TestCeta:
         assert evaluate(params, test, tiny_featurizer) >= 0.95
         assert all(0.0 <= h["consensus_fraction"] <= 1.0 for h in history)
 
+    def test_collapse_raised_after_one_epoch_without_consensus(
+            self, small_splits, tiny_featurizer, fast_config, no_consensus):
+        train, val, _ = small_splits
+        steps_per_epoch = len(train) // fast_config.batch_size
+        assert steps_per_epoch < min(fast_config.steps, fast_config.eval_every)
+        with pytest.raises(ConsensusCollapseError,
+                           match=f"no consensus for {steps_per_epoch} consecutive"):
+            train_ceta(train, val, fast_config, CetaConfig(), tiny_featurizer)
+        assert no_consensus == [fast_config.batch_size] * steps_per_epoch
+
     def test_consensus_rules_compared(self, small_splits, tiny_featurizer,
                                       fast_config):
         # both rules run; no claim about which is stronger (at this scale the
@@ -379,6 +391,28 @@ class TestTrainerParity:
             means[name] = float(np.mean(accs))
         spread = max(means.values()) - min(means.values())
         assert spread <= 0.02, means
+
+
+class TestTrainMethod:
+    @pytest.mark.parametrize("method", MEMBER_METHODS)
+    def test_matches_public_trainers_first_model(self, method, small_splits,
+                                                 tiny_featurizer, fast_config):
+        train, val, _ = small_splits
+        sched = CoteachSchedule(tau=0.2, ramp_steps=40)
+        ceta = CetaConfig(lambda_w=0.2)
+        public = {
+            "vanilla": lambda: train_vanilla(train, val, fast_config,
+                                             tiny_featurizer),
+            "coteaching": lambda: train_coteaching(train, val, fast_config, sched,
+                                                   tiny_featurizer),
+            "ceta": lambda: train_ceta(train, val, fast_config, ceta,
+                                       tiny_featurizer),
+        }[method]()[0]
+        model = _train_method(method, Featurized.of(tiny_featurizer, train, val),
+                              fast_config, sched, ceta)
+        assert len(model.arrays()) == len(public.arrays())
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(model.arrays(), public.arrays()))
 
 
 class TestHistoryExport:
