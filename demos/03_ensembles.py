@@ -33,15 +33,14 @@ print(f"single vanilla model: {evaluate(solo, test, feat):.4f}")
 # homogeneous: same method, configs sampled from the grid (distinct
 # steps/learning-rate pairs per member)
 grid = tuple(sample_grid_configs(COMPACT_GRID, 3, seed=5, base=cfg))
-spec = EnsembleSpec(kind="homogeneous", member_count=3,
-                    hyperparameter_grid=grid)
+spec = EnsembleSpec(kind="homogeneous", hyperparameter_grid=grid)
 members = train_homogeneous(train, val, spec, feat)
 acc, _ = predict_ensemble(members, test, feat)
 print(f"homogeneous ensemble of {len(members)}: {acc:.4f}  "
       f"(steps/lr pairs: {[(c.steps, c.learning_rate) for c in grid]})")
 
 # heterogeneous: one member per training method
-spec = EnsembleSpec(kind="heterogeneous", member_count=3,
+spec = EnsembleSpec(kind="heterogeneous",
                     member_methods=("vanilla", "coteaching", "ceta"),
                     base_config=cfg)
 members = train_heterogeneous(train, val, spec, feat)

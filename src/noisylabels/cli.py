@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands: gen, noise, train, clean, ensemble, compare, plotdata.
-Exit codes: 0 success, 1 validation or file-system error, 2 method failure.
-A JSON experiment config (see README) can drive train/clean/ensemble/compare;
-its runs, folds, threshold candidates and ensemble members run in order.
+Subcommands: gen, noise, train, clean, compare, plotdata.
+Exit codes: 0 success, 1 usage, validation or file-system error, 2 method
+failure. A JSON experiment config (see README) drives train (every method,
+ensembles included), clean (every cleaning output) and compare; its runs,
+folds, threshold candidates and ensemble members run in order. plotdata turns
+a train report into a CSV.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .presets import PRESET_NAMES, get_preset
 
 def _cmd_gen(args) -> int:
     if args.preset:
+        if args.out is not None:
+            raise ValidationError("--preset writes to --out-dir, not --out")
         preset = get_preset(args.preset, args.corpus_seed)
         train, val, test = preset.clean_splits()
         out_dir = Path(args.out_dir or ".")
@@ -32,6 +36,8 @@ def _cmd_gen(args) -> int:
             save_dataset(split, out_dir / f"{name}.{args.format}", args.format)
         print(f"wrote {len(train)}/{len(val)}/{len(test)} instances to {out_dir}")
         return 0
+    if args.out_dir is not None or args.corpus_seed is not None:
+        raise ValidationError("--out-dir and --corpus-seed need --preset")
     corpus = generate_synthetic_corpus(
         args.classes, args.instances, args.vocab_per_class, args.overlap,
         seed=args.seed, tokens_per_text=(args.min_tokens, args.max_tokens),
@@ -45,13 +51,13 @@ def _cmd_gen(args) -> int:
 
 def _cmd_noise(args) -> int:
     dataset = load_dataset(args.infile, args.format)
-    if args.kind != "feature_dependent":
-        noise = {"kind": args.kind, "level": args.level}
-    elif args.rules:
-        noise = {"kind": args.kind, "rules": _read_json(args.rules, "rules"),
-                 "fallback": args.fallback, "seed": args.seed}
-    else:
-        raise ValidationError("feature_dependent noise needs --rules FILE")
+    # only the flags given, so apply_noise rejects those the kind does not take
+    given = {"kind": args.kind, "level": args.level, "fallback": args.fallback}
+    noise = {key: value for key, value in given.items() if value is not None}
+    if args.rules is not None:
+        noise["rules"] = _read_json(args.rules, "rules")
+    if args.kind == "feature_dependent":
+        noise["seed"] = args.seed
     noised = apply_noise(dataset, noise, args.seed)
     save_dataset(noised, args.out, args.format)
     level = noise_level(noised) if noised.has_gold() else None
@@ -100,11 +106,8 @@ def _load_cli_config(args) -> tuple[ExperimentConfig, dict]:
     return cfg, raw
 
 
-def _cmd_train(args, ensemble_only: bool = False) -> int:
+def _cmd_train(args) -> int:
     cfg, raw = _load_cli_config(args)
-    if ensemble_only and cfg.method not in ("hme", "hte", "boosting"):
-        raise ValidationError("ensemble subcommand needs method hme, hte or "
-                              f"boosting (got {cfg.method!r})")
     out = args.out or raw.get("output")
     _check_file(out)
     report = run_experiment(cfg)
@@ -115,22 +118,13 @@ def _cmd_train(args, ensemble_only: bool = False) -> int:
     return 0
 
 
-def _clean_from_config(cfg: ExperimentConfig, **cleaning):
-    """The config's noised train split, and one cleaning pass over that
-    split with the config's cleaning section updated by cleaning."""
-    mat = _materialize(cfg)
-    train, val = _apply_noise(mat, cfg, cfg.base_seed)
-    ccfg = replace(cfg.cleaning, seed=cfg.base_seed, **cleaning)
-    tcfg = replace(cfg.train, seed=cfg.base_seed)
-    cleaned, report, diagnostics, _ = _clean_pass(train, val, ccfg, tcfg,
-                                                  cfg.featurizer)
-    return train, cleaned, report, diagnostics
-
-
 def _cmd_clean(args) -> int:
     cfg, raw = _load_cli_config(args)
     out_dir = _checked_dir(args.out_dir or raw.get("output") or "cleaning_out")
-    train, cleaned, report, diagnostics = _clean_from_config(cfg)
+    train, val = _apply_noise(_materialize(cfg), cfg, cfg.base_seed)
+    cleaned, report, diagnostics, _ = _clean_pass(
+        train, val, replace(cfg.cleaning, seed=cfg.base_seed),
+        replace(cfg.train, seed=cfg.base_seed), cfg.featurizer)
     out_dir.mkdir(parents=True, exist_ok=True)
     if diagnostics is not None:
         (out_dir / "threshold_sweep.csv").write_text(
@@ -144,10 +138,6 @@ def _cmd_clean(args) -> int:
         print(f"noise level {report.noise_before:.4f} -> {report.noise_after:.4f}")
     print(f"kept {len(cleaned)}/{len(train)} instances; outputs in {out_dir}")
     return 0
-
-
-def _cmd_ensemble(args) -> int:
-    return _cmd_train(args, ensemble_only=True)
 
 
 def _cmd_compare(args) -> int:
@@ -187,32 +177,25 @@ def _accuracy_runs_csv(report) -> str:
 
 
 def _cmd_plotdata(args) -> int:
-    if not (args.config or args.report):
-        raise ValidationError("plotdata needs --config and/or --report")
-    # every input and the output directory are checked before any work, and
-    # the directory is made only after the work
+    # the output directory and the report are checked before the directory
+    # is made
     out_dir = _checked_dir(args.out_dir or "plot_data")
-    accuracy_runs = (_accuracy_runs_csv(_read_json(args.report, "report"))
-                     if args.report else None)
-    outputs = {}
-    if args.config:
-        # the sweep is always tuned, even when the config fixes a threshold
-        cfg, _ = _load_cli_config(args)
-        train, cleaned, _, diagnostics = _clean_from_config(cfg, threshold=None)
-        outputs["threshold_sweep.csv"] = threshold_sweep_csv(diagnostics)
-        if train.has_gold():
-            outputs["noise_matrices.csv"] = noise_matrices_csv(train, cleaned)
-    if accuracy_runs is not None:
-        outputs["accuracy_runs.csv"] = accuracy_runs
+    accuracy_runs = _accuracy_runs_csv(_read_json(args.report, "report"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in outputs.items():
-        (out_dir / name).write_text(text, encoding="utf-8")
-    print(f"wrote {', '.join(outputs)} to {out_dir}")
+    (out_dir / "accuracy_runs.csv").write_text(accuracy_runs, encoding="utf-8")
+    print(f"wrote accuracy_runs.csv to {out_dir}")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, not 2 (method failure); subparsers share the class."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noisylabels",
         description="Label-noise injection, noise-robust training, ensembles "
                     "and loss-threshold noise cleaning for text classification.")
@@ -241,24 +224,21 @@ def build_parser() -> argparse.ArgumentParser:
     noise.add_argument("--kind", required=True,
                        choices=("uniform_random", "feature_dependent",
                                 "pseudo_real_world"))
-    noise.add_argument("--level", type=float, default=0.0)
+    noise.add_argument("--level", type=float)
     noise.add_argument("--seed", type=int, default=0)
     noise.add_argument("--rules", help="JSON file of {keywords, label} rules")
-    noise.add_argument("--fallback", choices=("abstain", "random"),
-                       default="abstain")
+    noise.add_argument("--fallback", choices=("abstain", "random"))
     noise.add_argument("--out", required=True)
     noise.add_argument("--matrix-out")
     noise.set_defaults(fn=_cmd_noise)
 
-    for name, fn, helptext in (
-            ("train", _cmd_train, "run one method as a seeded experiment"),
-            ("ensemble", _cmd_ensemble, "run an ensemble experiment")):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", required=True)
-        p.add_argument("--method")
-        p.add_argument("--runs", type=int)
-        p.add_argument("--out")
-        p.set_defaults(fn=fn)
+    train = sub.add_parser("train", help="run one method, an ensemble "
+                                         "included, as a seeded experiment")
+    train.add_argument("--config", required=True)
+    train.add_argument("--method")
+    train.add_argument("--runs", type=int)
+    train.add_argument("--out")
+    train.set_defaults(fn=_cmd_train)
 
     clean = sub.add_parser("clean", help="tune, clean and export a training set")
     clean.add_argument("--config", required=True)
@@ -271,18 +251,17 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--no-clean-row", action="store_true")
     comp.set_defaults(fn=_cmd_compare)
 
-    plot = sub.add_parser("plotdata", help="emit plot-ready CSV series")
-    plot.add_argument("--config")
-    plot.add_argument("--report")
+    plot = sub.add_parser("plotdata", help="write a report's per-run "
+                                           "accuracies as CSV")
+    plot.add_argument("--report", required=True)
     plot.add_argument("--out-dir")
     plot.set_defaults(fn=_cmd_plotdata)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # output file flags are checked before any work or write; the
         # commands check the outputs a config names the same way
         for out in (getattr(args, "out", None), getattr(args, "matrix_out", None)):

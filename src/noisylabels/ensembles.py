@@ -28,7 +28,7 @@ from .model import (
     save_model,
 )
 from .training import MEMBER_METHODS, CetaConfig, CoteachSchedule, Featurized, \
-    _train_method, _train_vanilla
+    _train_method
 from .util import derive_rng
 
 logger = logging.getLogger(__name__)
@@ -97,10 +97,12 @@ class EnsembleSpec:
     heterogeneous: one member per entry of member_methods.
     boosting: member_count vanilla members, each on a seeded random subset of
     round(subset_fraction * n) training instances (without replacement).
+    member_count defaults to the grid or method-list length (boosting: 1);
+    a count that differs from that length is rejected.
     """
 
     kind: str
-    member_count: int = 1
+    member_count: int | None = None
     hyperparameter_grid: tuple[TrainConfig, ...] | None = None
     member_methods: tuple[str, ...] | None = None
     subset_fraction: float = 0.8
@@ -112,36 +114,57 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
             raise ValidationError(f"kind must be one of {ENSEMBLE_KINDS}")
-        if self.member_count < 1:
-            raise ValidationError("member_count must be >= 1")
+        listed = ()
         if self.kind == "homogeneous":
             if not self.hyperparameter_grid:
                 raise ValidationError("homogeneous ensembles need a config grid")
-            object.__setattr__(self, "hyperparameter_grid",
-                               tuple(self.hyperparameter_grid))
-            if len(self.hyperparameter_grid) != self.member_count:
-                raise ValidationError("member_count must match the grid length")
+            listed = tuple(self.hyperparameter_grid)
+            object.__setattr__(self, "hyperparameter_grid", listed)
         if self.kind == "heterogeneous":
             if not self.member_methods:
                 raise ValidationError("heterogeneous ensembles need member_methods")
-            object.__setattr__(self, "member_methods", tuple(self.member_methods))
-            bad = set(self.member_methods) - set(MEMBER_METHODS)
+            listed = tuple(self.member_methods)
+            object.__setattr__(self, "member_methods", listed)
+            bad = set(listed) - set(MEMBER_METHODS)
             if bad:
                 raise ValidationError(f"unknown member methods: {sorted(bad)}")
-            if len(self.member_methods) != self.member_count:
-                raise ValidationError("member_count must match member_methods")
-        if self.kind == "boosting":
-            if not 0.0 < self.subset_fraction <= 1.0:
-                raise ValidationError("subset_fraction must be in (0, 1]")
+        if self.kind == "boosting" and not 0.0 < self.subset_fraction <= 1.0:
+            raise ValidationError("subset_fraction must be in (0, 1]")
+        if self.member_count is None:
+            object.__setattr__(self, "member_count", len(listed) or 1)
+        if self.member_count < 1 or listed and self.member_count != len(listed):
+            raise ValidationError("member_count must be >= 1 and equal the "
+                                  "grid or method-list length")
 
 
-def _collect_survivors(jobs, labels) -> list[ModelParams]:
-    """Run members, dropping any that diverge; at least one must survive."""
+def _member_plan(spec: EnsembleSpec, n_train: int):
+    """(label, method, config, training rows or None for all) per member."""
+    if spec.kind == "homogeneous":
+        return [(f"member{i}", "vanilla", cfg, None)
+                for i, cfg in enumerate(spec.hyperparameter_grid)]
+    base = spec.base_config
+    if spec.kind == "heterogeneous":
+        return [(m, m, replace(base, seed=base.seed + i), None)
+                for i, m in enumerate(spec.member_methods)]
+    return [(f"seed{s}", "vanilla", replace(base, seed=s),
+             boosting_subset(n_train, spec.subset_fraction, s))
+            for s in range(spec.seed, spec.seed + spec.member_count)]
+
+
+def _train_members(train: Dataset, val: Dataset, spec: EnsembleSpec,
+                   featurizer: Featurizer, kind: str) -> list[ModelParams]:
+    """Train spec's members in order, dropping any that diverge; at least one
+    must survive."""
+    if spec.kind != kind:
+        raise ValidationError(f"spec.kind must be {kind!r}")
+    data = Featurized.of(featurizer, train, val)
     members: list[ModelParams] = []
     failures: list[str] = []
-    for label, job in zip(labels, jobs):
+    for label, method, cfg, rows in _member_plan(spec, len(train)):
         try:
-            members.append(job())
+            members.append(_train_method(
+                method, data if rows is None else data.rows(rows), cfg,
+                spec.coteach, spec.ceta))
         except MethodError as exc:
             failures.append(f"{label}: {exc}")
             logger.warning("ensemble member %s failed: %s", label, exc)
@@ -153,27 +176,14 @@ def _collect_survivors(jobs, labels) -> list[ModelParams]:
 def train_homogeneous(train: Dataset, val: Dataset, spec: EnsembleSpec,
                       featurizer: Featurizer) -> list[ModelParams]:
     """One vanilla run per grid config, all on the full training set."""
-    if spec.kind != "homogeneous":
-        raise ValidationError("spec.kind must be 'homogeneous'")
-    data = Featurized.of(featurizer, train, val)
-    jobs = [lambda cfg=cfg: _train_vanilla(data, cfg)[0]
-            for cfg in spec.hyperparameter_grid]
-    labels = [f"member{i}" for i in range(spec.member_count)]
-    return _collect_survivors(jobs, labels)
+    return _train_members(train, val, spec, featurizer, "homogeneous")
 
 
 def train_heterogeneous(train: Dataset, val: Dataset, spec: EnsembleSpec,
                         featurizer: Featurizer) -> list[ModelParams]:
     """One member per method; co-teaching contributes its first network and
     consensus-trained members contribute head-averaged probabilities."""
-    if spec.kind != "heterogeneous":
-        raise ValidationError("spec.kind must be 'heterogeneous'")
-    data = Featurized.of(featurizer, train, val)
-    base = spec.base_config
-    jobs = [lambda i=i, m=m: _train_method(m, data, replace(base, seed=base.seed + i),
-                                           spec.coteach, spec.ceta)
-            for i, m in enumerate(spec.member_methods)]
-    return _collect_survivors(jobs, list(spec.member_methods))
+    return _train_members(train, val, spec, featurizer, "heterogeneous")
 
 
 def boosting_subset(n: int, fraction: float, member_seed: int) -> np.ndarray:
@@ -190,18 +200,7 @@ def train_boosting(train: Dataset, val: Dataset, spec: EnsembleSpec,
                    featurizer: Featurizer) -> list[ModelParams]:
     """Vanilla members, each trained on an independent random training subset;
     the validation set is shared."""
-    if spec.kind != "boosting":
-        raise ValidationError("spec.kind must be 'boosting'")
-    seeds = [spec.seed + i for i in range(spec.member_count)]
-    data = Featurized.of(featurizer, train, val)
-
-    def job(member_seed: int):
-        subset = boosting_subset(len(train), spec.subset_fraction, member_seed)
-        cfg = replace(spec.base_config, seed=member_seed)
-        return _train_vanilla(data.rows(subset), cfg)[0]
-
-    jobs = [lambda s=s: job(s) for s in seeds]
-    return _collect_survivors(jobs, [f"seed{s}" for s in seeds])
+    return _train_members(train, val, spec, featurizer, "boosting")
 
 
 @dataclass

@@ -40,6 +40,9 @@ DATASET_KEYS = {"preset": {"preset", "corpus_seed"}, "synthetic": {"synthetic"},
 
 @dataclass(frozen=True)
 class EnsembleSettings:
+    """hme and boosting train `members` members, and only boosting reads
+    subset_fraction; hte always trains one member per MEMBER_METHODS."""
+
     members: int = 5
     subset_fraction: float = 0.8
 
@@ -219,12 +222,11 @@ def _run_method(cfg: ExperimentConfig, mat: _Materialized, train: Dataset,
         if cfg.method == "hme":
             grid = sample_grid_configs(COMPACT_GRID, cfg.ensemble.members,
                                        run_seed, tcfg)
-            spec = EnsembleSpec(kind="homogeneous", member_count=len(grid),
-                                hyperparameter_grid=tuple(grid), seed=run_seed)
+            spec = EnsembleSpec(kind="homogeneous", hyperparameter_grid=tuple(grid),
+                                seed=run_seed)
             members = train_homogeneous(train, val, spec, feat)
         elif cfg.method == "hte":
-            spec = EnsembleSpec(kind="heterogeneous", member_count=len(MEMBER_METHODS),
-                                member_methods=MEMBER_METHODS,
+            spec = EnsembleSpec(kind="heterogeneous", member_methods=MEMBER_METHODS,
                                 base_config=tcfg, coteach=cfg.coteaching,
                                 ceta=cfg.ceta, seed=run_seed)
             members = train_heterogeneous(train, val, spec, feat)

@@ -1,11 +1,15 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from noisylabels import clean_dataset, save_dataset, tune_threshold
+from noisylabels import ValidationError, clean_dataset, save_dataset, \
+    tune_threshold
 from noisylabels import cli
 from noisylabels.cli import main
 from noisylabels.harness import ExperimentConfig, _apply_noise, _materialize, \
@@ -92,7 +96,83 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x.jsonl")]) == 1
 
 
-CONFIG_COMMANDS = ("train", "ensemble", "clean", "compare", "plotdata")
+class TestUsageErrors:
+    """A command line argparse rejects is exit 1 with an error line, like any
+    other bad input; exit 2 is kept for method failures."""
+
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["train"],
+        ["ensemble", "--config", "cfg.json"],
+        ["noise", "--in", "c.jsonl", "--kind", "gaussian", "--out", "n.jsonl"],
+        ["gen", "--classes", "three"],
+        ["gen", "--colours", "3"],
+    ], ids=["no-subcommand", "missing-required-flag", "unknown-subcommand",
+            "bad-choice", "bad-type", "unknown-flag"])
+    def test_usage_error_is_one(self, tmp_path, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "usage:" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_help_is_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+
+class TestFlagsOfAnotherMode:
+    """noise and gen reject a flag that the chosen kind or mode does not
+    read, and write nothing."""
+
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--kind", "uniform_random", "--level", "0.2", "--rules", "rules.json"],
+         "error: uniform_random noise takes no ['rules']"),
+        (["--kind", "uniform_random", "--level", "0.2", "--rules", "nothere.json"],
+         "error: no such rules file"),
+        (["--kind", "pseudo_real_world", "--fallback", "random"],
+         "error: pseudo_real_world noise takes no ['fallback']"),
+        (["--kind", "feature_dependent", "--rules", "rules.json", "--level", "0.2"],
+         "error: feature_dependent noise takes no ['level']"),
+        (["--kind", "feature_dependent"],
+         "error: feature_dependent noise needs 'rules'"),
+    ])
+    def test_noise_flag_of_another_kind_is_one(self, tmp_path, capsys, flags,
+                                               message):
+        assert main(["gen", "--classes", "3", "--instances", "30",
+                     "--vocab-per-class", "8", "--out", "corpus.jsonl"]) == 0
+        (tmp_path / "rules.json").write_text(
+            json.dumps([{"keywords": ["w0"], "label": 0}]), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["noise", "--in", "corpus.jsonl", *flags,
+                     "--out", "n.jsonl"]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "n.jsonl").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--preset", "separable", "--out", "mycorpus.jsonl"],
+        ["--classes", "3", "--instances", "30", "--out-dir", "splits"],
+        ["--classes", "3", "--instances", "30", "--corpus-seed", "4"],
+    ])
+    def test_gen_flag_of_another_mode_is_one(self, tmp_path, capsys, flags):
+        assert main(["gen", *flags]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
+
+
+# the file flag each command reads, and the file kind its errors name
+CONFIG_COMMANDS = {"train": "config", "clean": "config", "compare": "config",
+                   "plotdata": "report"}
 
 
 class TestConfigFileErrors:
@@ -103,15 +183,17 @@ class TestConfigFileErrors:
     @pytest.mark.parametrize("command", CONFIG_COMMANDS)
     def test_missing_config_is_one(self, tmp_path, capsys, command):
         missing = tmp_path / "nope.json"
-        assert main([command, "--config", str(missing)]) == 1
-        assert capsys.readouterr().err.startswith("error: no such config file")
+        what = CONFIG_COMMANDS[command]
+        assert main([command, f"--{what}", str(missing)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: no such {what} file")
 
     @pytest.mark.parametrize("command", CONFIG_COMMANDS)
     def test_invalid_json_is_one(self, tmp_path, capsys, command):
         bad = tmp_path / "bad.json"
         bad.write_text('{"method": "vanilla",', encoding="utf-8")
-        assert main([command, "--config", str(bad)]) == 1
-        assert capsys.readouterr().err.startswith("error: config is not valid JSON")
+        what = CONFIG_COMMANDS[command]
+        assert main([command, f"--{what}", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {what} is not valid JSON")
 
 
 class TestWrongShapeInputs:
@@ -125,12 +207,12 @@ class TestWrongShapeInputs:
         lambda tmp_path: write_config(tmp_path / "cfg.json",
                                       dataset={"preset": "imagenet"}),
     ])
-    def test_plotdata_bad_config_leaves_no_directory(self, tmp_path, capsys,
-                                                      make_config):
+    def test_clean_bad_config_leaves_no_directory(self, tmp_path, capsys,
+                                                   make_config):
         cfg = make_config(tmp_path)
-        assert main(["plotdata", "--config", str(cfg)]) == 1
+        assert main(["clean", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
-        assert not (tmp_path / "plot_data").exists()
+        assert not (tmp_path / "cleaning_out").exists()
 
     @pytest.mark.parametrize("payload", [[1, 2], {"per_run": 3},
                                          {"per_run": [7]},
@@ -285,33 +367,33 @@ class TestOutputPathErrors:
             return ["noise", "--in", "corpus.jsonl", "--kind", "uniform_random",
                     "--level", "0.2", "--out", "noised.jsonl", "--matrix-out",
                     "adir" if case == "noise-matrix-dir" else "nodir/m.csv"]
+        if case.startswith("plotdata"):
+            (tmp_path / "report.json").write_text(
+                json.dumps({"per_run": [{"seed": 0, "accuracy": 0.5}]}),
+                encoding="utf-8")
+            return ["plotdata", "--report", "report.json", "--out-dir",
+                    "afile/x" if case == "plotdata-under-file" else "afile"]
         command = case.split("-")[0]
         configs = {
             "train": {},
-            "ensemble": {"method": "boosting", "ensemble": {"members": 2}},
             "compare": {"experiments": [{"method": "vanilla"}]},
-            "clean": {"method": "nc", "cleaning": {"folds": 3}},
-            "plotdata": {"method": "nc", "cleaning": {"folds": 3}}}
+            "clean": {"method": "nc", "cleaning": {"folds": 3}}}
         out = {"train": ["--out", "nodir/r.json"],
                "train-config": {"output": "nodir/r.json"},
                "train-config-nul": {"output": "r\0.json"},
-               "ensemble": ["--out", "nodir/r.json"],
-               "ensemble-config": {"output": "nodir/r.json"},
                "compare": ["--out", "nodir/t.csv"],
                "compare-config": {"output": "nodir/t.csv"},
                "clean": ["--out-dir", "afile/x"],
                "clean-file": ["--out-dir", "afile"],
                "clean-config": {"output": "afile/x"},
-               "clean-config-nul": {"output": "x\0y"},
-               "plotdata": ["--out-dir", "afile"],
-               "plotdata-under-file": ["--out-dir", "afile/x"]}[case]
+               "clean-config-nul": {"output": "x\0y"}}[case]
         overrides = {**configs[command], **(out if isinstance(out, dict) else {})}
         cfg = str(write_config(tmp_path / "cfg.json", **overrides))
         return [command, "--config", cfg, *(out if isinstance(out, list) else [])]
 
     @pytest.mark.parametrize("case", [
         "gen", "noise", "noise-matrix-dir", "train", "train-config",
-        "train-config-nul", "ensemble", "ensemble-config", "clean", "clean-file",
+        "train-config-nul", "clean", "clean-file",
         "clean-config", "clean-config-nul", "compare", "compare-config",
         "plotdata", "plotdata-under-file"])
     def test_unwritable_output_is_one(self, tmp_path, capsys, case):
@@ -325,9 +407,9 @@ class TestOutputPathErrors:
         assert not (tmp_path / "noised.jsonl").exists()
 
 
-def reference_cleaning(cfg_path, out_dir, clean=True):
-    """The clean/plotdata outputs as composed from tune_threshold and
-    clean_dataset, each computing its own held-out losses."""
+def reference_cleaning(cfg_path, out_dir):
+    """The clean outputs as composed from tune_threshold and clean_dataset,
+    each computing its own held-out losses."""
     cfg = ExperimentConfig.from_dict(
         json.loads(cfg_path.read_text(encoding="utf-8")))
     mat = _materialize(cfg)
@@ -343,9 +425,8 @@ def reference_cleaning(cfg_path, out_dir, clean=True):
                                     tcfg, cfg.featurizer, val)
     (out_dir / "noise_matrices.csv").write_text(
         noise_matrices_csv(train, cleaned), encoding="utf-8")
-    if clean:
-        save_dataset(cleaned, out_dir / "cleaned.jsonl", "jsonl")
-        report.save(out_dir / "cleaning_report.json")
+    save_dataset(cleaned, out_dir / "cleaned.jsonl", "jsonl")
+    report.save(out_dir / "cleaning_report.json")
 
 
 class TestOnePassCleaning:
@@ -366,14 +447,6 @@ class TestOnePassCleaning:
         cli = self.files(tmp_path / "cli")
         assert set(cli) == {"threshold_sweep.csv", "cleaning_report.json",
                             "cleaned.jsonl", "labels.txt", "noise_matrices.csv"}
-        assert cli == self.files(tmp_path / "ref")
-
-    def test_plotdata_outputs_match_composition(self, tmp_path, cfg):
-        assert main(["plotdata", "--config", str(cfg),
-                     "--out-dir", str(tmp_path / "cli")]) == 0
-        reference_cleaning(cfg, tmp_path / "ref", clean=False)
-        cli = self.files(tmp_path / "cli")
-        assert set(cli) == {"threshold_sweep.csv", "noise_matrices.csv"}
         assert cli == self.files(tmp_path / "ref")
 
 
@@ -421,14 +494,12 @@ class TestPipelines:
                      "threshold_sweep.csv", "noise_matrices.csv"):
             assert (out_dir / name).exists()
 
-    def test_ensemble_subcommand(self, tmp_path):
+    def test_train_runs_an_ensemble(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", method="boosting",
                            ensemble={"members": 2, "subset_fraction": 0.8})
         out = tmp_path / "report.json"
-        assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["method"] == "boosting"
-        bad = write_config(tmp_path / "bad.json", method="vanilla")
-        assert main(["ensemble", "--config", str(bad)]) == 1
 
     def test_compare_subcommand(self, tmp_path):
         shared = {
@@ -477,3 +548,27 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert result.returncode == 0
         assert "wrote 20 instances" in result.stdout
+
+    def test_usage_error_exits_one(self):
+        result = subprocess.run([sys.executable, "-m", "noisylabels.cli", "train"],
+                                capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ")
+
+
+def test_readme_cli_examples_parse():
+    """Every `noisylabels ...` line of README's bash blocks parses, and
+    together they name every subcommand."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```bash\n(.*?)^```", readme, re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines
+                if line.startswith("noisylabels ")]
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except ValidationError as exc:
+            pytest.fail(f"README: {shlex.join(argv)}: {exc}")
+    subcommands = parser._subparsers._group_actions[0].choices
+    assert {argv[1] for argv in commands} == set(subcommands)

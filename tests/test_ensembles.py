@@ -159,6 +159,10 @@ class TestGridSampling:
             sample_grid_configs(COMPACT_GRID, 10_000, seed=0, base=fast_config)
 
 
+def same_arrays(a, b) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a.arrays(), b.arrays()))
+
+
 class TestHomogeneous:
     def test_members_trained_and_deterministic(self, small_splits,
                                                tiny_featurizer, fast_config):
@@ -175,12 +179,34 @@ class TestHomogeneous:
         _, pb = predict_ensemble(members_b, test, tiny_featurizer)
         assert np.array_equal(pa.averaged, pb.averaged)
 
+    def test_members_equal_public_trainer(self, small_splits, tiny_featurizer,
+                                          fast_config):
+        train, val, _ = small_splits
+        grid = (replace(fast_config, steps=60),
+                replace(fast_config, steps=80, learning_rate=0.35, seed=5))
+        members = train_homogeneous(
+            train, val, EnsembleSpec(kind="homogeneous", hyperparameter_grid=grid),
+            tiny_featurizer)
+        assert len(members) == len(grid)
+        for member, cfg in zip(members, grid):
+            solo, _ = train_vanilla(train, val, cfg, tiny_featurizer)
+            assert same_arrays(member, solo)
+
     def test_spec_validation(self, fast_config):
         with pytest.raises(ValidationError, match="grid"):
             EnsembleSpec(kind="homogeneous", member_count=2)
         with pytest.raises(ValidationError, match="member_count"):
             EnsembleSpec(kind="homogeneous", member_count=3,
                          hyperparameter_grid=(fast_config,))
+
+
+@pytest.mark.parametrize("kind, listed, count", [
+    ("homogeneous", {"hyperparameter_grid": (TrainConfig(), TrainConfig(seed=1))}, 2),
+    ("heterogeneous", {"member_methods": ("vanilla", "coteaching", "ceta")}, 3),
+    ("boosting", {}, 1),
+])
+def test_member_count_defaults_to_listed_members(kind, listed, count):
+    assert EnsembleSpec(kind=kind, **listed).member_count == count
 
 
 class TestHeterogeneous:
@@ -228,8 +254,7 @@ class TestHeterogeneous:
             tiny_featurizer)
         assert len(members) == 2
         for member, expected in zip(members, (vanilla, net1)):
-            assert all(np.array_equal(a, b)
-                       for a, b in zip(member.arrays(), expected.arrays()))
+            assert same_arrays(member, expected)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError, match="unknown"):
@@ -268,6 +293,20 @@ class TestBoosting:
         assert len(members) == 3
         acc, _ = predict_ensemble(members, test, tiny_featurizer)
         assert acc >= 0.9
+
+    def test_members_equal_public_trainer(self, small_splits, tiny_featurizer,
+                                          fast_config):
+        train, val, _ = small_splits
+        base = replace(fast_config, steps=80)
+        spec = EnsembleSpec(kind="boosting", member_count=2, subset_fraction=0.6,
+                            base_config=base, seed=11)
+        members = train_boosting(train, val, spec, tiny_featurizer)
+        assert len(members) == 2
+        for i, member in enumerate(members):
+            subset = boosting_subset(len(train), 0.6, 11 + i)
+            solo, _ = train_vanilla(train.select(subset), val,
+                                    replace(base, seed=11 + i), tiny_featurizer)
+            assert same_arrays(member, solo)
 
     def test_fraction_validation(self):
         with pytest.raises(ValidationError):
