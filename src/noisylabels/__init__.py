@@ -93,7 +93,6 @@ from .presets import (
 from .training import (
     CetaConfig,
     CoteachSchedule,
-    coteach_net2_init_seed,
     history_to_csv,
     total_variation,
     train_ceta,

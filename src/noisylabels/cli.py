@@ -2,10 +2,11 @@
 
 Subcommands: gen, noise, train, clean, compare, plotdata.
 Exit codes: 0 success, 1 usage, validation or file-system error, 2 method
-failure. A JSON experiment config (see README) drives train (every method,
-ensembles included), clean (every cleaning output) and compare; its runs,
-folds, threshold candidates and ensemble members run in order. plotdata turns
-a train report into a CSV.
+failure. A JSON experiment config (see README) drives gen (the clean splits
+of its dataset), train (every method, ensembles included), clean (every
+cleaning output) and compare; its runs, folds, threshold candidates and
+ensemble members run in order. noise noises one corpus file, and plotdata
+turns a train report into a CSV.
 """
 
 from __future__ import annotations
@@ -16,37 +17,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from .cleaning import _clean_pass
-from .data import generate_synthetic_corpus, load_dataset, save_dataset
+from .data import _save_splits, load_dataset, save_dataset
 from .errors import NoisyLabelsError, ValidationError
 from .harness import ExperimentConfig, _apply_noise, _materialize, _read_json, \
     compare_methods, noise_matrices_csv, run_experiment, threshold_sweep_csv
 from .noise import apply_noise, noise_level, noise_matrix
-from .presets import PRESET_NAMES, get_preset
-
-
-def _cmd_gen(args) -> int:
-    if args.preset:
-        if args.out is not None:
-            raise ValidationError("--preset writes to --out-dir, not --out")
-        preset = get_preset(args.preset, args.corpus_seed)
-        train, val, test = preset.clean_splits()
-        out_dir = Path(args.out_dir or ".")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, split in (("train", train), ("validation", val), ("test", test)):
-            save_dataset(split, out_dir / f"{name}.{args.format}", args.format)
-        print(f"wrote {len(train)}/{len(val)}/{len(test)} instances to {out_dir}")
-        return 0
-    if args.out_dir is not None or args.corpus_seed is not None:
-        raise ValidationError("--out-dir and --corpus-seed need --preset")
-    corpus = generate_synthetic_corpus(
-        args.classes, args.instances, args.vocab_per_class, args.overlap,
-        seed=args.seed, tokens_per_text=(args.min_tokens, args.max_tokens),
-        global_token_fraction=args.global_token_fraction,
-        annotators_per_instance=args.annotators)
-    out = Path(args.out or f"corpus.{args.format}")
-    save_dataset(corpus, out, args.format)
-    print(f"wrote {len(corpus)} instances, {args.classes} classes to {out}")
-    return 0
 
 
 def _cmd_noise(args) -> int:
@@ -104,6 +79,17 @@ def _load_cli_config(args) -> tuple[ExperimentConfig, dict]:
     if getattr(args, "runs", None) is not None:
         cfg = replace(cfg, runs=args.runs)
     return cfg, raw
+
+
+def _cmd_gen(args) -> int:
+    cfg, _ = _load_cli_config(args)
+    out_dir = _checked_dir(args.out_dir or ".")
+    mat = _materialize(cfg)
+    _save_splits({"train": mat.train, "validation": mat.val, "test": mat.test},
+                 out_dir, args.format)
+    print(f"wrote {len(mat.train)}/{len(mat.val)}/{len(mat.test)} instances "
+          f"to {out_dir}")
+    return 0
 
 
 def _cmd_train(args) -> int:
@@ -188,7 +174,12 @@ def _cmd_plotdata(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, not 2 (method failure); subparsers share the class."""
+    """Usage errors exit 1, not 2 (method failure), and a flag is named in
+    full, so a removed flag is not read as a longer one (--out as --out-dir);
+    subparsers share the class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValidationError(message)
@@ -201,21 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "and loss-threshold noise cleaning for text classification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a synthetic corpus")
-    gen.add_argument("--preset", choices=PRESET_NAMES)
-    gen.add_argument("--corpus-seed", type=int, default=None)
-    gen.add_argument("--out-dir", help="split output directory (preset mode)")
-    gen.add_argument("--classes", type=int, default=5)
-    gen.add_argument("--instances", type=int, default=2000)
-    gen.add_argument("--vocab-per-class", type=int, default=40)
-    gen.add_argument("--overlap", type=float, default=0.0)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--min-tokens", type=int, default=8)
-    gen.add_argument("--max-tokens", type=int, default=14)
-    gen.add_argument("--global-token-fraction", type=float, default=0.0)
-    gen.add_argument("--annotators", type=int, default=0)
+    gen = sub.add_parser("gen", help="write the clean splits of a config's "
+                                     "dataset")
+    gen.add_argument("--config", required=True)
+    gen.add_argument("--out-dir")
     gen.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
-    gen.add_argument("--out")
     gen.set_defaults(fn=_cmd_gen)
 
     noise = sub.add_parser("noise", help="apply a noise process to a corpus")

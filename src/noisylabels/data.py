@@ -285,6 +285,25 @@ def save_dataset(dataset: Dataset, path: str | Path, format: str = "jsonl") -> N
     even when the label order is not first-appearance order.
     """
     path = Path(path)
+    body, sidecar = _encoded(dataset, format)
+    path.write_bytes(body)
+    _sidecar_path(path).write_bytes(sidecar)
+
+
+def _save_splits(splits: dict[str, Dataset], out_dir: Path, format: str) -> None:
+    """Save each split as out_dir/<name>.<format>, with labels.txt. Every
+    split is encoded before out_dir is made, so a split that cannot be
+    saved leaves nothing behind."""
+    encoded = {name: _encoded(split, format) for name, split in splits.items()}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (body, sidecar) in encoded.items():
+        (out_dir / f"{name}.{format}").write_bytes(body)
+        (out_dir / LABELS_SIDECAR).write_bytes(sidecar)
+
+
+def _encoded(dataset: Dataset, format: str) -> tuple[bytes, bytes]:
+    """The corpus file's and the sidecar's bytes; ValidationError if the
+    dataset cannot be saved in format."""
     if format not in ("jsonl", "tsv"):
         raise ValidationError(f"format must be 'jsonl' or 'tsv', got {format!r}")
     names = dataset.label_set.names
@@ -318,12 +337,10 @@ def save_dataset(dataset: Dataset, path: str | Path, format: str = "jsonl") -> N
                 row += f"\t{gold}"
             lines.append(row)
     try:  # encode everything before writing, so a failure leaves no file behind
-        body, sidecar = [("\n".join(part) + "\n").encode("utf-8") for part in (lines, names)]
+        return tuple(("\n".join(part) + "\n").encode("utf-8") for part in (lines, names))
     except UnicodeEncodeError as exc:
         raise ValidationError(f"{exc.object[exc.start:exc.end]!r} cannot be saved as "
                               f"UTF-8 ({exc.reason})") from None
-    path.write_bytes(body)
-    _sidecar_path(path).write_bytes(sidecar)
 
 
 # ---------------------------------------------------------------------------

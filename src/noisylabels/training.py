@@ -240,16 +240,6 @@ class CoteachSchedule:
         return self.tau * min(1.0, step / self.ramp_steps)
 
 
-def coteach_net2_init_seed(cfg: TrainConfig) -> int:
-    """Init seed of the second co-teaching network: the training loop seeds
-    net i from the init seed + i, so the first uses cfg's own.
-
-    A vanilla run with init_seed set to this value and the same cfg.seed
-    follows network 2's trajectory exactly when the forget rate is zero.
-    """
-    return _init_seed(cfg) + 1
-
-
 def train_coteaching(
     train: Dataset, val: Dataset, cfg: TrainConfig, sched: CoteachSchedule,
     featurizer: Featurizer,

@@ -19,7 +19,6 @@ from noisylabels import (
     ExperimentConfig,
     Featurizer,
     TrainConfig,
-    coteach_net2_init_seed,
     evaluate,
     featurize_texts,
     generate_synthetic_corpus,
@@ -230,7 +229,7 @@ class TestCriterion6:
         v1, vh1 = train_vanilla(noisy_train, noisy_val, cfg0, feat)
         v2, vh2 = train_vanilla(
             noisy_train, noisy_val,
-            replace(cfg0, init_seed=coteach_net2_init_seed(cfg0)), feat)
+            replace(cfg0, init_seed=cfg0.seed + 1), feat)  # net i: seed + i
         assert [h["train_batch_loss"] for h in hist] == \
             [h["train_batch_loss"] for h in vh1]
         assert [h["train_batch_loss_net2"] for h in hist] == \

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from noisylabels import ValidationError, clean_dataset, save_dataset, \
+from noisylabels import ValidationError, clean_dataset, \
+    generate_synthetic_corpus, get_preset, load_dataset, save_dataset, \
     tune_threshold
 from noisylabels import cli
 from noisylabels.cli import main
@@ -35,12 +36,20 @@ def write_config(path, **overrides):
     return path
 
 
+def write_corpus(path, instances=30):
+    """A 3-class synthetic corpus file and its labels.txt, for noise and for
+    {"path": ...} datasets."""
+    save_dataset(generate_synthetic_corpus(3, instances, 8), path)
+    return path
+
+
 class TestExitCodes:
     def test_success_is_zero(self, tmp_path):
-        out = tmp_path / "corpus.jsonl"
-        assert main(["gen", "--classes", "3", "--instances", "60",
-                     "--vocab-per-class", "8", "--out", str(out)]) == 0
-        assert out.exists()
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "data"
+        assert main(["gen", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        for name in ("train", "validation", "test"):
+            assert (out / f"{name}.jsonl").exists()
 
     def test_validation_error_is_one(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", method="not-a-method")
@@ -109,10 +118,11 @@ class TestUsageErrors:
         ["train"],
         ["ensemble", "--config", "cfg.json"],
         ["noise", "--in", "c.jsonl", "--kind", "gaussian", "--out", "n.jsonl"],
-        ["gen", "--classes", "three"],
+        ["train", "--config", "cfg.json", "--runs", "three"],
         ["gen", "--colours", "3"],
+        ["gen", "--config", "cfg.json", "--classes", "three"],
     ], ids=["no-subcommand", "missing-required-flag", "unknown-subcommand",
-            "bad-choice", "bad-type", "unknown-flag"])
+            "bad-choice", "bad-type", "unknown-flag", "removed-flag"])
     def test_usage_error_is_one(self, tmp_path, capsys, argv):
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -128,8 +138,9 @@ class TestUsageErrors:
 
 
 class TestFlagsOfAnotherMode:
-    """noise and gen reject a flag that the chosen kind or mode does not
-    read, and write nothing."""
+    """noise rejects a flag that the chosen kind does not read, gen every
+    flag of its removed synthetic and single-file modes, and neither writes
+    anything."""
 
     @pytest.fixture(autouse=True)
     def in_tmp_path(self, tmp_path, monkeypatch):
@@ -149,8 +160,7 @@ class TestFlagsOfAnotherMode:
     ])
     def test_noise_flag_of_another_kind_is_one(self, tmp_path, capsys, flags,
                                                message):
-        assert main(["gen", "--classes", "3", "--instances", "30",
-                     "--vocab-per-class", "8", "--out", "corpus.jsonl"]) == 0
+        write_corpus(tmp_path / "corpus.jsonl")
         (tmp_path / "rules.json").write_text(
             json.dumps([{"keywords": ["w0"], "label": 0}]), encoding="utf-8")
         capsys.readouterr()
@@ -160,14 +170,21 @@ class TestFlagsOfAnotherMode:
         assert not (tmp_path / "n.jsonl").exists()
 
     @pytest.mark.parametrize("flags", [
-        ["--preset", "separable", "--out", "mycorpus.jsonl"],
-        ["--classes", "3", "--instances", "30", "--out-dir", "splits"],
-        ["--classes", "3", "--instances", "30", "--corpus-seed", "4"],
+        ["--preset", "separable", "--classes", "9", "--instances", "50"],
+        ["--preset", "separable"], ["--corpus-seed", "4"], ["--classes", "3"],
+        ["--instances", "30"], ["--vocab-per-class", "8"], ["--overlap", "0.1"],
+        ["--seed", "1"], ["--min-tokens", "4"], ["--max-tokens", "9"],
+        ["--global-token-fraction", "0.1"], ["--annotators", "2"],
+        ["--out", "mycorpus.jsonl"],
     ])
     def test_gen_flag_of_another_mode_is_one(self, tmp_path, capsys, flags):
-        assert main(["gen", *flags]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not list(tmp_path.iterdir())
+        write_config(tmp_path / "cfg.json", dataset={"preset": "separable"},
+                     split=None)
+        assert main(["gen", "--config", "cfg.json", *flags,
+                     "--out-dir", "d"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: unrecognized arguments: {flags[0]}")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 # the file flag each command reads, and the file kind its errors name
@@ -244,9 +261,7 @@ class TestWrongShapeInputs:
         [{"label": 0}], [{"keywords": ["a"]}], [{"keywords": ["a"], "label": 1.5}],
     ])
     def test_noise_rules_of_wrong_shape_are_one(self, tmp_path, capsys, rules):
-        corpus = tmp_path / "corpus.jsonl"
-        assert main(["gen", "--classes", "3", "--instances", "30",
-                     "--vocab-per-class", "8", "--out", str(corpus)]) == 0
+        corpus = write_corpus(tmp_path / "corpus.jsonl")
         rules_file = tmp_path / "rules.json"
         rules_file.write_text(json.dumps(rules), encoding="utf-8")
         capsys.readouterr()
@@ -260,9 +275,7 @@ class TestWrongShapeInputs:
     def corpus_command(tmp_path, command):
         """A generated 30-row corpus, the output path, and argv that runs
         `command` on the corpus."""
-        corpus = tmp_path / "corpus.jsonl"
-        assert main(["gen", "--classes", "3", "--instances", "30",
-                     "--vocab-per-class", "8", "--out", str(corpus)]) == 0
+        corpus = write_corpus(tmp_path / "corpus.jsonl")
         out = tmp_path / "out.json"
         if command == "noise":
             return corpus, out, ["noise", "--in", str(corpus), "--kind",
@@ -347,7 +360,8 @@ class TestOutputPathErrors:
         def reached(*args, **kwargs):
             raise AssertionError("work started before the output was checked")
 
-        for name in ("run_experiment", "compare_methods", "_clean_pass"):
+        for name in ("run_experiment", "compare_methods", "_clean_pass",
+                     "_materialize"):
             monkeypatch.setattr(cli, name, reached)
 
     @staticmethod
@@ -358,12 +372,8 @@ class TestOutputPathErrors:
         "-nul" one names a path holding a NUL byte."""
         (tmp_path / "afile").write_text("", encoding="utf-8")
         (tmp_path / "adir").mkdir()
-        gen = ["gen", "--classes", "3", "--instances", "30",
-               "--vocab-per-class", "8"]
-        if case == "gen":
-            return gen + ["--out", "nodir/x.jsonl"]
         if case in ("noise", "noise-matrix-dir"):
-            assert main(gen + ["--out", "corpus.jsonl"]) == 0
+            write_corpus(tmp_path / "corpus.jsonl")
             return ["noise", "--in", "corpus.jsonl", "--kind", "uniform_random",
                     "--level", "0.2", "--out", "noised.jsonl", "--matrix-out",
                     "adir" if case == "noise-matrix-dir" else "nodir/m.csv"]
@@ -375,10 +385,13 @@ class TestOutputPathErrors:
                     "afile/x" if case == "plotdata-under-file" else "afile"]
         command = case.split("-")[0]
         configs = {
+            "gen": {},
             "train": {},
             "compare": {"experiments": [{"method": "vanilla"}]},
             "clean": {"method": "nc", "cleaning": {"folds": 3}}}
-        out = {"train": ["--out", "nodir/r.json"],
+        out = {"gen": ["--out-dir", "afile/x"],
+               "gen-file": ["--out-dir", "afile"],
+               "train": ["--out", "nodir/r.json"],
                "train-config": {"output": "nodir/r.json"},
                "train-config-nul": {"output": "r\0.json"},
                "compare": ["--out", "nodir/t.csv"],
@@ -392,7 +405,7 @@ class TestOutputPathErrors:
         return [command, "--config", cfg, *(out if isinstance(out, list) else [])]
 
     @pytest.mark.parametrize("case", [
-        "gen", "noise", "noise-matrix-dir", "train", "train-config",
+        "gen", "gen-file", "noise", "noise-matrix-dir", "train", "train-config",
         "train-config-nul", "clean", "clean-file",
         "clean-config", "clean-config-nul", "compare", "compare-config",
         "plotdata", "plotdata-under-file"])
@@ -452,11 +465,12 @@ class TestOnePassCleaning:
 
 class TestPipelines:
     def test_gen_noise_train_from_files(self, tmp_path):
-        corpus = tmp_path / "corpus.jsonl"
+        # README's chain: gen writes a config's clean splits, noise reads one
+        data = tmp_path / "data"
+        corpus = data / "train.jsonl"
         noised = tmp_path / "noised.jsonl"
-        assert main(["gen", "--classes", "3", "--instances", "240",
-                     "--vocab-per-class", "20", "--seed", "7",
-                     "--out", str(corpus)]) == 0
+        assert main(["gen", "--config", str(write_config(tmp_path / "gen.json")),
+                     "--out-dir", str(data)]) == 0
         assert main(["noise", "--in", str(corpus), "--kind", "uniform_random",
                      "--level", "0.2", "--seed", "1", "--out", str(noised),
                      "--matrix-out", str(tmp_path / "matrix.csv")]) == 0
@@ -477,8 +491,10 @@ class TestPipelines:
         assert 0.0 <= payload["accuracy_mean"] <= 1.0
 
     def test_preset_gen_writes_three_splits(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json",
+                           dataset={"preset": "separable"}, split=None)
         out_dir = tmp_path / "sep"
-        assert main(["gen", "--preset", "separable",
+        assert main(["gen", "--config", str(cfg),
                      "--out-dir", str(out_dir)]) == 0
         for name in ("train", "validation", "test"):
             assert (out_dir / f"{name}.jsonl").exists()
@@ -539,15 +555,86 @@ class TestPipelines:
         assert len(lines) == 2
 
 
+class TestGen:
+    """gen writes the clean splits of a config's dataset, through the one
+    path that train and clean materialize it by."""
+
+    @staticmethod
+    def files(directory):
+        return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+    @pytest.mark.parametrize("name, corpus_seed, fmt", [
+        ("separable", None, "jsonl"), ("yoruba_like", None, "jsonl"),
+        ("hausa_like", None, "jsonl"), ("yoruba_like", 77, "jsonl"),
+        ("separable", None, "tsv")])
+    def test_preset_files_equal_saved_clean_splits(self, tmp_path, name,
+                                                   corpus_seed, fmt):
+        cfg = write_config(tmp_path / "cfg.json", split=None, dataset={
+            "preset": name, "corpus_seed": corpus_seed})
+        assert main(["gen", "--config", str(cfg), "--out-dir",
+                     str(tmp_path / "cli"), "--format", fmt]) == 0
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        splits = get_preset(name, corpus_seed).clean_splits()
+        for split, dataset in zip(("train", "validation", "test"), splits):
+            save_dataset(dataset, ref / f"{split}.{fmt}", fmt)
+        assert self.files(tmp_path / "cli") == self.files(ref)
+
+    @pytest.mark.parametrize("source", ["synthetic", "path"])
+    def test_splits_load_back_as_materialized(self, tmp_path, source):
+        overrides = {"split": {"train": 0.6, "validation": 0.2, "test": 0.2,
+                               "seed": 4}}
+        if source == "path":
+            corpus = write_corpus(tmp_path / "corpus.jsonl", instances=90)
+            overrides["dataset"] = {"path": str(corpus)}
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "data"
+        assert main(["gen", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        mat = _materialize(ExperimentConfig.from_dict(
+            json.loads(cfg.read_text(encoding="utf-8"))))
+        # a file does not record its split tag
+        assert [replace(load_dataset(out / f"{name}.jsonl"), split=name)
+                for name in ("train", "validation", "test")] == \
+            [mat.train, mat.val, mat.test]
+
+    @pytest.mark.parametrize("overrides", [
+        {"dataset": {"preset": "separable"}},
+        {"split": {"train": 0.8, "validation": 0.2, "test": 0.0}}])
+    def test_rejected_corpus_writes_nothing(self, tmp_path, capsys, overrides):
+        # _materialize rejects a preset with a split, and an empty test split
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "data"
+        assert main(["gen", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+    def test_unsaveable_split_writes_nothing(self, tmp_path, capsys):
+        # a JSONL text may hold a tab, which TSV cannot store
+        corpus = tmp_path / "corpus.jsonl"
+        rows = write_corpus(corpus, instances=60).read_text(
+            encoding="utf-8").splitlines()
+        rows[-1] = rows[-1].replace('"text": "', '"text": "tab\\there ', 1)
+        corpus.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "cfg.json", dataset={"path": str(corpus)})
+        out = tmp_path / "data"
+        assert main(["gen", "--config", str(cfg), "--out-dir", str(out),
+                     "--format", "tsv"]) == 1
+        assert capsys.readouterr().err.startswith("error: TSV cannot store")
+        assert not out.exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", dataset={"synthetic": {
+            "classes": 2, "instances": 20, "vocab_per_class": 6}})
         result = subprocess.run(
-            [sys.executable, "-m", "noisylabels.cli", "gen", "--classes", "2",
-             "--instances", "20", "--vocab-per-class", "6",
-             "--out", str(tmp_path / "c.jsonl")],
+            [sys.executable, "-m", "noisylabels.cli", "gen", "--config",
+             str(cfg), "--out-dir", str(tmp_path / "data")],
             capture_output=True, text=True)
         assert result.returncode == 0
-        assert "wrote 20 instances" in result.stdout
+        sizes = re.search(r"wrote (\d+)/(\d+)/(\d+) instances", result.stdout)
+        assert sum(map(int, sizes.groups())) == 20
 
     def test_usage_error_exits_one(self):
         result = subprocess.run([sys.executable, "-m", "noisylabels.cli", "train"],

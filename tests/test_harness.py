@@ -1,7 +1,10 @@
 import copy
+import io
 import itertools
 import json
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -33,6 +36,7 @@ from noisylabels import DivergenceError, clean_dataset, retrain_on_cleaned, \
     tune_threshold
 from noisylabels import harness, training
 from noisylabels.cleaning import ThresholdDiagnostic
+from noisylabels.cli import main
 from noisylabels.harness import _apply_noise, _materialize, _noise_label
 
 
@@ -328,6 +332,23 @@ class TestMalformedConfigProperties:
         raw = data.draw(malformed(data.draw(st.sampled_from(valid_configs))))
         with pytest.raises(ValidationError):
             materialize_and_noise(raw)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_gen_exits_zero_or_one(self, valid_configs, data):
+        # gen reads no noise section, so a malformed one may still exit 0
+        raw = data.draw(malformed(data.draw(st.sampled_from(valid_configs))))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "data"
+            cfg.write_text(json.dumps(raw), encoding="utf-8")
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(["gen", "--config", str(cfg), "--out-dir", str(out)])
+            assert code in (0, 1)
+            assert "Traceback" not in err.getvalue()
+            if code == 1:
+                assert err.getvalue().startswith("error: ")
+                assert not out.exists()
 
 
 class TestOneDefaultPerKnob:

@@ -12,7 +12,6 @@ from noisylabels import (
     Featurizer,
     TrainConfig,
     ValidationError,
-    coteach_net2_init_seed,
     evaluate,
     generate_synthetic_corpus,
     history_to_csv,
@@ -175,7 +174,9 @@ class TestCoteaching:
         p1, p2, hist = train_coteaching(train, val, cfg, sched, tiny_featurizer)
 
         v1, vh1 = train_vanilla(train, val, cfg, tiny_featurizer)
-        cfg2 = replace(cfg, init_seed=coteach_net2_init_seed(cfg))
+        # the loop seeds net i's init from the init seed (cfg.seed when
+        # init_seed is unset) + i, and batches from cfg.seed
+        cfg2 = replace(cfg, init_seed=cfg.seed + 1)
         v2, vh2 = train_vanilla(train, val, cfg2, tiny_featurizer)
 
         # step-for-step: identical batch losses and validation accuracies
