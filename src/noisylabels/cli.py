@@ -2,11 +2,13 @@
 
 Subcommands: gen, noise, train, clean, compare, plotdata.
 Exit codes: 0 success, 1 usage, validation or file-system error, 2 method
-failure. A JSON experiment config (see README) drives gen (the clean splits
-of its dataset), train (every method, ensembles included), clean (every
-cleaning output) and compare; its runs, folds, threshold candidates and
-ensemble members run in order. noise noises one corpus file, and plotdata
-turns a train report into a CSV.
+failure. A JSON experiment config (see README) holds every experiment
+setting, and flags name only files. The config drives gen (the clean splits
+of its dataset), noise (the noise train's first run puts on its training
+split, applied to one corpus file), train (every method, ensembles
+included), clean (every cleaning output) and compare; its runs, folds,
+threshold candidates and ensemble members run in order. plotdata turns a
+train report into a CSV.
 """
 
 from __future__ import annotations
@@ -19,21 +21,17 @@ from pathlib import Path
 from .cleaning import _clean_pass
 from .data import _save_splits, load_dataset, save_dataset
 from .errors import NoisyLabelsError, ValidationError
-from .harness import ExperimentConfig, _apply_noise, _materialize, _read_json, \
-    compare_methods, noise_matrices_csv, run_experiment, threshold_sweep_csv
+from .harness import ExperimentConfig, _apply_noise, _materialize, _preset, \
+    _read_json, compare_methods, noise_matrices_csv, run_experiment, \
+    threshold_sweep_csv
 from .noise import apply_noise, noise_level, noise_matrix
 
 
 def _cmd_noise(args) -> int:
-    dataset = load_dataset(args.infile, args.format)
-    # only the flags given, so apply_noise rejects those the kind does not take
-    given = {"kind": args.kind, "level": args.level, "fallback": args.fallback}
-    noise = {key: value for key, value in given.items() if value is not None}
-    if args.rules is not None:
-        noise["rules"] = _read_json(args.rules, "rules")
-    if args.kind == "feature_dependent":
-        noise["seed"] = args.seed
-    noised = apply_noise(dataset, noise, args.seed)
+    cfg = _load_cli_config(args)
+    preset = _preset(cfg)
+    noised = apply_noise(load_dataset(args.infile, args.format), cfg.noise,
+                         cfg.base_seed, preset.labeler if preset else None)
     save_dataset(noised, args.out, args.format)
     level = noise_level(noised) if noised.has_gold() else None
     if level is not None:
@@ -50,11 +48,11 @@ def _report_summary(report) -> str:
             + (" (partial)" if report.partial else ""))
 
 
-def _check_file(out) -> None:
-    """Raise ValidationError unless out is empty or a file path that can be
-    written: not a directory, and in a directory that exists."""
-    if out and (not isinstance(out, str) or "\0" in out):
-        raise ValidationError("'output' must be a file path")
+def _check_file(out: str | None) -> None:
+    """Raise ValidationError unless out is None or a file path that can be
+    written: no NUL byte, not a directory, and in a directory that exists."""
+    if out and "\0" in out:
+        raise ValidationError(f"output file {out!r} holds a NUL byte")
     if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
         raise ValidationError(f"output file {out} is a directory or its "
                               "directory does not exist")
@@ -71,18 +69,12 @@ def _checked_dir(out: str) -> Path:
     return path
 
 
-def _load_cli_config(args) -> tuple[ExperimentConfig, dict]:
-    raw = _read_json(args.config, "config")
-    cfg = ExperimentConfig.from_dict(raw)
-    if getattr(args, "method", None) is not None:
-        cfg = replace(cfg, method=args.method)
-    if getattr(args, "runs", None) is not None:
-        cfg = replace(cfg, runs=args.runs)
-    return cfg, raw
+def _load_cli_config(args) -> ExperimentConfig:
+    return ExperimentConfig.from_dict(_read_json(args.config, "config"))
 
 
 def _cmd_gen(args) -> int:
-    cfg, _ = _load_cli_config(args)
+    cfg = _load_cli_config(args)
     out_dir = _checked_dir(args.out_dir or ".")
     mat = _materialize(cfg)
     _save_splits({"train": mat.train, "validation": mat.val, "test": mat.test},
@@ -93,20 +85,17 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg, raw = _load_cli_config(args)
-    out = args.out or raw.get("output")
-    _check_file(out)
-    report = run_experiment(cfg)
-    if out:
-        report.save(out)
-        print(f"report written to {out}")
+    report = run_experiment(_load_cli_config(args))
+    if args.out:
+        report.save(args.out)
+        print(f"report written to {args.out}")
     print(_report_summary(report))
     return 0
 
 
 def _cmd_clean(args) -> int:
-    cfg, raw = _load_cli_config(args)
-    out_dir = _checked_dir(args.out_dir or raw.get("output") or "cleaning_out")
+    cfg = _load_cli_config(args)
+    out_dir = _checked_dir(args.out_dir or "cleaning_out")
     train, val = _apply_noise(_materialize(cfg), cfg, cfg.base_seed)
     cleaned, report, diagnostics, _ = _clean_pass(
         train, val, replace(cfg.cleaning, seed=cfg.base_seed),
@@ -135,14 +124,12 @@ def _cmd_compare(args) -> int:
             or not all(isinstance(exp, dict) for exp in experiments):
         raise ValidationError("compare config needs an 'experiments' list of "
                               "objects")
-    shared = {k: v for k, v in raw.items() if k not in ("experiments", "output")}
+    shared = {k: v for k, v in raw.items() if k != "experiments"}
     cfgs = [ExperimentConfig.from_dict({**shared, **exp}) for exp in experiments]
-    out = args.out or raw.get("output")
-    _check_file(out)
     table, _ = compare_methods(cfgs, include_clean_baseline=not args.no_clean_row)
-    if out:
-        Path(out).write_text(table.to_csv(), encoding="utf-8")
-        print(f"CSV written to {out}")
+    if args.out:
+        Path(args.out).write_text(table.to_csv(), encoding="utf-8")
+        print(f"CSV written to {args.out}")
     print(table.to_text(), end="")
     return 0
 
@@ -199,16 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
     gen.set_defaults(fn=_cmd_gen)
 
-    noise = sub.add_parser("noise", help="apply a noise process to a corpus")
+    noise = sub.add_parser("noise", help="apply a config's noise to a corpus "
+                                         "file")
+    noise.add_argument("--config", required=True)
     noise.add_argument("--in", dest="infile", required=True)
     noise.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
-    noise.add_argument("--kind", required=True,
-                       choices=("uniform_random", "feature_dependent",
-                                "pseudo_real_world"))
-    noise.add_argument("--level", type=float)
-    noise.add_argument("--seed", type=int, default=0)
-    noise.add_argument("--rules", help="JSON file of {keywords, label} rules")
-    noise.add_argument("--fallback", choices=("abstain", "random"))
     noise.add_argument("--out", required=True)
     noise.add_argument("--matrix-out")
     noise.set_defaults(fn=_cmd_noise)
@@ -216,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="run one method, an ensemble "
                                          "included, as a seeded experiment")
     train.add_argument("--config", required=True)
-    train.add_argument("--method")
-    train.add_argument("--runs", type=int)
     train.add_argument("--out")
     train.set_defaults(fn=_cmd_train)
 
@@ -243,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # output file flags are checked before any work or write; the
-        # commands check the outputs a config names the same way
+        # output file flags are checked before any work or write; each
+        # command checks its output directory flag the same way
         for out in (getattr(args, "out", None), getattr(args, "matrix_out", None)):
             _check_file(out)
         return args.fn(args)

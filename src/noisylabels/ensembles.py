@@ -278,9 +278,12 @@ def load_ensemble(manifest_path: str | Path) -> tuple[Featurizer, list[ModelPara
     entries = manifest.get("members") if isinstance(manifest, dict) else None
     if not isinstance(entries, list) or not entries or manifest.get("version") != 1:
         raise ValidationError("unsupported or empty ensemble manifest")
+    # a plain file name, so a manifest reads no file outside its directory
     if not all(isinstance(e, dict) and isinstance(e.get("checkpoint"), str)
-               for e in entries):
-        raise ValidationError("every manifest member needs a 'checkpoint' file name")
+               and Path(e["checkpoint"]).name == e["checkpoint"]
+               and e["checkpoint"] not in ("", ".", "..") for e in entries):
+        raise ValidationError("every manifest member needs a 'checkpoint' file "
+                              "name in the manifest's directory")
     loaded = [load_model(manifest_path.parent / e["checkpoint"]) for e in entries]
     if any(feat != loaded[0][0] for feat, _ in loaded):
         raise ValidationError("ensemble members disagree on the featurizer")

@@ -85,12 +85,10 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """The config a JSON object describes; a null value means the
-        default, and "output" (the CLI's report path) is not part of it."""
+        default. It holds settings only: output paths are the CLI's flags."""
         if not isinstance(raw, dict):
             raise ValidationError("config root must be a JSON object")
-        if not isinstance(raw.get("output", ""), str):
-            raise ValidationError("'output' must be a file path")
-        kwargs = {k: v for k, v in raw.items() if k != "output" and v is not None}
+        kwargs = {k: v for k, v in raw.items() if v is not None}
         for name, factory in (("featurizer", Featurizer), ("train", TrainConfig),
                               ("coteaching", CoteachSchedule), ("ceta", CetaConfig),
                               ("ensemble", EnsembleSettings), ("cleaning", CleanConfig)):
@@ -129,15 +127,21 @@ class _Materialized:
     preset: Preset | None
 
 
+def _preset(cfg: ExperimentConfig) -> Preset | None:
+    """The preset cfg's dataset names, or None if it names another source."""
+    if "preset" not in cfg.dataset:
+        return None
+    if cfg.split is not None:
+        raise ValidationError("a preset fixes its own split; drop 'split'")
+    return checked_call(get_preset, {"name": cfg.dataset["preset"],
+                                     "corpus_seed": cfg.dataset.get("corpus_seed")},
+                        "'dataset'")
+
+
 def _materialize(cfg: ExperimentConfig) -> _Materialized:
     """Clean splits, and the preset if the dataset names one."""
-    source, preset = cfg.dataset, None
-    if "preset" in source:
-        if cfg.split is not None:
-            raise ValidationError("a preset fixes its own split; drop 'split'")
-        preset = checked_call(get_preset, {"name": source["preset"],
-                                           "corpus_seed": source.get("corpus_seed")},
-                              "'dataset'")
+    source, preset = cfg.dataset, _preset(cfg)
+    if preset is not None:
         train, val, test = preset.clean_splits()
     else:
         if "synthetic" in source:

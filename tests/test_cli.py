@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from noisylabels import ValidationError, clean_dataset, \
-    generate_synthetic_corpus, get_preset, load_dataset, save_dataset, \
-    tune_threshold
+    generate_synthetic_corpus, get_preset, load_dataset, noise_matrix, \
+    save_dataset, tune_threshold
 from noisylabels import cli
 from noisylabels.cli import main
 from noisylabels.harness import ExperimentConfig, _apply_noise, _materialize, \
@@ -62,11 +62,12 @@ class TestExitCodes:
         assert main(["clean", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "out")]) == 2
 
-    @pytest.mark.parametrize("flag", [["--runs", "0"], ["--method", ""]])
+    @pytest.mark.parametrize("flag", [{"runs": 0}, {"method": ""}])
     def test_zero_runs_or_empty_method_is_one(self, tmp_path, capsys, flag):
-        cfg = write_config(tmp_path / "cfg.json", runs=2)
-        assert main(["train", "--config", str(cfg), *flag]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        cfg = write_config(tmp_path / "cfg.json", **flag)
+        assert main(["train", "--config", str(cfg)]) == 1
+        [key] = flag
+        assert capsys.readouterr().err.startswith(f"error: {key} must be ")
 
     @pytest.mark.parametrize("overrides", [
         {"method": "nc", "cleaning": {"folds": 3}, "base_seed": 2**63},
@@ -98,11 +99,13 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "error: unknown 'ensemble' keys: ['grid']\n"
 
-    def test_missing_config_file_is_one(self, tmp_path):
-        missing = tmp_path / "nope.json"
-        cfg = write_config(tmp_path / "cfg.json")
-        assert main(["noise", "--in", str(missing), "--kind", "uniform_random",
-                     "--out", str(tmp_path / "x.jsonl")]) == 1
+    def test_missing_config_file_is_one(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path / "corpus.jsonl")
+        out = tmp_path / "x.jsonl"
+        assert main(["noise", "--config", str(tmp_path / "nope.json"),
+                     "--in", str(corpus), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: no such config file")
+        assert not out.exists()
 
 
 class TestUsageErrors:
@@ -117,12 +120,18 @@ class TestUsageErrors:
         [],
         ["train"],
         ["ensemble", "--config", "cfg.json"],
-        ["noise", "--in", "c.jsonl", "--kind", "gaussian", "--out", "n.jsonl"],
-        ["train", "--config", "cfg.json", "--runs", "three"],
+        ["noise", "--config", "cfg.json", "--in", "c.jsonl", "--format", "xml",
+         "--out", "n.jsonl"],
+        ["compare", "--config", "cfg.json", "--no-clean-row=yes"],
         ["gen", "--colours", "3"],
         ["gen", "--config", "cfg.json", "--classes", "three"],
+        ["train", "--config", "cfg.json", "--runs", "3"],
+        ["train", "--config", "cfg.json", "--method", "nc"],
+        ["noise", "--config", "cfg.json", "--in", "c.jsonl", "--out", "n.jsonl",
+         "--kind", "uniform_random"],
     ], ids=["no-subcommand", "missing-required-flag", "unknown-subcommand",
-            "bad-choice", "bad-type", "unknown-flag", "removed-flag"])
+            "bad-choice", "bad-value", "unknown-flag", "removed-flag",
+            "removed-train-runs", "removed-train-method", "removed-noise-kind"])
     def test_usage_error_is_one(self, tmp_path, capsys, argv):
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -137,34 +146,36 @@ class TestUsageErrors:
         assert "--config" in capsys.readouterr().out
 
 
+RULES = [{"keywords": ["w0"], "label": 0}]
+
+
 class TestFlagsOfAnotherMode:
-    """noise rejects a flag that the chosen kind does not read, gen every
-    flag of its removed synthetic and single-file modes, and neither writes
-    anything."""
+    """noise rejects a key of the config's noise section (a `flags` case)
+    that the chosen kind does not read, gen every flag of its removed
+    synthetic and single-file modes, and neither writes anything."""
 
     @pytest.fixture(autouse=True)
     def in_tmp_path(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
 
     @pytest.mark.parametrize("flags, message", [
-        (["--kind", "uniform_random", "--level", "0.2", "--rules", "rules.json"],
+        ({"kind": "uniform_random", "level": 0.2, "rules": RULES},
          "error: uniform_random noise takes no ['rules']"),
-        (["--kind", "uniform_random", "--level", "0.2", "--rules", "nothere.json"],
-         "error: no such rules file"),
-        (["--kind", "pseudo_real_world", "--fallback", "random"],
+        ({"kind": "uniform_random", "level": 0.2, "rules": "rules.json"},
+         "error: uniform_random noise takes no ['rules']"),
+        ({"kind": "pseudo_real_world", "fallback": "random"},
          "error: pseudo_real_world noise takes no ['fallback']"),
-        (["--kind", "feature_dependent", "--rules", "rules.json", "--level", "0.2"],
+        ({"kind": "feature_dependent", "rules": RULES, "level": 0.2},
          "error: feature_dependent noise takes no ['level']"),
-        (["--kind", "feature_dependent"],
+        ({"kind": "feature_dependent"},
          "error: feature_dependent noise needs 'rules'"),
     ])
     def test_noise_flag_of_another_kind_is_one(self, tmp_path, capsys, flags,
                                                message):
         write_corpus(tmp_path / "corpus.jsonl")
-        (tmp_path / "rules.json").write_text(
-            json.dumps([{"keywords": ["w0"], "label": 0}]), encoding="utf-8")
+        write_config(tmp_path / "cfg.json", noise=flags)
         capsys.readouterr()
-        assert main(["noise", "--in", "corpus.jsonl", *flags,
+        assert main(["noise", "--config", "cfg.json", "--in", "corpus.jsonl",
                      "--out", "n.jsonl"]) == 1
         assert capsys.readouterr().err.startswith(message)
         assert not (tmp_path / "n.jsonl").exists()
@@ -188,8 +199,10 @@ class TestFlagsOfAnotherMode:
 
 
 # the file flag each command reads, and the file kind its errors name
-CONFIG_COMMANDS = {"train": "config", "clean": "config", "compare": "config",
-                   "plotdata": "report"}
+CONFIG_COMMANDS = {"noise": "config", "train": "config", "clean": "config",
+                   "compare": "config", "plotdata": "report"}
+# the other flags a command requires
+REQUIRED_FLAGS = {"noise": ["--in", "corpus.jsonl", "--out", "noised.jsonl"]}
 
 
 class TestConfigFileErrors:
@@ -201,16 +214,20 @@ class TestConfigFileErrors:
     def test_missing_config_is_one(self, tmp_path, capsys, command):
         missing = tmp_path / "nope.json"
         what = CONFIG_COMMANDS[command]
-        assert main([command, f"--{what}", str(missing)]) == 1
+        assert main([command, f"--{what}", str(missing),
+                     *REQUIRED_FLAGS.get(command, [])]) == 1
         assert capsys.readouterr().err.startswith(f"error: no such {what} file")
+        assert not (tmp_path / "noised.jsonl").exists()
 
     @pytest.mark.parametrize("command", CONFIG_COMMANDS)
     def test_invalid_json_is_one(self, tmp_path, capsys, command):
         bad = tmp_path / "bad.json"
         bad.write_text('{"method": "vanilla",', encoding="utf-8")
         what = CONFIG_COMMANDS[command]
-        assert main([command, f"--{what}", str(bad)]) == 1
+        assert main([command, f"--{what}", str(bad),
+                     *REQUIRED_FLAGS.get(command, [])]) == 1
         assert capsys.readouterr().err.startswith(f"error: {what} is not valid JSON")
+        assert not (tmp_path / "noised.jsonl").exists()
 
 
 class TestWrongShapeInputs:
@@ -262,11 +279,10 @@ class TestWrongShapeInputs:
     ])
     def test_noise_rules_of_wrong_shape_are_one(self, tmp_path, capsys, rules):
         corpus = write_corpus(tmp_path / "corpus.jsonl")
-        rules_file = tmp_path / "rules.json"
-        rules_file.write_text(json.dumps(rules), encoding="utf-8")
+        cfg = write_config(tmp_path / "cfg.json",
+                           noise={"kind": "feature_dependent", "rules": rules})
         capsys.readouterr()
-        assert main(["noise", "--in", str(corpus), "--kind", "feature_dependent",
-                     "--rules", str(rules_file),
+        assert main(["noise", "--config", str(cfg), "--in", str(corpus),
                      "--out", str(tmp_path / "noised.jsonl")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "noised.jsonl").exists()
@@ -278,8 +294,9 @@ class TestWrongShapeInputs:
         corpus = write_corpus(tmp_path / "corpus.jsonl")
         out = tmp_path / "out.json"
         if command == "noise":
-            return corpus, out, ["noise", "--in", str(corpus), "--kind",
-                                 "uniform_random", "--level", "0.2", "--out", str(out)]
+            cfg = write_config(tmp_path / "cfg.json")
+            return corpus, out, ["noise", "--config", str(cfg), "--in", str(corpus),
+                                 "--out", str(out)]
         cfg = write_config(tmp_path / "cfg.json", dataset={"path": str(corpus)})
         return corpus, out, ["train", "--config", str(cfg), "--out", str(out)]
 
@@ -361,21 +378,21 @@ class TestOutputPathErrors:
             raise AssertionError("work started before the output was checked")
 
         for name in ("run_experiment", "compare_methods", "_clean_pass",
-                     "_materialize"):
+                     "_materialize", "apply_noise"):
             monkeypatch.setattr(cli, name, reached)
 
     @staticmethod
     def argv(tmp_path, case):
         """argv running case's command with an unwritable output path:
         "nodir" does not exist, "afile" is a file and "adir" a directory.
-        A "-config" case names the path in the config's "output" key, and a
-        "-nul" one names a path holding a NUL byte."""
+        A "-config" case names the path in an "output" key, which no config
+        may hold, and a "-nul" one names a path holding a NUL byte."""
         (tmp_path / "afile").write_text("", encoding="utf-8")
         (tmp_path / "adir").mkdir()
         if case in ("noise", "noise-matrix-dir"):
             write_corpus(tmp_path / "corpus.jsonl")
-            return ["noise", "--in", "corpus.jsonl", "--kind", "uniform_random",
-                    "--level", "0.2", "--out", "noised.jsonl", "--matrix-out",
+            return ["noise", "--config", str(write_config(tmp_path / "cfg.json")),
+                    "--in", "corpus.jsonl", "--out", "noised.jsonl", "--matrix-out",
                     "adir" if case == "noise-matrix-dir" else "nodir/m.csv"]
         if case.startswith("plotdata"):
             (tmp_path / "report.json").write_text(
@@ -392,12 +409,14 @@ class TestOutputPathErrors:
         out = {"gen": ["--out-dir", "afile/x"],
                "gen-file": ["--out-dir", "afile"],
                "train": ["--out", "nodir/r.json"],
+               "train-nul": ["--out", "r\0.json"],
                "train-config": {"output": "nodir/r.json"},
                "train-config-nul": {"output": "r\0.json"},
                "compare": ["--out", "nodir/t.csv"],
                "compare-config": {"output": "nodir/t.csv"},
                "clean": ["--out-dir", "afile/x"],
                "clean-file": ["--out-dir", "afile"],
+               "clean-nul": ["--out-dir", "x\0y"],
                "clean-config": {"output": "afile/x"},
                "clean-config-nul": {"output": "x\0y"}}[case]
         overrides = {**configs[command], **(out if isinstance(out, dict) else {})}
@@ -405,8 +424,8 @@ class TestOutputPathErrors:
         return [command, "--config", cfg, *(out if isinstance(out, list) else [])]
 
     @pytest.mark.parametrize("case", [
-        "gen", "gen-file", "noise", "noise-matrix-dir", "train", "train-config",
-        "train-config-nul", "clean", "clean-file",
+        "gen", "gen-file", "noise", "noise-matrix-dir", "train", "train-nul",
+        "train-config", "train-config-nul", "clean", "clean-file", "clean-nul",
         "clean-config", "clean-config-nul", "compare", "compare-config",
         "plotdata", "plotdata-under-file"])
     def test_unwritable_output_is_one(self, tmp_path, capsys, case):
@@ -416,6 +435,8 @@ class TestOutputPathErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        if "-config" in case:
+            assert err == "error: unknown config keys: ['output']\n"
         # noise checks --matrix-out before it writes --out
         assert not (tmp_path / "noised.jsonl").exists()
 
@@ -469,10 +490,10 @@ class TestPipelines:
         data = tmp_path / "data"
         corpus = data / "train.jsonl"
         noised = tmp_path / "noised.jsonl"
-        assert main(["gen", "--config", str(write_config(tmp_path / "gen.json")),
-                     "--out-dir", str(data)]) == 0
-        assert main(["noise", "--in", str(corpus), "--kind", "uniform_random",
-                     "--level", "0.2", "--seed", "1", "--out", str(noised),
+        gen_cfg = str(write_config(tmp_path / "gen.json"))
+        assert main(["gen", "--config", gen_cfg, "--out-dir", str(data)]) == 0
+        assert main(["noise", "--config", gen_cfg, "--in", str(corpus),
+                     "--out", str(noised),
                      "--matrix-out", str(tmp_path / "matrix.csv")]) == 0
         assert (tmp_path / "matrix.csv").read_text().startswith("gold\\observed")
         # a corpus whose test portion would be noisy is rejected outright
@@ -621,6 +642,60 @@ class TestGen:
         assert main(["gen", "--config", str(cfg), "--out-dir", str(out),
                      "--format", "tsv"]) == 1
         assert capsys.readouterr().err.startswith("error: TSV cannot store")
+        assert not out.exists()
+
+
+class TestNoise:
+    """noise writes the noise that train's first run puts on its training
+    split: the config's noise section drawn from base_seed, or a preset's own
+    rule labeler when there is no section."""
+
+    SYNTHETIC = {"synthetic": {"classes": 3, "instances": 240,
+                               "vocab_per_class": 20, "seed": 7,
+                               "annotators_per_instance": 2}}
+
+    @pytest.mark.parametrize("dataset, noise, fmt", [
+        ({"preset": "yoruba_like"}, None, "jsonl"),
+        ({"preset": "hausa_like", "corpus_seed": 5}, None, "jsonl"),
+        ({"preset": "separable"}, {"kind": "uniform_random", "level": 0.25},
+         "jsonl"),
+        ({"preset": "separable"}, {"kind": "pseudo_real_world", "level": 0.2},
+         "jsonl"),
+        (SYNTHETIC, {"kind": "feature_dependent", "fallback": "random", "seed": 3,
+                     "rules": [{"keywords": ["tok0001"], "label": "class1"}]},
+         "jsonl"),
+        (SYNTHETIC, {"kind": "uniform_random", "level": 0.3}, "tsv"),
+        (SYNTHETIC, {"kind": "none"}, "jsonl"),
+    ], ids=["yoruba_like", "hausa_like", "uniform_random", "pseudo_real_world",
+            "feature_dependent", "tsv", "none"])
+    def test_output_equals_run_zero_training_split(self, tmp_path, dataset,
+                                                   noise, fmt):
+        split = None if "preset" in dataset else {"seed": 7}
+        cfg = write_config(tmp_path / "cfg.json", dataset=dataset, noise=noise,
+                           split=split)
+        data, cli, ref = tmp_path / "data", tmp_path / "cli", tmp_path / "ref"
+        assert main(["gen", "--config", str(cfg), "--out-dir", str(data),
+                     "--format", fmt]) == 0
+        cli.mkdir()
+        assert main(["noise", "--config", str(cfg), "--in", str(data / f"train.{fmt}"),
+                     "--format", fmt, "--out", str(cli / f"noised.{fmt}"),
+                     "--matrix-out", str(cli / "matrix.csv")]) == 0
+        parsed = ExperimentConfig.from_dict(json.loads(cfg.read_text(encoding="utf-8")))
+        train, _ = _apply_noise(_materialize(parsed), parsed, parsed.base_seed)
+        ref.mkdir()
+        save_dataset(train, ref / f"noised.{fmt}", fmt)
+        noise_matrix(train).save(ref / "matrix.csv")
+        assert TestGen.files(cli) == TestGen.files(ref)
+
+    def test_preset_with_a_split_is_one(self, tmp_path, capsys):
+        # the preset lookup train makes, so noise rejects what train rejects
+        cfg = write_config(tmp_path / "cfg.json", dataset={"preset": "separable"})
+        corpus = write_corpus(tmp_path / "corpus.jsonl")
+        out = tmp_path / "noised.jsonl"
+        assert main(["noise", "--config", str(cfg), "--in", str(corpus),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: a preset fixes its own split; drop 'split'\n"
         assert not out.exists()
 
 

@@ -386,6 +386,11 @@ class TestManifest:
         lambda d, p: write_manifest(d["manifest"], [1]),
         lambda d, p: write_manifest(d["manifest"], [{"checkpoint": 5}]),
         lambda d, p: write_manifest(d["manifest"], {"checkpoint": "member00.ckpt"}),
+        # each names the valid member00.ckpt by a path, not a plain file name
+        lambda d, p: write_manifest(d["manifest"],
+                                    [{"checkpoint": str(d["member"].resolve())}]),
+        lambda d, p: write_manifest(d["manifest"], [{"checkpoint": str(
+            Path("..", d["member"].parent.name, d["member"].name))}]),
         lambda d, p: d["member"].unlink(),
         lambda d, p: d["manifest"].write_bytes(b"\xff"),
     ], ids=["truncated", "truncated-header", "unknown-version", "heads-not-int",
@@ -394,7 +399,8 @@ class TestManifest:
             "non-finite", "missing-array", "trailing-bytes", "huge-declared-shape",
             "v1-no-ngram-orders",
             "v1-wrong-type", "v1-not-json", "member-not-object",
-            "checkpoint-not-string", "members-not-list", "missing-member-file",
+            "checkpoint-not-string", "members-not-list", "checkpoint-absolute",
+            "checkpoint-outside-directory", "missing-member-file",
             "manifest-not-json"])
     def test_malformed_input_raises_validation_error(self, tmp_path, corrupt):
         feat = Featurizer(hash_dim=16, ngram_orders=(1, 2), hash_seed=5)

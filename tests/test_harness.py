@@ -248,7 +248,7 @@ def valid_configs(tmp_path_factory):
          "train": SMALL_TRAIN,
          "cleaning": {"folds": 3, "tuning_quantiles": [0.5, 0.9]},
          "runs": 2, "base_seed": 1, "noise_validation": False,
-         "reproducible": True, "output": "report.json"},
+         "reproducible": True},
         {"method": "hme", "dataset": {"path": str(corpus), "format": "jsonl"},
          "split": split, "noise": {"kind": "pseudo_real_world", "level": 0.1},
          "ensemble": {"members": 2, "subset_fraction": 0.8},
