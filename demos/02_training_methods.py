@@ -8,14 +8,14 @@ from noisylabels import (
     CetaConfig,
     CoteachSchedule,
     evaluate,
+    get_preset,
     noise_level,
     train_ceta,
     train_coteaching,
     train_vanilla,
-    yoruba_like_preset,
 )
 
-preset = yoruba_like_preset()
+preset = get_preset("yoruba_like")
 train, val, test = preset.noisy_splits()
 print(f"train noise level: {noise_level(train):.3f} "
       f"({len(train)} instances, {len(train.label_set)} classes)")

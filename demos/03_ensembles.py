@@ -8,19 +8,19 @@ from noisylabels import (
     COMPACT_GRID,
     EnsembleSpec,
     evaluate,
+    get_preset,
     inject_uniform_noise,
     load_ensemble,
     predict_ensemble,
     sample_grid_configs,
     save_ensemble,
-    separable_preset,
     train_boosting,
     train_heterogeneous,
     train_homogeneous,
     train_vanilla,
 )
 
-preset = separable_preset()
+preset = get_preset("separable")
 train, val, test = preset.clean_splits()
 train = inject_uniform_noise(train, 0.3, seed=1)
 val = inject_uniform_noise(val, 0.3, seed=2)

@@ -8,15 +8,14 @@ from noisylabels import (
     CleanConfig,
     clean_dataset,
     evaluate,
-    hausa_like_preset,
+    get_preset,
     retrain_on_cleaned,
     threshold_sweep_csv,
     train_vanilla,
     tune_threshold,
-    yoruba_like_preset,
 )
 
-for preset in (yoruba_like_preset(), hausa_like_preset()):
+for preset in (get_preset("yoruba_like"), get_preset("hausa_like")):
     train, val, test = preset.noisy_splits()
     cfg = replace(preset.train_config, seed=0)
     feat = preset.featurizer

@@ -84,16 +84,11 @@ from .harness import (
 from .presets import (
     PRESET_NAMES,
     Preset,
-    core_vocabulary_rules,
     get_preset,
-    hausa_like_preset,
-    separable_preset,
-    yoruba_like_preset,
 )
 from .training import (
     CetaConfig,
     CoteachSchedule,
-    history_to_csv,
     total_variation,
     train_ceta,
     train_coteaching,

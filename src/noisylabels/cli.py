@@ -6,7 +6,8 @@ failure. A JSON experiment config (see README) holds every experiment
 setting, and flags name only files. The config drives gen (the clean splits
 of its dataset), noise (the noise train's first run puts on its training
 split, applied to one corpus file), train (every method, ensembles
-included), clean (every cleaning output) and compare; its runs, folds,
+included), clean (every cleaning output) and compare (a methods-by-noise
+table whose first row is always vanilla on clean data); its runs, folds,
 threshold candidates and ensemble members run in order. plotdata turns a
 train report into a CSV.
 """
@@ -115,8 +116,9 @@ def _cmd_clean(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    raw = _read_json(args.config, "config")
+def _compare_configs(raw) -> list[ExperimentConfig]:
+    """One config per cell of a compare config: its keys other than
+    'experiments', updated by the cell's own keys."""
     if not isinstance(raw, dict):
         raise ValidationError("config root must be a JSON object")
     experiments = raw.get("experiments")
@@ -125,8 +127,11 @@ def _cmd_compare(args) -> int:
         raise ValidationError("compare config needs an 'experiments' list of "
                               "objects")
     shared = {k: v for k, v in raw.items() if k != "experiments"}
-    cfgs = [ExperimentConfig.from_dict({**shared, **exp}) for exp in experiments]
-    table, _ = compare_methods(cfgs, include_clean_baseline=not args.no_clean_row)
+    return [ExperimentConfig.from_dict({**shared, **exp}) for exp in experiments]
+
+
+def _cmd_compare(args) -> int:
+    table, _ = compare_methods(_compare_configs(_read_json(args.config, "config")))
     if args.out:
         Path(args.out).write_text(table.to_csv(), encoding="utf-8")
         print(f"CSV written to {args.out}")
@@ -209,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("compare", help="method-by-noise comparison table")
     comp.add_argument("--config", required=True)
     comp.add_argument("--out")
-    comp.add_argument("--no-clean-row", action="store_true")
     comp.set_defaults(fn=_cmd_compare)
 
     plot = sub.add_parser("plotdata", help="write a report's per-run "
@@ -228,7 +232,9 @@ def main(argv: list[str] | None = None) -> int:
         for out in (getattr(args, "out", None), getattr(args, "matrix_out", None)):
             _check_file(out)
         return args.fn(args)
-    except (ValidationError, OSError) as exc:  # OSError: an unwritable output
+    # OSError: an unwritable output; MemoryError and OverflowError: a size
+    # setting too large to allocate or to hold in a C integer
+    except (ValidationError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NoisyLabelsError as exc:

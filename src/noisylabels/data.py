@@ -242,11 +242,13 @@ def load_dataset(path: str | Path, format: str = "jsonl") -> Dataset:
                 gold = None
                 if obj.get("gold_label") is not None:
                     gold = labels.resolve(str(obj["gold_label"]), line_no)
-                annotators = None
-                if obj.get("annotator_labels") is not None:
-                    annotators = tuple(
-                        labels.resolve(str(a), line_no) for a in obj["annotator_labels"]
-                    )
+                annotators = obj.get("annotator_labels")
+                if annotators is not None:
+                    if not isinstance(annotators, list):
+                        raise DataFormatError("annotator_labels must be a list "
+                                              "or null", line=line_no)
+                    annotators = tuple(labels.resolve(str(a), line_no)
+                                       for a in annotators)
                 rows.append(Instance(str(obj["id"]), str(obj["text"]), observed,
                                      gold, annotators))
         else:

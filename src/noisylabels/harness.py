@@ -4,7 +4,8 @@ comparison tables and plot-ready CSV emission.
 One JSON config file describes dataset, noise, method and hyperparameters;
 run_experiment executes `runs` seeded repetitions (noise is regenerated per
 run where it is seeded) and reports mean and population standard deviation
-of clean-test accuracy. Reports are byte-reproducible in reproducible mode.
+of clean-test accuracy. Reports hold no wall-clock time, so re-running a
+config reproduces its report byte for byte.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -68,7 +68,6 @@ class ExperimentConfig:
     runs: int = 5
     base_seed: int = 0
     noise_validation: bool = True
-    reproducible: bool = True
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -200,7 +199,6 @@ class ExperimentReport:
     accuracy_mean: float
     accuracy_std: float
     config: dict
-    wall_clock_seconds: float | None
     partial: bool
 
     def to_json(self) -> str:
@@ -272,7 +270,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     run trains the fold models and one model per threshold candidate (5 + 9
     with the defaults) and reuses the winner as the retrained model.
     """
-    started = time.perf_counter()
     mat = _materialize(cfg)
     x_test = featurize_dataset(cfg.featurizer, mat.test)
 
@@ -294,8 +291,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         accuracy_mean=float(np.mean(accuracies)),
         accuracy_std=float(np.std(accuracies)),
         config=asdict(cfg),
-        wall_clock_seconds=None if cfg.reproducible
-        else time.perf_counter() - started,
         partial=len(accuracies) < cfg.runs,
     )
 
@@ -347,13 +342,12 @@ def _format_cell(report: ExperimentReport) -> str:
     return f"{100 * report.accuracy_mean:.2f} ± {100 * report.accuracy_std:.2f}"
 
 
-def compare_methods(cfgs: list[ExperimentConfig],
-                    include_clean_baseline: bool = True
+def compare_methods(cfgs: list[ExperimentConfig]
                     ) -> tuple[ComparisonTable, list[ExperimentReport]]:
     """Run each config and arrange results as methods x noise settings.
 
-    All configs must share the dataset section. A clean-data vanilla row is
-    added as the ceiling unless disabled.
+    All configs must share the dataset section. The first row is vanilla on
+    clean data, the ceiling, and the first report is its report.
     """
     if not cfgs:
         raise ValidationError("compare_methods needs at least one config")
@@ -362,15 +356,11 @@ def compare_methods(cfgs: list[ExperimentConfig],
         if cfg.dataset != first.dataset or cfg.split != first.split:
             raise ValidationError("all compared configs must share the dataset")
 
-    rows: list[str] = []
-    columns: list[str] = []
+    clean_row = "vanilla (clean data)"
+    rows, columns = [clean_row], []
     cells: dict[tuple[str, str], str] = {}
-    reports = []
-    if include_clean_baseline:
-        clean_cfg = replace(first, method="vanilla", noise={"kind": "none"})
-        clean_report = run_experiment(clean_cfg)
-        reports.append(clean_report)
-        rows.append("vanilla (clean data)")
+    reports = [run_experiment(replace(first, method="vanilla",
+                                      noise={"kind": "none"}))]
     for cfg in cfgs:
         report = run_experiment(cfg)
         reports.append(report)
@@ -380,9 +370,8 @@ def compare_methods(cfgs: list[ExperimentConfig],
         if col not in columns:
             columns.append(col)
         cells[(row, col)] = _format_cell(report)
-    if include_clean_baseline:
-        for col in columns:
-            cells[("vanilla (clean data)", col)] = _format_cell(reports[0])
+    for col in columns:
+        cells[(clean_row, col)] = _format_cell(reports[0])
     return ComparisonTable(rows, columns, cells), reports
 
 

@@ -26,8 +26,6 @@ from .errors import ValidationError
 from .model import Featurizer, TrainConfig
 from .noise import LabelRule, RuleLabeler, apply_noise
 
-PRESET_NAMES = ("separable", "yoruba_like", "hausa_like")
-
 
 def core_vocabulary_rules(
     n_classes: int,
@@ -103,65 +101,37 @@ class Preset:
                 apply_noise(val, None, 1, self.labeler), test)
 
 
-def separable_preset(corpus_seed: int = 101) -> Preset:
-    """5 balanced classes with disjoint vocabularies; trivially learnable."""
-    return Preset(
-        name="separable",
-        n_classes=5,
-        n_instances=2000,
-        vocab_per_class=40,
-        overlap=0.0,
-        class_weights=None,
-        global_token_fraction=0.0,
-        labeler=None,
-        corpus_seed=corpus_seed,
-        split=SplitSpec(0.70, 0.10, 0.20, seed=corpus_seed),
-        annotators_per_instance=3,
-    )
-
-
-def yoruba_like_preset(corpus_seed: int = 2024) -> Preset:
-    """7 moderately skewed classes, ~1340 train texts, ~35% rule noise."""
-    n_classes, vocab, overlap = 7, 60, 2 / 60
-    return Preset(
-        name="yoruba_like",
-        n_classes=n_classes,
-        n_instances=1908,
-        vocab_per_class=vocab,
-        overlap=overlap,
+# name -> (default corpus seed, every other Preset field); each preset splits
+# 70/10/20, shuffled by its corpus seed
+_PRESETS = {
+    # 5 balanced classes with disjoint vocabularies; trivially learnable
+    "separable": (101, dict(
+        n_classes=5, n_instances=2000, vocab_per_class=40, overlap=0.0,
+        class_weights=None, global_token_fraction=0.0, labeler=None,
+        annotators_per_instance=3)),
+    # 7 moderately skewed classes, ~1340 train texts, ~35% rule noise
+    "yoruba_like": (2024, dict(
+        n_classes=7, n_instances=1908, vocab_per_class=60, overlap=2 / 60,
         class_weights=(0.7, 0.8, 0.9, 1.0, 1.1, 1.3, 1.6),
         global_token_fraction=0.06,
-        labeler=core_vocabulary_rules(n_classes, vocab, overlap, core_size=18),
-        corpus_seed=corpus_seed,
-        split=SplitSpec(0.70, 0.10, 0.20, seed=corpus_seed),
-    )
-
-
-def hausa_like_preset(corpus_seed: int = 4477) -> Preset:
-    """5 classes, ~2045 train texts, ~50% rule noise, one class whose rule
-    errors outnumber its correct labels."""
-    n_classes, vocab, overlap = 5, 60, 0.05
-    return Preset(
-        name="hausa_like",
-        n_classes=n_classes,
-        n_instances=2921,
-        vocab_per_class=vocab,
-        overlap=overlap,
-        class_weights=(1.2, 1.0, 1.1, 0.95, 0.9),
-        global_token_fraction=0.03,
-        labeler=core_vocabulary_rules(n_classes, vocab, overlap, core_size=20,
-                                      theft={0: (1, 9), 1: (2, 4)}),
-        corpus_seed=corpus_seed,
-        split=SplitSpec(0.70, 0.10, 0.20, seed=corpus_seed),
-    )
+        labeler=core_vocabulary_rules(7, 60, 2 / 60, core_size=18))),
+    # 5 classes, ~2045 train texts, ~50% rule noise, one class whose rule
+    # errors outnumber its correct labels
+    "hausa_like": (4477, dict(
+        n_classes=5, n_instances=2921, vocab_per_class=60, overlap=0.05,
+        class_weights=(1.2, 1.0, 1.1, 0.95, 0.9), global_token_fraction=0.03,
+        labeler=core_vocabulary_rules(5, 60, 0.05, core_size=20,
+                                      theft={0: (1, 9), 1: (2, 4)}))),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def get_preset(name: str, corpus_seed: int | None = None) -> Preset:
-    factories = {
-        "separable": separable_preset,
-        "yoruba_like": yoruba_like_preset,
-        "hausa_like": hausa_like_preset,
-    }
-    if name not in factories:
+    """The named preset, its corpus and split drawn from corpus_seed (None:
+    the preset's own seed)."""
+    if name not in _PRESETS:
         raise ValidationError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    return factories[name]() if corpus_seed is None else factories[name](corpus_seed)
+    default_seed, fields = _PRESETS[name]
+    seed = default_seed if corpus_seed is None else corpus_seed
+    return Preset(name=name, **fields, corpus_seed=seed,
+                  split=SplitSpec(0.70, 0.10, 0.20, seed=seed))

@@ -9,8 +9,6 @@ networks can share one batch schedule while being seeded independently.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -38,8 +36,6 @@ from .model import (
 from .util import derive_rng
 
 MEMBER_METHODS = ("vanilla", "coteaching", "ceta")
-HISTORY_COLUMNS = ("step", "train_batch_loss", "val_accuracy", "kept_fraction",
-                   "consensus_fraction")
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> np.ndarray | float:
@@ -136,18 +132,6 @@ class Featurized:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-
-def history_to_csv(history: list[dict]) -> str:
-    """Per-step training log as CSV (missing fields left blank)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(HISTORY_COLUMNS)
-    for row in history:
-        writer.writerow(["" if row.get(col) is None else repr(row[col])
-                         if isinstance(row.get(col), float) else row.get(col)
-                         for col in HISTORY_COLUMNS])
-    return buf.getvalue()
 
 
 def _init_seed(cfg: TrainConfig) -> int:

@@ -312,8 +312,7 @@ class TestCriterion8:
 
 
 class TestCriterion9:
-    @criterion(9, "CLI experiments re-run byte-identically in "
-                  "reproducible mode")
+    @criterion(9, "CLI experiments re-run byte-identically")
     def test_cli_determinism(self, tmp_path):
         config = {
             "method": "nc",
@@ -329,7 +328,6 @@ class TestCriterion9:
             "cleaning": {"folds": 3, "tuning_quantiles": [0.6, 0.9]},
             "runs": 2,
             "base_seed": 1,
-            "reproducible": True,
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config), encoding="utf-8")

@@ -122,21 +122,24 @@ class TestUsageErrors:
         ["ensemble", "--config", "cfg.json"],
         ["noise", "--config", "cfg.json", "--in", "c.jsonl", "--format", "xml",
          "--out", "n.jsonl"],
-        ["compare", "--config", "cfg.json", "--no-clean-row=yes"],
         ["gen", "--colours", "3"],
         ["gen", "--config", "cfg.json", "--classes", "three"],
         ["train", "--config", "cfg.json", "--runs", "3"],
         ["train", "--config", "cfg.json", "--method", "nc"],
         ["noise", "--config", "cfg.json", "--in", "c.jsonl", "--out", "n.jsonl",
          "--kind", "uniform_random"],
+        ["compare", "--config", "cfg.json", "--no-clean-row"],
     ], ids=["no-subcommand", "missing-required-flag", "unknown-subcommand",
-            "bad-choice", "bad-value", "unknown-flag", "removed-flag",
-            "removed-train-runs", "removed-train-method", "removed-noise-kind"])
-    def test_usage_error_is_one(self, tmp_path, capsys, argv):
+            "bad-choice", "unknown-flag", "removed-flag", "removed-train-runs",
+            "removed-train-method", "removed-noise-kind",
+            "removed-compare-no-clean-row"])
+    def test_usage_error_is_one(self, tmp_path, capsys, request, argv):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "usage:" not in err
+        if request.node.callspec.id.startswith("removed-"):
+            assert "unrecognized arguments" in err
         assert not list(tmp_path.iterdir())
 
     def test_help_is_zero(self, capsys):
@@ -271,6 +274,42 @@ class TestWrongShapeInputs:
         assert main(["compare", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith(
             "error: compare config needs an 'experiments' list")
+
+    @pytest.mark.parametrize("annotators", [5, "yz", {"k": 1}, True],
+                             ids=["int", "str", "object", "bool"])
+    def test_annotator_labels_not_a_list_is_one(self, tmp_path, capsys,
+                                               annotators):
+        rows = [{"id": "a", "text": "x", "label": "l1"},
+                {"id": "b", "text": "y", "label": "l2",
+                 "annotator_labels": annotators}]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in rows),
+                          encoding="utf-8")
+        with pytest.raises(ValidationError,
+                           match="^line 2: annotator_labels must be a list"):
+            load_dataset(corpus)
+        cfg = write_config(tmp_path / "cfg.json")
+        before = sorted(tmp_path.iterdir())
+        assert main(["noise", "--config", str(cfg), "--in", str(corpus),
+                     "--out", str(tmp_path / "noised.jsonl")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: line 2: annotator_labels must be a list")
+        assert sorted(tmp_path.iterdir()) == before
+
+    # 2^40 hash rows of a 16-wide float64 encoder take 128 TiB, which no
+    # allocator grants, so the request is refused at once; 2^63 instances do
+    # not fit the C integer numpy draws them into
+    @pytest.mark.parametrize("overrides, message", [
+        ({"featurizer": {"hash_dim": 2 ** 40}}, "Unable to allocate"),
+        ({"dataset": {"synthetic": {"classes": 3, "instances": 2 ** 63}}},
+         "Python int too large")], ids=["hash-dim", "instances"])
+    def test_setting_too_large_is_one(self, tmp_path, capsys, overrides,
+                                      message):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "report.json"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("rules", [
         [1], {"a": 1}, [{"keywords": 5, "label": 0}],

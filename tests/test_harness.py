@@ -36,7 +36,7 @@ from noisylabels import DivergenceError, clean_dataset, retrain_on_cleaned, \
     tune_threshold
 from noisylabels import harness, training
 from noisylabels.cleaning import ThresholdDiagnostic
-from noisylabels.cli import main
+from noisylabels.cli import _compare_configs, main
 from noisylabels.harness import _apply_noise, _materialize, _noise_label
 
 
@@ -84,11 +84,20 @@ class TestRunExperiment:
         assert levels == {round(0.2 * 210) / 210}
         assert [r["seed"] for r in report.per_run] == [3, 4, 5]
 
-    def test_wall_clock_excluded_in_reproducible_mode(self):
+    def test_report_holds_no_wall_clock(self):
         report = run_experiment(base_config(runs=1))
-        assert report.wall_clock_seconds is None
-        loud = run_experiment(base_config(runs=1, reproducible=False))
-        assert loud.wall_clock_seconds > 0
+        assert "wall_clock_seconds" not in json.loads(report.to_json())
+
+    def test_reproducible_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "vanilla", "reproducible": False,
+                                   "dataset": {"preset": "separable"}}),
+                       encoding="utf-8")
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == \
+            "error: unknown config keys: ['reproducible']\n"
+        assert not (tmp_path / "r.json").exists()
 
     def test_nc_method_records_cleaning_stats(self):
         cfg = base_config(
@@ -247,8 +256,7 @@ def valid_configs(tmp_path_factory):
          "featurizer": {"hash_dim": 256, "ngram_orders": [1, 2], "hash_seed": 1},
          "train": SMALL_TRAIN,
          "cleaning": {"folds": 3, "tuning_quantiles": [0.5, 0.9]},
-         "runs": 2, "base_seed": 1, "noise_validation": False,
-         "reproducible": True},
+         "runs": 2, "base_seed": 1, "noise_validation": False},
         {"method": "hme", "dataset": {"path": str(corpus), "format": "jsonl"},
          "split": split, "noise": {"kind": "pseudo_real_world", "level": 0.1},
          "ensemble": {"members": 2, "subset_fraction": 0.8},
@@ -350,6 +358,41 @@ class TestMalformedConfigProperties:
                 assert err.getvalue().startswith("error: ")
                 assert not out.exists()
 
+    # a 60-instance corpus, a 5-step training and one run a cell keep each
+    # compare to a few milliseconds
+    COMPARE = {
+        "dataset": {"synthetic": {"classes": 3, "instances": 60,
+                                  "vocab_per_class": 8, "overlap": 0.0,
+                                  "seed": 2}},
+        "split": {"train": 0.6, "validation": 0.2, "test": 0.2, "seed": 1},
+        "featurizer": {"hash_dim": 256},
+        "train": {"steps": 5, "batch_size": 8, "eval_every": 5,
+                  "hidden_size": 8},
+        "runs": 1,
+        "experiments": [
+            {"method": "vanilla",
+             "noise": {"kind": "uniform_random", "level": 0.2}},
+            {"method": "coteaching", "noise": {"kind": "none"}},
+        ],
+    }
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_compare_exits_zero_one_or_two(self, data):
+        raw = data.draw(malformed(self.COMPARE))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "table.csv"
+            cfg.write_text(json.dumps(raw), encoding="utf-8")
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(["compare", "--config", str(cfg), "--out", str(out)])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if code:
+                assert err.getvalue().startswith(
+                    "error: " if code == 1 else "method failure: ")
+                assert not out.exists()
+
 
 class TestOneDefaultPerKnob:
     """A preset config whose train, featurizer or coteaching section restates
@@ -377,21 +420,27 @@ class TestOneDefaultPerKnob:
 
 
 def test_readme_configs_parse():
+    """README's experiment config, and every cell of its compare config
+    built the way compare builds it, materialize and noise."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
-    assert blocks
-    for block in blocks:
-        train, val = materialize_and_noise(json.loads(block))
-        assert len(train) and len(val)
+    blocks = [json.loads(block) for block in
+              re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)]
+    assert [("experiments" in raw) for raw in blocks] == [False, True]
+    for raw in blocks:
+        for cfg in _compare_configs(raw) if "experiments" in raw \
+                else [ExperimentConfig.from_dict(raw)]:
+            train, val = _apply_noise(_materialize(cfg), cfg, cfg.base_seed)
+            assert len(train) and len(val)
 
 
 class TestCompareMethods:
     def test_single_cell_matches_run_experiment(self):
         cfg = base_config(runs=1)
-        table, reports = compare_methods([cfg], include_clean_baseline=False)
-        assert table.rows == ["vanilla"]
+        table, reports = compare_methods([cfg])
+        assert table.rows == ["vanilla (clean data)", "vanilla"]
         assert table.columns == ["uniform_random 20%"]
         solo = run_experiment(cfg)
+        assert reports[1].to_json() == solo.to_json()
         expected = (f"{100 * solo.accuracy_mean:.2f} ± "
                     f"{100 * solo.accuracy_std:.2f}")
         assert table.cells[("vanilla", "uniform_random 20%")] == expected
@@ -400,7 +449,7 @@ class TestCompareMethods:
         cfgs = [base_config(runs=1,
                             noise={"kind": "uniform_random", "level": lvl})
                 for lvl in (0.1, 0.2, 0.3)]
-        table, _ = compare_methods(cfgs, include_clean_baseline=True)
+        table, _ = compare_methods(cfgs)
         assert table.columns == ["uniform_random 10%", "uniform_random 20%",
                                  "uniform_random 30%"]
         assert table.rows[0] == "vanilla (clean data)"
@@ -413,8 +462,8 @@ class TestCompareMethods:
 
     def test_row_order_follows_config_order(self):
         cfgs = [base_config(method=m, runs=1) for m in ("ceta", "vanilla")]
-        table, _ = compare_methods(cfgs, include_clean_baseline=False)
-        assert table.rows == ["ceta", "vanilla"]
+        table, _ = compare_methods(cfgs)
+        assert table.rows == ["vanilla (clean data)", "ceta", "vanilla"]
 
     def test_mismatched_dataset_rejected(self):
         a = base_config()

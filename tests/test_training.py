@@ -14,7 +14,6 @@ from noisylabels import (
     ValidationError,
     evaluate,
     generate_synthetic_corpus,
-    history_to_csv,
     inject_uniform_noise,
     init_params,
     split_dataset,
@@ -416,27 +415,26 @@ class TestTrainMethod:
                    for a, b in zip(model.arrays(), public.arrays()))
 
 
-class TestHistoryExport:
-    def test_csv_columns(self, small_splits, tiny_featurizer, fast_config):
+class TestHistory:
+    def test_rows(self, small_splits, tiny_featurizer, fast_config):
         train, val, _ = small_splits
         _, history = train_vanilla(train, val, fast_config, tiny_featurizer)
-        csv_text = history_to_csv(history)
-        lines = csv_text.strip().split("\n")
-        assert lines[0] == ("step,train_batch_loss,val_accuracy,"
-                            "kept_fraction,consensus_fraction")
-        assert len(lines) == len(history) + 1
-        # a non-eval row leaves val_accuracy blank
-        assert lines[1].split(",")[2] == ""
+        assert [row["step"] for row in history] == \
+            list(range(1, len(history) + 1))
+        assert all(isinstance(row["train_batch_loss"], float) for row in history)
+        # only evaluation steps record a validation accuracy
+        assert "val_accuracy" not in history[0]
+        assert "val_accuracy" in history[fast_config.eval_every - 1]
 
-    def test_method_specific_columns(self, noisy_splits, tiny_featurizer):
+    def test_method_specific_fields(self, noisy_splits, tiny_featurizer):
         train, val, _ = noisy_splits
         cfg = TrainConfig(steps=30, learning_rate=0.5, patience=99,
                           batch_size=16, eval_every=10, seed=0, hidden_size=8)
         _, _, hist = train_coteaching(train, val, cfg,
                                       CoteachSchedule(tau=0.2, ramp_steps=10),
                                       tiny_featurizer)
-        row1 = history_to_csv(hist).strip().split("\n")[1].split(",")
-        assert row1[3] != "" and row1[4] == ""  # kept_fraction filled
+        assert hist[0].get("kept_fraction") is not None
+        assert hist[0].get("consensus_fraction") is None
         _, hist = train_ceta(train, val, cfg, CetaConfig(), tiny_featurizer)
-        row1 = history_to_csv(hist).strip().split("\n")[1].split(",")
-        assert row1[3] == "" and row1[4] != ""  # consensus_fraction filled
+        assert hist[0].get("kept_fraction") is None
+        assert hist[0].get("consensus_fraction") is not None
