@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .data import Dataset
 from .errors import DivergenceError, ValidationError
@@ -214,8 +215,16 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _encode(params: ModelParams, x: sparse.csr_array):
-    """Pre-activations and their ReLU, before any dropout."""
-    pre = x @ params.encoder
+    """Pre-activations and their ReLU, before any dropout.
+
+    x is a csr_array or a training batch with the same data, indices, indptr
+    and shape; the product is scipy's CSR kernel, the one x @ encoder runs,
+    called on those arrays so a batch needs no scipy object of its own.
+    """
+    n_rows, hidden = x.shape[0], params.encoder.shape[1]
+    pre = np.zeros((n_rows, hidden))
+    _sparsetools.csr_matvecs(n_rows, x.shape[1], hidden, x.indptr, x.indices,
+                             x.data, params.encoder.ravel(), pre.ravel())
     return pre, np.maximum(pre, 0.0)
 
 
@@ -290,16 +299,18 @@ def backward_from_logit_grads(
         d_hidden += d_head if scale is None else d_head * scale
     d_pre = d_hidden * (pre > 0.0)
     # x.T restricted to x's distinct columns, which slot[] numbers in
-    # ascending order: each block row sums over the batch rows in the same
-    # order as x.T @ d_pre, so the bits match
+    # ascending order, as CSC arrays for scipy's kernel (the one x.T @ d_pre
+    # runs): each block row sums over the batch rows in the same order as
+    # x.T @ d_pre, so the bits match
     mark = np.zeros(x.shape[1], dtype=bool)
     mark[x.indices] = True
     rows = np.flatnonzero(mark)
-    slot = np.empty(x.shape[1], dtype=np.intp)
+    slot = np.empty(x.shape[1], dtype=x.indptr.dtype)
     slot[rows] = np.arange(len(rows))
-    xt = sparse.csc_array((x.data, slot[x.indices], x.indptr),
-                          shape=(len(rows), x.shape[0]))
-    return Grads(rows, xt @ d_pre, head_grads)
+    block = np.zeros((len(rows), pre.shape[1]))
+    _sparsetools.csc_matvecs(len(rows), x.shape[0], pre.shape[1], x.indptr,
+                             slot[x.indices], x.data, d_pre.ravel(), block.ravel())
+    return Grads(rows, block, head_grads)
 
 
 def mean_ce_and_grads(params: ModelParams, x: sparse.csr_array, y: np.ndarray,

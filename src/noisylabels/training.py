@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -72,12 +72,34 @@ class EarlyStopState:
         return self.evals_since_improvement >= patience
 
 
+class _CSRRows(NamedTuple):
+    """Rows of a CSR matrix as its raw arrays: the four attributes of a
+    csr_array that the model's kernels read, without a scipy object's
+    construction and format checks."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+
+def _take_rows(x, idx: np.ndarray) -> _CSRRows:
+    """x[idx] on the raw arrays: the rows at idx, in that order, each with
+    its indices and values in order, as scipy's row take gives them."""
+    starts = x.indptr[idx]
+    lengths = x.indptr[idx + 1] - starts
+    indptr = np.zeros(len(idx) + 1, dtype=x.indptr.dtype)
+    np.cumsum(lengths, out=indptr[1:])
+    pos = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+    return _CSRRows(x.data[pos], x.indices[pos], indptr, (len(idx), x.shape[1]))
+
+
 class _Batcher:
     """Endless seeded minibatches: reshuffle each epoch, drop ragged tails.
 
     An epoch's rows are gathered from x once, and each batch is a contiguous
-    row slice of that gather: the same rows, indices and values, in the same
-    order, as x[batch].
+    row slice of that gather's arrays: the same rows, indices and values, in
+    the same order, as x[batch].
     """
 
     def __init__(self, x: sparse.csr_array, y: np.ndarray, batch_size: int,
@@ -87,15 +109,20 @@ class _Batcher:
         self.steps_per_epoch = max(1, x.shape[0] // self.batch_size)
         self._step = self.steps_per_epoch
 
-    def next(self) -> tuple[np.ndarray, sparse.csr_array, np.ndarray]:
+    def next(self) -> tuple[np.ndarray, _CSRRows, np.ndarray]:
         """The next batch's row indexes into x, its rows and its labels."""
         if self._step == self.steps_per_epoch:
             self._perm = self.rng.permutation(self.x.shape[0])[
                 :self.steps_per_epoch * self.batch_size]
             self._x, self._y, self._step = self.x[self._perm], self.y[self._perm], 0
-        s = slice(self._step * self.batch_size, (self._step + 1) * self.batch_size)
+        a = self._step * self.batch_size
+        b = a + self.batch_size
         self._step += 1
-        return self._perm[s], self._x[s], self._y[s]
+        x = self._x
+        lo, hi = x.indptr[a], x.indptr[b]
+        rows = _CSRRows(x.data[lo:hi], x.indices[lo:hi], x.indptr[a:b + 1] - lo,
+                       (self.batch_size, x.shape[1]))
+        return self._perm[a:b], rows, self._y[a:b]
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,8 +280,9 @@ def _train_coteaching(data: Featurized, cfg: TrainConfig, sched: CoteachSchedule
                 for net in nets]
         losses, grads = [], []
         for net, other_kept, rng in zip(nets, (kept[1], kept[0]), dropout):
-            loss, g = mean_ce_and_grads(net, xb[other_kept], yb[other_kept],
-                                        scale_rng=rng, train_mode=True)
+            loss, g = mean_ce_and_grads(net, _take_rows(xb, other_kept),
+                                        yb[other_kept], scale_rng=rng,
+                                        train_mode=True)
             losses.append(loss)
             grads.append(g)
         return {

@@ -24,6 +24,7 @@ from noisylabels.ensembles import _predict_features
 from noisylabels.model import Grads, ModelParams, _encode, _forward, \
     _softmax, apply_grads, backward_from_logit_grads, evaluate_features, \
     mean_ce_and_grads, predict_probs
+from noisylabels.training import _CSRRows
 from noisylabels.util import stable_hash
 
 
@@ -476,6 +477,45 @@ class TestApplyGrads:
             assert not np.isfinite(grads.encoder.sum())
         apply_grads(params, grads, 1e-300, 0.0)
         assert np.isfinite(params.encoder).all()
+
+
+def random_csr(rng, n_rows, n_cols, index_dtype, empty_rows=()):
+    """A canonical CSR matrix (sorted distinct indices per row) with the
+    given index dtype; the rows in empty_rows hold nothing."""
+    lengths = rng.integers(0, 6, size=n_rows)
+    lengths[list(empty_rows)] = 0
+    indices = np.concatenate([np.sort(rng.choice(n_cols, k, replace=False))
+                              for k in lengths] + [np.zeros(0, dtype=np.int64)])
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    return sparse.csr_array((rng.normal(size=len(indices)),
+                             indices.astype(index_dtype), indptr.astype(index_dtype)),
+                            shape=(n_rows, n_cols))
+
+
+class TestRawKernels:
+    """The forward and backward call scipy's CSR/CSC kernels on a batch's raw
+    arrays; both must give the bits of scipy's own products."""
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("n_rows, empty_rows", [
+        (32, (0, 5, 31)), (7, ()), (1, ()), (4, (0, 1, 2, 3)), (0, ())])
+    def test_kernels_equal_scipy_products(self, index_dtype, n_rows, empty_rows):
+        rng = np.random.default_rng(n_rows + len(empty_rows))
+        feat = Featurizer(hash_dim=64, hash_seed=0)
+        params = init_params(feat, n_labels=3, hidden_size=8, seed=1)
+        x = random_csr(rng, n_rows, feat.hash_dim, index_dtype, empty_rows)
+        assert x.indices.dtype == x.indptr.dtype == index_dtype
+        raw = _CSRRows(x.data, x.indices, x.indptr, x.shape)
+        for batch in (raw, x):
+            pre, hidden = _encode(params, batch)
+            assert np.array_equal(pre, x @ params.encoder)
+            assert np.array_equal(hidden, np.maximum(x @ params.encoder, 0.0))
+
+            g = rng.normal(size=(n_rows, 3))
+            grads = backward_from_logit_grads(params, batch, pre, [None], {0: g})
+            d_pre = (g @ params.heads[0].weights.T) * (pre > 0.0)
+            assert np.array_equal(grads.rows, np.unique(x.indices))
+            assert np.array_equal(dense_encoder_grad(params, grads), x.T @ d_pre)
 
 
 class TestEvaluate:

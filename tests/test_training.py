@@ -26,7 +26,7 @@ from noisylabels import SplitSpec
 from noisylabels.cli import main
 from noisylabels.model import featurize_dataset, featurize_texts
 from noisylabels.training import MEMBER_METHODS, EarlyStopState, Featurized, \
-    _Batcher, _train_method, ceta_batch_objective
+    _Batcher, _CSRRows, _take_rows, _train_method, ceta_batch_objective
 from noisylabels.util import derive_rng
 from tests.test_model import assert_matches_central_differences, \
     dense_encoder_grad
@@ -112,6 +112,20 @@ class TestBatcher:
                     assert np.array_equal(getattr(xb, attr), getattr(expected, attr))
                 assert xb.shape == expected.shape
                 assert np.array_equal(yb, y[batch])
+
+
+class TestTakeRows:
+    @pytest.mark.parametrize("idx", [[0, 2, 3], [1], [], [0, 1, 2, 3, 4, 5],
+                                     [5, 0, 2, 2]])
+    def test_equals_scipy_row_take(self, idx, tiny_featurizer):
+        # rows 1 and 4 are empty
+        x = featurize_texts(tiny_featurizer, ["a b c", "", "b d", "e", "", "a e f g"])
+        raw = _CSRRows(x.data, x.indices, x.indptr, x.shape)
+        idx = np.array(idx, dtype=np.int64)
+        taken, expected = _take_rows(raw, idx), x[idx]
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(taken, attr), getattr(expected, attr))
+        assert taken.shape == expected.shape
 
 
 class TestEarlyStopState:
