@@ -147,11 +147,20 @@ class Head:
 
 @dataclass
 class ModelParams:
-    """Encoder matrix plus one weight/bias pair per softmax head."""
+    """Encoder matrix plus one weight/bias pair per softmax head.
 
-    encoder: np.ndarray  # hash_dim x hidden
+    The effective encoder is encoder_scale * encoder: weight decay multiplies
+    the scale rather than every row (Bottou, "Stochastic Gradient Descent
+    Tricks", 2012, section 5.1), so an SGD step writes only its batch's rows.
+    Every model that init_params draws, load_model reads or a trainer returns
+    has scale 1.0; copy(), arrays() and checkpoints hold the product and
+    leave the model as it is.
+    """
+
+    encoder: np.ndarray  # hash_dim x hidden, times encoder_scale
     heads: list[Head]
     drop_rate: float = 0.0
+    encoder_scale: float = 1.0
 
     @property
     def n_heads(self) -> int:
@@ -162,15 +171,23 @@ class ModelParams:
         return self.heads[0].bias.shape[0]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.encoder.copy(), [h.copy() for h in self.heads],
-                           self.drop_rate)
+        """A scale-1.0 copy holding the effective encoder."""
+        return ModelParams(self.encoder * self.encoder_scale,
+                           [h.copy() for h in self.heads], self.drop_rate)
 
     def arrays(self) -> list[np.ndarray]:
-        """The encoder, then each head's weights and bias."""
-        return [self.encoder] + [a for h in self.heads for a in (h.weights, h.bias)]
+        """The effective encoder (the model's own array at scale 1.0, else a
+        new product), then each head's weights and bias."""
+        encoder = self.encoder if self.encoder_scale == 1.0 \
+            else self.encoder * self.encoder_scale
+        return [encoder] + self._head_arrays()
+
+    def _head_arrays(self) -> list[np.ndarray]:
+        return [a for h in self.heads for a in (h.weights, h.bias)]
 
     def check_finite(self) -> None:
-        if not all(np.isfinite(a).all() for a in self.arrays()):
+        if not np.isfinite(self.encoder_scale) or not all(
+                np.isfinite(a).all() for a in [self.encoder] + self._head_arrays()):
             raise DivergenceError("non-finite model parameters")
 
 
@@ -185,6 +202,10 @@ def init_params(
     """Seeded Gaussian init; head h is drawn from seed + 1 + h."""
     if n_labels < 2 or n_heads < 1 or hidden_size < 1:
         raise ValidationError("need n_labels >= 2, n_heads >= 1, hidden_size >= 1")
+    # a matrix of more bytes than an index can address cannot be drawn at all
+    if max(featurizer.hash_dim, n_labels) * hidden_size * 8 > np.iinfo(np.intp).max:
+        raise ValidationError(f"hidden_size {hidden_size} is too large for hash_dim "
+                              f"{featurizer.hash_dim} and {n_labels} labels")
     if not 0.0 <= drop_rate < 1.0:
         raise ValidationError("drop_rate must be in [0, 1)")
     enc_rng = np.random.default_rng(np.random.SeedSequence([seed % 2**64, 0]))
@@ -219,12 +240,19 @@ def _encode(params: ModelParams, x: sparse.csr_array):
 
     x is a csr_array or a training batch with the same data, indices, indptr
     and shape; the product is scipy's CSR kernel, the one x @ encoder runs,
-    called on those arrays so a batch needs no scipy object of its own.
+    called on those arrays so a batch needs no scipy object of its own. The
+    encoder scale multiplies the product, not the encoder.
     """
     n_rows, hidden = x.shape[0], params.encoder.shape[1]
+    # the kernel reads encoder rows by feature index unchecked
+    if x.shape[1] != params.encoder.shape[0]:
+        raise ValidationError(f"features have {x.shape[1]} columns but the encoder "
+                              f"has {params.encoder.shape[0]} rows")
     pre = np.zeros((n_rows, hidden))
     _sparsetools.csr_matvecs(n_rows, x.shape[1], hidden, x.indptr, x.indices,
                              x.data, params.encoder.ravel(), pre.ravel())
+    if params.encoder_scale != 1.0:
+        pre *= params.encoder_scale
     return pre, np.maximum(pre, 0.0)
 
 
@@ -328,24 +356,34 @@ def mean_ce_and_grads(params: ModelParams, x: sparse.csr_array, y: np.ndarray,
         params, x, pre, scales, {0: g / b})
 
 
+# below this encoder scale, apply_grads folds the scale into the encoder
+_SCALE_FLOOR = 0.5
+
+
 def apply_grads(params: ModelParams, grads: Grads, lr_effective: float,
                 weight_decay: float) -> None:
     """In-place SGD update with L2 decay on the weight matrices.
 
     Every gradient is checked before any parameter changes, so a
     DivergenceError leaves params untouched. The update consumes grads:
-    grads.encoder is scaled by lr_effective in place, which gives the same
-    bits as a scaled copy without allocating one per step. Only the rows in
-    grads.rows take a gradient step; the decay still shrinks every row.
+    grads.encoder is scaled in place rather than copied. Only the rows in
+    grads.rows take a gradient step, of lr_effective / encoder_scale on the
+    stored encoder; the decay then multiplies encoder_scale, which shrinks
+    every row of the effective encoder without a pass over it. When the
+    scale falls below _SCALE_FLOOR it is folded into the encoder and reset
+    to 1.0, one dense pass in many steps.
     """
     arrays = [grads.encoder] + [a for pair in grads.heads.values() for a in pair]
     if not all(np.isfinite(a).all() for a in arrays):
         raise DivergenceError("non-finite gradients; reduce the learning rate")
     decay = 1.0 - lr_effective * weight_decay
-    grads.encoder *= lr_effective
+    grads.encoder *= lr_effective / params.encoder_scale
     params.encoder[grads.rows] -= grads.encoder
     if weight_decay:
-        params.encoder *= decay
+        params.encoder_scale *= decay
+        if params.encoder_scale < _SCALE_FLOOR:
+            params.encoder *= params.encoder_scale
+            params.encoder_scale = 1.0
     for head, (dw, db) in grads.heads.items():
         h = params.heads[head]
         h.weights -= lr_effective * dw

@@ -47,7 +47,8 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> np.ndarray | float:
 
 @dataclass
 class EarlyStopState:
-    """Best-so-far validation accuracy with parameter snapshots."""
+    """Best-so-far validation accuracy with parameter snapshots; a snapshot
+    holds its model's effective encoder at scale 1.0."""
 
     best_val_accuracy: float = -math.inf
     evals_since_improvement: int = 0
@@ -61,8 +62,10 @@ class EarlyStopState:
                 self.best_snapshots = tuple(p.copy() for p in params)
             else:  # overwrite the snapshots in place rather than allocate new ones
                 for snap, p in zip(self.best_snapshots, params):
-                    for dst, src in zip(snap.arrays(), p.arrays()):
-                        np.copyto(dst, src)
+                    np.multiply(p.encoder, p.encoder_scale, out=snap.encoder)
+                    for dst, src in zip(snap.heads, p.heads):
+                        np.copyto(dst.weights, src.weights)
+                        np.copyto(dst.bias, src.bias)
             self.evals_since_improvement = 0
             return True
         self.evals_since_improvement += 1

@@ -298,17 +298,25 @@ class TestWrongShapeInputs:
 
     # 2^40 hash rows of a 16-wide float64 encoder take 128 TiB, which no
     # allocator grants, so the request is refused at once; 2^63 instances do
-    # not fit the C integer numpy draws them into
+    # not fit the C integer numpy draws them into; an encoder of 1024 x 2^62
+    # or 2^63 floats has more bytes than an index can address
     @pytest.mark.parametrize("overrides, message", [
         ({"featurizer": {"hash_dim": 2 ** 40}}, "Unable to allocate"),
         ({"dataset": {"synthetic": {"classes": 3, "instances": 2 ** 63}}},
-         "Python int too large")], ids=["hash-dim", "instances"])
+         "Python int too large"),
+        ({"train": {"steps": 5, "hidden_size": 2 ** 62}},
+         f"hidden_size {2 ** 62} is too large"),
+        ({"train": {"steps": 5, "hidden_size": 2 ** 63}},
+         f"hidden_size {2 ** 63} is too large")],
+        ids=["hash-dim", "instances", "hidden-size-2^62", "hidden-size-2^63"])
     def test_setting_too_large_is_one(self, tmp_path, capsys, overrides,
                                       message):
         cfg = write_config(tmp_path / "cfg.json", **overrides)
         out = tmp_path / "report.json"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("rules", [

@@ -331,6 +331,22 @@ class TestGradients:
         for row in np.setdiff1d(np.arange(feat.hash_dim), grads.rows)[:8]:
             assert numeric_gradient(objective, params.encoder, (row, 3)) == 0.0
 
+    def test_matches_central_differences_through_a_scaled_encoder(self):
+        # the stored encoder is W with scale s: the loss sees s * W, so
+        # d(loss)/dW is s times the gradient of the effective encoder
+        feat = Featurizer(hash_dim=64, hash_seed=0)
+        params = init_params(feat, n_labels=3, hidden_size=8, seed=5)
+        params.encoder /= 0.6
+        params.encoder_scale = 0.6
+        x = featurize_texts(feat, ["aa bb cc dd", "ee ff gg", "hh ii", "jj kk ll mm"])
+        y = np.array([0, 2, 1, 2])
+        _, grads = mean_ce_and_grads(params, x, y)
+        arrays = [(params.encoder, 0.6 * dense_encoder_grad(params, grads)),
+                  (params.heads[0].weights, grads.heads[0][0]),
+                  (params.heads[0].bias, grads.heads[0][1])]
+        assert_matches_central_differences(lambda: mean_ce_and_grads(params, x, y)[0],
+                                           arrays, 100, np.random.default_rng(31))
+
     def test_matches_central_differences_through_dropout(self):
         # train mode with a fixed dropout mask: scale_rng is re-seeded on
         # every call, so each objective evaluation sees the same mask
@@ -379,6 +395,9 @@ class TestGradients:
         # batch rows; the empty text touches no row at all
         feat = Featurizer(hash_dim=256, hash_seed=0)
         params = init_params(feat, n_labels=3, hidden_size=8, seed=9)
+        # a scale below 1, as after earlier decayed steps
+        params.encoder /= 0.8
+        params.encoder_scale = 0.8
         x = featurize_texts(feat, ["red fox jumps", "red fox sleeps", "",
                                    "fox jumps high", "red red red"])
         y = np.array([0, 1, 2, 1, 0])
@@ -395,12 +414,21 @@ class TestGradients:
         dense = x.T @ (d_hidden * (pre > 0.0))
         assert np.array_equal(dense_encoder_grad(params, grads), dense)
 
+        # the gradient is for the effective encoder; the scaled rule steps the
+        # stored encoder by lr / scale and then decays the scale alone
         lr, weight_decay = 0.5, 1e-2
+        decay = 1.0 - lr * weight_decay
+        scaled = params.encoder.copy()
+        scaled -= (lr / params.encoder_scale) * dense
+        scale = params.encoder_scale * decay
+        # the dense rule on the effective encoder: step, then decay every row
         reference = params.copy()
         reference.encoder -= lr * dense
-        reference.encoder *= 1.0 - lr * weight_decay
+        reference.encoder *= decay
         apply_grads(params, grads, lr, weight_decay)
-        assert np.array_equal(params.encoder, reference.encoder)
+        assert np.array_equal(params.encoder, scaled)
+        assert params.encoder_scale == scale
+        assert np.allclose(params.arrays()[0], reference.encoder, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("texts", [
         ["red fox jumps", "red fox sleeps", "", "fox jumps high", "red red red"],
@@ -439,15 +467,88 @@ class TestGradients:
         feat = Featurizer(hash_dim=128, hash_seed=0)
         params = init_params(feat, n_labels=3, hidden_size=4, seed=1)
         x = featurize_texts(feat, ["", ""])
-        norms = [np.linalg.norm(params.encoder)]
+        norms = [np.linalg.norm(params.arrays()[0])]  # the effective encoder
         head_norms = [np.linalg.norm(params.heads[0].weights)]
         for _ in range(10):
             train_step(params, x, np.array([0, 1]), lr_effective=0.1,
                      weight_decay=0.5)
-            norms.append(np.linalg.norm(params.encoder))
+            norms.append(np.linalg.norm(params.arrays()[0]))
             head_norms.append(np.linalg.norm(params.heads[0].weights))
         assert all(b < a for a, b in zip(norms, norms[1:]))
         assert all(b < a for a, b in zip(head_norms, head_norms[1:]))
+
+
+class TestEncoderScale:
+    @staticmethod
+    def scaled_params():
+        feat = Featurizer(hash_dim=64, hash_seed=0)
+        params = init_params(feat, n_labels=3, hidden_size=4, n_heads=2, seed=2)
+        params.encoder /= 0.75
+        params.encoder_scale = 0.75
+        return feat, params
+
+    def test_decay_reaches_the_floor_and_renormalizes(self, monkeypatch):
+        # lr 0.1 and weight decay 0.5 shrink the scale by 0.95 a step, so 20
+        # steps cross the floor; the same run without a floor never folds
+        feat = Featurizer(hash_dim=128, hash_seed=0)
+        x = featurize_texts(feat, ["red fox jumps", "red fox sleeps", "",
+                                   "fox jumps high"])
+        y = np.array([0, 1, 2, 1])
+
+        def run():
+            params = init_params(feat, n_labels=3, hidden_size=8, seed=3)
+            scales = []
+            for step in range(20):
+                train_step(params, x, y, lr_effective=0.1, weight_decay=0.5,
+                           seed=step)
+                scales.append(params.encoder_scale)
+            return params, scales
+
+        floor = model._SCALE_FLOOR
+        folded, scales = run()
+        assert min(scales) >= floor
+        assert any(b > a for a, b in zip(scales, scales[1:]))  # a fold reset it
+        monkeypatch.setattr(model, "_SCALE_FLOOR", 0.0)
+        unfolded, unfolded_scales = run()
+        assert unfolded_scales[-1] < floor
+        effective, reference = folded.arrays()[0], unfolded.arrays()[0]
+        assert np.max(np.abs(effective - reference)) \
+            <= 1e-12 * np.max(np.abs(reference))
+
+    def test_divergence_leaves_encoder_and_scale_untouched(self):
+        feat, params = self.scaled_params()
+        before = params.encoder.copy()
+        grads = Grads(np.arange(feat.hash_dim), np.ones_like(params.encoder),
+                      {0: (np.ones_like(params.heads[0].weights),
+                           np.full_like(params.heads[0].bias, np.inf))})
+        with pytest.raises(DivergenceError):
+            apply_grads(params, grads, 0.1, 1e-2)
+        assert np.array_equal(params.encoder, before)
+        assert params.encoder_scale == 0.75
+
+    def test_copy_arrays_and_checkpoints_hold_the_product(self, tmp_path):
+        feat, params = self.scaled_params()
+        stored = params.encoder.copy()
+        product = params.encoder * 0.75
+        copy = params.copy()
+        assert copy.encoder_scale == 1.0
+        assert np.array_equal(copy.encoder, product)
+        assert np.array_equal(params.arrays()[0], product)
+        save_model(tmp_path / "scaled", feat, params)
+        save_model(tmp_path / "copy", feat, copy)
+        assert (tmp_path / "scaled").read_bytes() == (tmp_path / "copy").read_bytes()
+        _, loaded = load_model(tmp_path / "scaled")
+        assert loaded.encoder_scale == 1.0
+        assert np.array_equal(loaded.encoder, product)
+        # none of these changed the model
+        assert params.encoder_scale == 0.75
+        assert np.array_equal(params.encoder, stored)
+
+    def test_non_finite_scale_is_divergence(self):
+        _, params = self.scaled_params()
+        params.encoder_scale = np.inf
+        with pytest.raises(DivergenceError):
+            params.check_finite()
 
 
 class TestApplyGrads:
@@ -516,6 +617,16 @@ class TestRawKernels:
             d_pre = (g @ params.heads[0].weights.T) * (pre > 0.0)
             assert np.array_equal(grads.rows, np.unique(x.indices))
             assert np.array_equal(dense_encoder_grad(params, grads), x.T @ d_pre)
+
+
+    def test_feature_width_must_match_the_encoder(self):
+        # scipy's x @ W refused this; the raw kernel would read past the encoder
+        params = init_params(Featurizer(hash_dim=64), n_labels=3, hidden_size=4)
+        x = featurize_texts(Featurizer(hash_dim=128), ["a b c"])
+        for batch in (x, _CSRRows(x.data, x.indices, x.indptr, x.shape)):
+            with pytest.raises(ValidationError, match="128 columns but the encoder "
+                                                      "has 64 rows"):
+                _encode(params, batch)
 
 
 class TestEvaluate:

@@ -129,6 +129,23 @@ class TestTakeRows:
 
 
 class TestEarlyStopState:
+    def test_snapshot_holds_the_effective_encoder(self, tiny_featurizer):
+        # the first improvement copies, later ones write in place; both store
+        # scale * encoder at scale 1.0 and leave the model as it was
+        params = init_params(tiny_featurizer, n_labels=3, hidden_size=4, seed=0)
+        params.encoder /= 0.7
+        params.encoder_scale = 0.7
+        state = EarlyStopState()
+        for accuracy in (0.5, 0.6):
+            stored = params.encoder.copy()
+            assert state.update(accuracy, params)
+            [snap] = state.best_snapshots
+            assert snap.encoder_scale == 1.0
+            assert np.array_equal(snap.encoder, stored * 0.7)
+            assert params.encoder_scale == 0.7
+            assert np.array_equal(params.encoder, stored)
+            params.encoder += 1.0
+
     def test_snapshots_are_copies_taken_at_the_last_improvement(self,
                                                                 tiny_featurizer):
         params = init_params(tiny_featurizer, n_labels=3, hidden_size=4, seed=0)
@@ -405,6 +422,22 @@ class TestTrainerParity:
             means[name] = float(np.mean(accs))
         spread = max(means.values()) - min(means.values())
         assert spread <= 0.02, means
+
+
+class TestReturnedScale:
+    def test_every_trainer_returns_scale_one(self, small_splits, tiny_featurizer,
+                                             fast_config):
+        # a decay of 0.995 a step moves the live scale off 1.0 within the run
+        train, val, _ = small_splits
+        cfg = replace(fast_config, weight_decay=1e-2)
+        sched = CoteachSchedule(tau=0.2, ramp_steps=40)
+        models = [train_vanilla(train, val, cfg, tiny_featurizer)[0],
+                  *train_coteaching(train, val, cfg, sched, tiny_featurizer)[:2],
+                  train_ceta(train, val, cfg, CetaConfig(), tiny_featurizer)[0]]
+        data = Featurized.of(tiny_featurizer, train, val)
+        models += [_train_method(m, data, cfg, sched, CetaConfig())
+                   for m in MEMBER_METHODS]
+        assert [m.encoder_scale for m in models] == [1.0] * len(models)
 
 
 class TestTrainMethod:
