@@ -296,8 +296,8 @@ def instance_losses(params: ModelParams, x: sparse.csr_array, y: np.ndarray
 
 @dataclass
 class Grads:
-    rows: np.ndarray     # the batch's distinct feature indices, ascending
-    encoder: np.ndarray  # len(rows) x hidden, for encoder[rows]; other rows get 0
+    x: sparse.csr_array  # the batch, or its raw CSR arrays
+    d_pre: np.ndarray    # batch x hidden; the encoder's gradient is x.T @ d_pre
     heads: dict[int, tuple[np.ndarray, np.ndarray]]  # head -> (dW, db)
 
 
@@ -308,7 +308,8 @@ def backward_from_logit_grads(
     scales: list[np.ndarray | None],
     logit_grads: dict[int, np.ndarray],
 ) -> Grads:
-    """Map d(loss)/d(logits) per head back to parameter gradients.
+    """Map d(loss)/d(logits) per head back to the head gradients and to
+    d(loss)/d(pre-activations), from which apply_grads steps the encoder.
 
     `pre` and `scales` must come from the _forward call that produced the
     logits: scales[head] is the dropout scale that head's hidden layer was
@@ -325,20 +326,7 @@ def backward_from_logit_grads(
         head_grads[head] = (head_hidden.T @ g, g.sum(axis=0))
         d_head = g @ h.weights.T
         d_hidden += d_head if scale is None else d_head * scale
-    d_pre = d_hidden * (pre > 0.0)
-    # x.T restricted to x's distinct columns, which slot[] numbers in
-    # ascending order, as CSC arrays for scipy's kernel (the one x.T @ d_pre
-    # runs): each block row sums over the batch rows in the same order as
-    # x.T @ d_pre, so the bits match
-    mark = np.zeros(x.shape[1], dtype=bool)
-    mark[x.indices] = True
-    rows = np.flatnonzero(mark)
-    slot = np.empty(x.shape[1], dtype=x.indptr.dtype)
-    slot[rows] = np.arange(len(rows))
-    block = np.zeros((len(rows), pre.shape[1]))
-    _sparsetools.csc_matvecs(len(rows), x.shape[0], pre.shape[1], x.indptr,
-                             slot[x.indices], x.data, d_pre.ravel(), block.ravel())
-    return Grads(rows, block, head_grads)
+    return Grads(x, d_hidden * (pre > 0.0), head_grads)
 
 
 def mean_ce_and_grads(params: ModelParams, x: sparse.csr_array, y: np.ndarray,
@@ -364,21 +352,33 @@ def apply_grads(params: ModelParams, grads: Grads, lr_effective: float,
                 weight_decay: float) -> None:
     """In-place SGD update with L2 decay on the weight matrices.
 
-    Every gradient is checked before any parameter changes, so a
-    DivergenceError leaves params untouched. The update consumes grads:
-    grads.encoder is scaled in place rather than copied. Only the rows in
-    grads.rows take a gradient step, of lr_effective / encoder_scale on the
-    stored encoder; the decay then multiplies encoder_scale, which shrinks
-    every row of the effective encoder without a pass over it. When the
-    scale falls below _SCALE_FLOOR it is folded into the encoder and reset
-    to 1.0, one dense pass in many steps.
+    The encoder takes its step without its gradient ever being formed:
+    scipy's CSC kernel (the one x.T @ d runs, fed the batch's CSR arrays,
+    which are x.T's CSC arrays) adds the step -(lr_effective /
+    encoder_scale) * d_pre into the stored encoder, batch row by batch row,
+    so only the batch's feature rows change. The decay then multiplies
+    encoder_scale, which shrinks every row of the effective encoder without
+    a pass over it. When the scale falls below _SCALE_FLOOR it is folded
+    into the encoder and reset to 1.0, one dense pass in many steps.
+
+    The encoder step and the head gradients are checked before any
+    parameter changes, so a DivergenceError leaves params untouched; so does
+    the ValidationError for an encoder the kernel cannot write in place (it
+    must be a C-contiguous, writable float64 array).
     """
-    arrays = [grads.encoder] + [a for pair in grads.heads.values() for a in pair]
+    encoder = params.encoder
+    if encoder.dtype != np.float64 or not (encoder.flags.c_contiguous
+                                           and encoder.flags.writeable):
+        raise ValidationError("the encoder must be a C-contiguous, writable "
+                              "float64 array to be updated in place")
+    step = grads.d_pre * (-lr_effective / params.encoder_scale)
+    arrays = [step] + [a for pair in grads.heads.values() for a in pair]
     if not all(np.isfinite(a).all() for a in arrays):
         raise DivergenceError("non-finite gradients; reduce the learning rate")
+    x = grads.x
+    _sparsetools.csc_matvecs(x.shape[1], x.shape[0], step.shape[1], x.indptr,
+                             x.indices, x.data, step.ravel(), encoder.ravel())
     decay = 1.0 - lr_effective * weight_decay
-    grads.encoder *= lr_effective / params.encoder_scale
-    params.encoder[grads.rows] -= grads.encoder
     if weight_decay:
         params.encoder_scale *= decay
         if params.encoder_scale < _SCALE_FLOOR:

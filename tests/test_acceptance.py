@@ -299,7 +299,7 @@ class TestCriterion8:
             return loss
 
         _, grads = mean_ce_and_grads(params, x, y)
-        arrays = [(params.encoder, dense_encoder_grad(params, grads)),
+        arrays = [(params.encoder, dense_encoder_grad(grads)),
                   (params.heads[0].weights, grads.heads[0][0]),
                   (params.heads[0].bias, grads.heads[0][1])]
         for _ in range(100):

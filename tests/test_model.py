@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from noisylabels import (
     Featurizer,
@@ -39,12 +40,10 @@ def numeric_gradient(fn, array, index, h=1e-5):
     return (up - down) / (2 * h)
 
 
-def dense_encoder_grad(params, grads):
-    """grads.encoder scattered at grads.rows into a zero array shaped like
-    params.encoder; rows outside the batch have gradient 0."""
-    dense = np.zeros_like(params.encoder)
-    dense[grads.rows] = grads.encoder
-    return dense
+def dense_encoder_grad(grads):
+    """The effective encoder's gradient x.T @ d_pre, hash_dim x hidden;
+    rows outside the batch have gradient 0."""
+    return grads.x.T @ grads.d_pre
 
 
 def assert_matches_central_differences(objective, arrays, probes, rng):
@@ -323,12 +322,12 @@ class TestGradients:
             return loss
 
         _, grads = mean_ce_and_grads(params, x, y)
-        arrays = [(params.encoder, dense_encoder_grad(params, grads)),
+        arrays = [(params.encoder, dense_encoder_grad(grads)),
                   (params.heads[0].weights, grads.heads[0][0]),
                   (params.heads[0].bias, grads.heads[0][1])]
         assert_matches_central_differences(objective, arrays, 100, rng)
         # rows no text touches leave the loss bit-identical
-        for row in np.setdiff1d(np.arange(feat.hash_dim), grads.rows)[:8]:
+        for row in np.setdiff1d(np.arange(feat.hash_dim), np.unique(x.indices))[:8]:
             assert numeric_gradient(objective, params.encoder, (row, 3)) == 0.0
 
     def test_matches_central_differences_through_a_scaled_encoder(self):
@@ -341,7 +340,7 @@ class TestGradients:
         x = featurize_texts(feat, ["aa bb cc dd", "ee ff gg", "hh ii", "jj kk ll mm"])
         y = np.array([0, 2, 1, 2])
         _, grads = mean_ce_and_grads(params, x, y)
-        arrays = [(params.encoder, 0.6 * dense_encoder_grad(params, grads)),
+        arrays = [(params.encoder, 0.6 * dense_encoder_grad(grads)),
                   (params.heads[0].weights, grads.heads[0][0]),
                   (params.heads[0].bias, grads.heads[0][1])]
         assert_matches_central_differences(lambda: mean_ce_and_grads(params, x, y)[0],
@@ -364,7 +363,7 @@ class TestGradients:
         loss, grads = train_mode(params)
         eval_loss, _ = mean_ce_and_grads(params, x, y)
         assert loss != eval_loss  # the mask is in effect
-        arrays = [(params.encoder, dense_encoder_grad(params, grads)),
+        arrays = [(params.encoder, dense_encoder_grad(grads)),
                   (params.heads[0].weights, grads.heads[0][0]),
                   (params.heads[0].bias, grads.heads[0][1])]
         assert_matches_central_differences(lambda: train_mode(params)[0], arrays,
@@ -402,7 +401,7 @@ class TestGradients:
                                    "fox jumps high", "red red red"])
         y = np.array([0, 1, 2, 1, 0])
         _, grads = mean_ce_and_grads(params, x, y)
-        assert grads.encoder.shape == (len(np.unique(x.indices)), 8)
+        assert grads.x is x and grads.d_pre.shape == (5, 8)
 
         # the dense reference: d_pre as the backward pass forms it, then the
         # full hash_dim x hidden gradient
@@ -412,21 +411,28 @@ class TestGradients:
         d_hidden = np.zeros_like(pre)
         d_hidden += (g / 5) @ params.heads[0].weights.T
         dense = x.T @ (d_hidden * (pre > 0.0))
-        assert np.array_equal(dense_encoder_grad(params, grads), dense)
+        assert np.array_equal(dense_encoder_grad(grads), dense)
 
-        # the gradient is for the effective encoder; the scaled rule steps the
-        # stored encoder by lr / scale and then decays the scale alone
+        # the gradient is for the effective encoder; the scaled rule adds the
+        # step -(lr / scale) * d_pre into the stored encoder, one batch row's
+        # term at a time, and then decays the scale alone
         lr, weight_decay = 0.5, 1e-2
         decay = 1.0 - lr * weight_decay
+        step = grads.d_pre * (-lr / params.encoder_scale)
         scaled = params.encoder.copy()
-        scaled -= (lr / params.encoder_scale) * dense
+        for j in range(x.shape[0]):
+            for k in range(x.indptr[j], x.indptr[j + 1]):
+                scaled[x.indices[k]] += x.data[k] * step[j]
         scale = params.encoder_scale * decay
+        before = params.encoder.copy()
         # the dense rule on the effective encoder: step, then decay every row
         reference = params.copy()
         reference.encoder -= lr * dense
         reference.encoder *= decay
         apply_grads(params, grads, lr, weight_decay)
         assert np.array_equal(params.encoder, scaled)
+        outside = np.setdiff1d(np.arange(feat.hash_dim), np.unique(x.indices))
+        assert np.array_equal(params.encoder[outside], before[outside])
         assert params.encoder_scale == scale
         assert np.allclose(params.arrays()[0], reference.encoder, rtol=1e-12, atol=0)
 
@@ -448,8 +454,8 @@ class TestGradients:
         grads = backward_from_logit_grads(params, x, pre, [None, scale * 1.25],
                                           {0: g, 1: -g})
 
-        # the reference: x restricted to np.unique's distinct columns, then
-        # transposed, times d_pre as the backward pass forms it
+        # the reference: d_pre as the backward pass forms it, and x restricted
+        # to np.unique's distinct columns, then transposed, times d_pre
         d_hidden = np.zeros_like(pre)
         d_hidden += g @ params.heads[0].weights.T
         d_hidden += (-g @ params.heads[1].weights.T) * (scale * 1.25)
@@ -457,9 +463,11 @@ class TestGradients:
         rows, inverse = np.unique(x.indices, return_inverse=True)
         xr = sparse.csr_array((x.data, inverse, x.indptr),
                               shape=(x.shape[0], len(rows)))
-        assert np.array_equal(grads.rows, rows)
-        assert np.array_equal(grads.encoder, xr.T @ d_pre)
-        assert grads.encoder.shape == (len(rows), 8)
+        assert np.array_equal(grads.d_pre, d_pre)
+        dense = dense_encoder_grad(grads)
+        assert np.array_equal(dense[rows], xr.T @ d_pre)
+        assert not np.delete(dense, rows, axis=0).any()
+        assert grads.d_pre.shape == (len(texts), 8)
 
     def test_weight_decay_shrinks_weights_monotonically(self):
         # empty texts give zero feature vectors, hence zero weight gradients;
@@ -518,7 +526,8 @@ class TestEncoderScale:
     def test_divergence_leaves_encoder_and_scale_untouched(self):
         feat, params = self.scaled_params()
         before = params.encoder.copy()
-        grads = Grads(np.arange(feat.hash_dim), np.ones_like(params.encoder),
+        grads = Grads(featurize_texts(feat, ["red fox", "fox jumps high"]),
+                      np.ones((2, 4)),
                       {0: (np.ones_like(params.heads[0].weights),
                            np.full_like(params.heads[0].bias, np.inf))})
         with pytest.raises(DivergenceError):
@@ -556,10 +565,19 @@ class TestApplyGrads:
     def setup_params():
         feat = Featurizer(hash_dim=64, hash_seed=0)
         params = init_params(feat, n_labels=3, hidden_size=4, seed=2)
-        grads = Grads(np.arange(feat.hash_dim), np.ones_like(params.encoder),
+        x = featurize_texts(feat, ["red fox jumps", "red fox sleeps", "", "fox"])
+        grads = Grads(x, np.ones((4, 4)),
                       {0: (np.ones_like(params.heads[0].weights),
                            np.ones_like(params.heads[0].bias))})
         return params, grads
+
+    @staticmethod
+    def assert_unchanged(params, before, scale):
+        assert np.array_equal(params.encoder, before.encoder)
+        assert params.encoder_scale == scale
+        for h, b in zip(params.heads, before.heads):
+            assert np.array_equal(h.weights, b.weights)
+            assert np.array_equal(h.bias, b.bias)
 
     def test_non_finite_head_gradient_changes_nothing(self):
         params, grads = self.setup_params()
@@ -573,11 +591,55 @@ class TestApplyGrads:
 
     def test_finite_gradients_whose_sum_overflows_apply(self):
         params, grads = self.setup_params()
-        grads.encoder[:] = 1e308  # finite everywhere; the sum is inf
+        grads.d_pre[:] = 1e308  # finite everywhere; the sum is inf
         with np.errstate(over="ignore"):
-            assert not np.isfinite(grads.encoder.sum())
+            assert not np.isfinite(grads.d_pre.sum())
         apply_grads(params, grads, 1e-300, 0.0)
         assert np.isfinite(params.encoder).all()
+
+    @pytest.mark.parametrize("bad, lr", [(np.nan, 0.1), (np.inf, 0.1),
+                                         (-np.inf, 0.1), (1e308, 10.0)],
+                             ids=["nan", "inf", "-inf", "finite-step-overflows"])
+    def test_non_finite_encoder_step_changes_nothing(self, bad, lr):
+        # the encoder's step -(lr / scale) * d_pre is checked before the
+        # kernel adds it in: no row of W, nor s, nor any head moves
+        _, params = TestEncoderScale.scaled_params()
+        x = featurize_texts(Featurizer(hash_dim=64, hash_seed=0),
+                            ["red fox jumps", "red fox sleeps", "fox"])
+        grads = Grads(x, np.ones((3, 4)),
+                      {h: (np.ones_like(params.heads[h].weights),
+                           np.ones_like(params.heads[h].bias)) for h in (0, 1)})
+        grads.d_pre[1, 2] = bad
+        before = params.copy()
+        before.encoder = params.encoder.copy()
+        with pytest.raises(DivergenceError), np.errstate(over="ignore"):
+            apply_grads(params, grads, lr, 1e-2)
+        self.assert_unchanged(params, before, 0.75)
+
+    @pytest.mark.parametrize("layout", [np.asfortranarray,
+                                        lambda a: a.astype(np.float32),
+                                        lambda a: a.astype(">f8"),
+                                        lambda a: np.repeat(a, 2, axis=1)[:, ::2]],
+                             ids=["fortran", "float32", "big-endian", "strided"])
+    def test_encoder_the_kernel_cannot_write_is_refused(self, layout):
+        # the kernel writes through encoder.ravel(), which copies such an
+        # encoder, so the step would be lost (or the kernel would raise)
+        params, grads = self.setup_params()
+        params.encoder = layout(params.encoder)
+        before = params.copy()
+        before.encoder = params.encoder.copy()
+        with pytest.raises(ValidationError, match="C-contiguous, writable float64"):
+            apply_grads(params, grads, 0.1, 1e-2)
+        self.assert_unchanged(params, before, 1.0)
+        assert params.encoder.dtype == before.encoder.dtype
+
+    def test_read_only_encoder_is_refused(self):
+        params, grads = self.setup_params()
+        params.encoder.flags.writeable = False
+        before = params.copy()
+        with pytest.raises(ValidationError, match="C-contiguous, writable float64"):
+            apply_grads(params, grads, 0.1, 1e-2)
+        self.assert_unchanged(params, before, 1.0)
 
 
 def random_csr(rng, n_rows, n_cols, index_dtype, empty_rows=()):
@@ -615,8 +677,13 @@ class TestRawKernels:
             g = rng.normal(size=(n_rows, 3))
             grads = backward_from_logit_grads(params, batch, pre, [None], {0: g})
             d_pre = (g @ params.heads[0].weights.T) * (pre > 0.0)
-            assert np.array_equal(grads.rows, np.unique(x.indices))
-            assert np.array_equal(dense_encoder_grad(params, grads), x.T @ d_pre)
+            assert np.array_equal(grads.d_pre, d_pre)
+            # apply_grads' kernel call, into a zero encoder, is x.T @ d_pre
+            out = np.zeros_like(params.encoder)
+            _sparsetools.csc_matvecs(x.shape[1], x.shape[0], 8, batch.indptr,
+                                     batch.indices, batch.data, d_pre.ravel(),
+                                     out.ravel())
+            assert np.array_equal(out, x.T @ d_pre)
 
 
     def test_feature_width_must_match_the_encoder(self):

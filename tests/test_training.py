@@ -312,7 +312,7 @@ class TestCeta:
             assert np.array_equal(probe_consensus, consensus)
             return value
 
-        arrays = [(params.encoder, dense_encoder_grad(params, grads))]
+        arrays = [(params.encoder, dense_encoder_grad(grads))]
         for h in (0, 1):
             arrays.append((params.heads[h].weights, grads.heads[h][0]))
             arrays.append((params.heads[h].bias, grads.heads[h][1]))
