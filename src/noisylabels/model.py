@@ -274,24 +274,29 @@ def _head_logits(params: ModelParams, hidden: np.ndarray, head: int) -> np.ndarr
     return hidden @ h.weights + h.bias
 
 
-def _forward(params: ModelParams, x: sparse.csr_array, n_heads: int,
+def _forward(params: ModelParams, pre: np.ndarray, n_heads: int,
              train_mode: bool = False, rng: np.random.Generator | None = None):
-    """The forward pass every loss and gradient runs: the pre-activations,
-    then the dropout scales and log-probabilities of the first n_heads heads.
-    Each head draws its own dropout scale from rng, in head order."""
-    pre, hidden = _encode(params, x)
+    """The forward pass every loss and gradient runs, from the pre-activations
+    _encode gives: the dropout scales and log-probabilities of the first
+    n_heads heads. Each head draws its own dropout scale from rng, in head
+    order."""
+    hidden = np.maximum(pre, 0.0)
     scales = _dropout_scales(params, pre.shape, n_heads, train_mode, rng)
     logps = [_log_softmax(_head_logits(params, hidden if s is None else hidden * s, h))
              for h, s in enumerate(scales)]
-    return pre, scales, logps
+    return scales, logps
 
 
 def instance_losses(params: ModelParams, x: sparse.csr_array, y: np.ndarray
                     ) -> np.ndarray:
     """Per-row cross-entropy -log p(y) of head 0, computed in evaluation mode."""
-    _, _, [logp] = _forward(params, x, 1)
-    y = np.asarray(y, dtype=np.int64)
-    return -logp[np.arange(x.shape[0]), y]
+    return _row_losses(params, _encode(params, x)[0], y)
+
+
+def _row_losses(params: ModelParams, pre: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """instance_losses from the rows' pre-activations."""
+    _, [logp] = _forward(params, pre, 1)
+    return -logp[np.arange(pre.shape[0]), np.asarray(y, dtype=np.int64)]
 
 
 @dataclass
@@ -311,8 +316,8 @@ def backward_from_logit_grads(
     """Map d(loss)/d(logits) per head back to the head gradients and to
     d(loss)/d(pre-activations), from which apply_grads steps the encoder.
 
-    `pre` and `scales` must come from the _forward call that produced the
-    logits: scales[head] is the dropout scale that head's hidden layer was
+    `pre` and `scales` must be the pre-activations and dropout scales of the
+    _forward call that produced the logits: scales[head] is the dropout scale that head's hidden layer was
     multiplied by (None for none), so dropout is treated consistently
     between loss and gradient.
     """
@@ -334,9 +339,17 @@ def mean_ce_and_grads(params: ModelParams, x: sparse.csr_array, y: np.ndarray,
                       train_mode: bool = False) -> tuple[float, Grads]:
     """Mean cross-entropy of head 0 over the batch, with its exact gradient.
     In train mode the dropout mask is drawn from scale_rng."""
+    return _mean_ce_and_grads(params, x, _encode(params, x)[0], y, scale_rng,
+                              train_mode)
+
+
+def _mean_ce_and_grads(params: ModelParams, x: sparse.csr_array, pre: np.ndarray,
+                       y: np.ndarray, scale_rng: np.random.Generator | None,
+                       train_mode: bool) -> tuple[float, Grads]:
+    """mean_ce_and_grads from x's pre-activations."""
     y = np.asarray(y, dtype=np.int64)
     b = x.shape[0]
-    pre, scales, [logp] = _forward(params, x, 1, train_mode, scale_rng)
+    scales, [logp] = _forward(params, pre, 1, train_mode, scale_rng)
     rows = np.arange(b)
     g = np.exp(logp)
     g[rows, y] -= 1.0

@@ -26,11 +26,13 @@ from .model import (
     TrainConfig,
     apply_grads,
     backward_from_logit_grads,
+    _encode,
     _forward,
+    _mean_ce_and_grads,
+    _row_losses,
     evaluate_features,
     featurize_dataset,
     init_params,
-    instance_losses,
     mean_ce_and_grads,
 )
 from .util import derive_rng
@@ -278,14 +280,16 @@ def _train_coteaching(data: Featurized, cfg: TrainConfig, sched: CoteachSchedule
                 f"forget rate {sched.forget_rate(step):.3f} keeps no instances "
                 f"from a batch of {len(batch)}")
         # simultaneous small-loss selection, then crossed gradients; each
-        # reads only its own net and dropout stream
-        kept = [np.sort(np.argsort(instance_losses(net, xb, yb), kind="stable")[:keep])
-                for net in nets]
+        # reads only its own net and dropout stream. A CSR row's
+        # pre-activations do not depend on the other rows, so each net's
+        # update reuses the rows of its scoring pass.
+        pres = [_encode(net, xb)[0] for net in nets]
+        kept = [np.sort(np.argsort(_row_losses(net, pre, yb), kind="stable")[:keep])
+                for net, pre in zip(nets, pres)]
         losses, grads = [], []
-        for net, other_kept, rng in zip(nets, (kept[1], kept[0]), dropout):
-            loss, g = mean_ce_and_grads(net, _take_rows(xb, other_kept),
-                                        yb[other_kept], scale_rng=rng,
-                                        train_mode=True)
+        for net, pre, other_kept, rng in zip(nets, pres, (kept[1], kept[0]), dropout):
+            loss, g = _mean_ce_and_grads(net, _take_rows(xb, other_kept),
+                                         pre[other_kept], yb[other_kept], rng, True)
             losses.append(loss)
             grads.append(g)
         return {
@@ -350,7 +354,8 @@ def ceta_batch_objective(params: ModelParams, x, y: np.ndarray, ceta: CetaConfig
         raise ValidationError("consensus training needs exactly 2 heads")
     y = np.asarray(y, dtype=np.int64)
     b = x.shape[0]
-    pre, scales, logps = _forward(params, x, 2, train_mode, scale_rng)
+    pre, _ = _encode(params, x)
+    scales, logps = _forward(params, pre, 2, train_mode, scale_rng)
     probs = [np.exp(lp) for lp in logps]
 
     consensus = probs[0].argmax(axis=1) == probs[1].argmax(axis=1)

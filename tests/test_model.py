@@ -405,7 +405,8 @@ class TestGradients:
 
         # the dense reference: d_pre as the backward pass forms it, then the
         # full hash_dim x hidden gradient
-        pre, _, [logp] = _forward(params, x, 1)
+        pre, _ = _encode(params, x)
+        _, [logp] = _forward(params, pre, 1)
         g = np.exp(logp)
         g[np.arange(5), y] -= 1.0
         d_hidden = np.zeros_like(pre)

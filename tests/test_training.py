@@ -24,7 +24,8 @@ from noisylabels import (
 )
 from noisylabels import SplitSpec
 from noisylabels.cli import main
-from noisylabels.model import featurize_dataset, featurize_texts
+from noisylabels.model import _encode, _mean_ce_and_grads, _row_losses, \
+    featurize_dataset, featurize_texts, instance_losses, mean_ce_and_grads
 from noisylabels.training import MEMBER_METHODS, EarlyStopState, Featurized, \
     _Batcher, _CSRRows, _take_rows, _train_method, ceta_batch_objective
 from noisylabels.util import derive_rng
@@ -234,6 +235,34 @@ class TestCoteaching:
         for key in ("kept_net1", "kept_net2"):
             kept_frac = np.mean([noisy[h[key]].mean() for h in post])
             assert kept_frac < batch_frac
+
+    def test_update_reuses_the_scoring_pass_bit_for_bit(self, noisy_splits,
+                                                         tiny_featurizer):
+        # the objective scores a batch once per net and updates each net on
+        # the other's kept rows from that pass's pre-activations; a CSR row's
+        # pre-activations do not depend on the other rows, so both must equal
+        # the fresh passes of instance_losses and mean_ce_and_grads
+        train, _, _ = noisy_splits
+        x = featurize_dataset(tiny_featurizer, train)
+        y = train.observed()
+        net = init_params(tiny_featurizer, len(train.label_set), 16,
+                          drop_rate=0.3, seed=5)
+        net.encoder /= 0.7
+        net.encoder_scale = 0.7  # as after decayed steps
+        batch = np.arange(7, 39)
+        xb = _take_rows(x, batch)
+        pre, _ = _encode(net, xb)
+        assert np.array_equal(_row_losses(net, pre, y[batch]),
+                              instance_losses(net, xb, y[batch]))
+        kept = np.sort(np.random.default_rng(1).choice(32, 20, replace=False))
+        reused = _mean_ce_and_grads(net, _take_rows(xb, kept), pre[kept],
+                                    y[batch][kept], np.random.default_rng(4), True)
+        fresh = mean_ce_and_grads(net, _take_rows(xb, kept), y[batch][kept],
+                                  scale_rng=np.random.default_rng(4), train_mode=True)
+        assert reused[0] == fresh[0]
+        assert np.array_equal(reused[1].d_pre, fresh[1].d_pre)
+        for a, b in zip(reused[1].heads[0], fresh[1].heads[0]):
+            assert np.array_equal(a, b)
 
     def test_degenerate_keep_none_rejected(self, noisy_splits, tiny_featurizer):
         train, val, _ = noisy_splits
