@@ -390,13 +390,19 @@ def split_dataset(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, 
 # ---------------------------------------------------------------------------
 
 
+# the vocabularies are lists of token strings, n_classes x vocab_per_class
+# in all, so their size is bounded before any is built
+_MAX_VOCAB_TOKENS = 2**20
+
+
 def synthetic_class_vocabularies(n_classes: int, vocab_per_class: int,
                                  overlap: float) -> list[list[str]]:
     """Per-class token lists used by generate_synthetic_corpus (seed-free)."""
     if n_classes < 2:
         raise ValidationError("need at least 2 classes")
-    if vocab_per_class < 4:
-        raise ValidationError("vocab_per_class must be >= 4")
+    if not 4 <= vocab_per_class <= _MAX_VOCAB_TOKENS // n_classes:
+        raise ValidationError("vocab_per_class must be >= 4, and vocab_per_class x "
+                              f"classes at most {_MAX_VOCAB_TOKENS}")
     if not 0.0 <= overlap <= 1.0:
         raise ValidationError("overlap must be in [0, 1]")
     stride = (1.0 - overlap) * vocab_per_class

@@ -299,7 +299,8 @@ class TestWrongShapeInputs:
     # 2^40 hash rows of a 16-wide float64 encoder take 128 TiB, which no
     # allocator grants, so the request is refused at once; 2^63 instances do
     # not fit the C integer numpy draws them into; an encoder of 1024 x 2^62
-    # or 2^63 floats has more bytes than an index can address
+    # or 2^63 floats has more bytes than an index can address; the class
+    # vocabularies are bounded before any token list is built
     @pytest.mark.parametrize("overrides, message", [
         ({"featurizer": {"hash_dim": 2 ** 40}}, "Unable to allocate"),
         ({"dataset": {"synthetic": {"classes": 3, "instances": 2 ** 63}}},
@@ -307,8 +308,18 @@ class TestWrongShapeInputs:
         ({"train": {"steps": 5, "hidden_size": 2 ** 62}},
          f"hidden_size {2 ** 62} is too large"),
         ({"train": {"steps": 5, "hidden_size": 2 ** 63}},
-         f"hidden_size {2 ** 63} is too large")],
-        ids=["hash-dim", "instances", "hidden-size-2^62", "hidden-size-2^63"])
+         f"hidden_size {2 ** 63} is too large"),
+        ({"dataset": {"synthetic": {"classes": 3, "instances": 240,
+                                    "vocab_per_class": 2 ** 40}}},
+         "vocab_per_class must be >= 4, and vocab_per_class x classes at most"),
+        ({"dataset": {"synthetic": {"classes": 3, "instances": 240,
+                                    "vocab_per_class": 2 ** 63}}},
+         "vocab_per_class must be >= 4, and vocab_per_class x classes at most"),
+        ({"dataset": {"synthetic": {"classes": 2 ** 40, "instances": 2 ** 40,
+                                    "vocab_per_class": 20}}},
+         "vocab_per_class must be >= 4, and vocab_per_class x classes at most")],
+        ids=["hash-dim", "instances", "hidden-size-2^62", "hidden-size-2^63",
+             "vocab-per-class-2^40", "vocab-per-class-2^63", "classes-2^40"])
     def test_setting_too_large_is_one(self, tmp_path, capsys, overrides,
                                       message):
         cfg = write_config(tmp_path / "cfg.json", **overrides)
