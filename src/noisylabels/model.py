@@ -294,9 +294,8 @@ def instance_losses(params: ModelParams, x: sparse.csr_array, y: np.ndarray
 
 
 def _row_losses(params: ModelParams, pre: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """instance_losses from the rows' pre-activations."""
     _, [logp] = _forward(params, pre, 1)
-    return -logp[np.arange(pre.shape[0]), np.asarray(y, dtype=np.int64)]
+    return -logp[np.arange(len(pre)), np.asarray(y, dtype=np.int64)]
 
 
 @dataclass
@@ -314,12 +313,11 @@ def backward_from_logit_grads(
     logit_grads: dict[int, np.ndarray],
 ) -> Grads:
     """Map d(loss)/d(logits) per head back to the head gradients and to
-    d(loss)/d(pre-activations), from which apply_grads steps the encoder.
-
-    `pre` and `scales` must be the pre-activations and dropout scales of the
-    _forward call that produced the logits: scales[head] is the dropout scale that head's hidden layer was
-    multiplied by (None for none), so dropout is treated consistently
-    between loss and gradient.
+    d_pre = d(loss)/d(pre-activations), from which apply_grads steps the
+    encoder. `pre` and `scales` must be those of the _forward call that
+    produced the logits: scales[head] is the dropout scale that head's
+    hidden layer was multiplied by (None for none), so dropout is treated
+    consistently between loss and gradient.
     """
     hidden = np.maximum(pre, 0.0)
     d_hidden = np.zeros_like(hidden)
@@ -343,10 +341,7 @@ def mean_ce_and_grads(params: ModelParams, x: sparse.csr_array, y: np.ndarray,
                               train_mode)
 
 
-def _mean_ce_and_grads(params: ModelParams, x: sparse.csr_array, pre: np.ndarray,
-                       y: np.ndarray, scale_rng: np.random.Generator | None,
-                       train_mode: bool) -> tuple[float, Grads]:
-    """mean_ce_and_grads from x's pre-activations."""
+def _mean_ce_and_grads(params, x, pre, y, scale_rng, train_mode):
     y = np.asarray(y, dtype=np.int64)
     b = x.shape[0]
     scales, [logp] = _forward(params, pre, 1, train_mode, scale_rng)
@@ -365,23 +360,16 @@ def apply_grads(params: ModelParams, grads: Grads, lr_effective: float,
                 weight_decay: float) -> None:
     """In-place SGD update with L2 decay on the weight matrices.
 
-    The encoder takes its step without its gradient ever being formed:
-    scipy's CSC kernel (the one x.T @ d runs, fed the batch's CSR arrays,
-    which are x.T's CSC arrays) adds the step -(lr_effective /
-    encoder_scale) * d_pre into the stored encoder, batch row by batch row,
-    so only the batch's feature rows change. The decay then multiplies
-    encoder_scale, which shrinks every row of the effective encoder without
-    a pass over it. When the scale falls below _SCALE_FLOOR it is folded
-    into the encoder and reset to 1.0, one dense pass in many steps.
-
-    The encoder step and the head gradients are checked before any
-    parameter changes, so a DivergenceError leaves params untouched; so does
-    the ValidationError for an encoder the kernel cannot write in place (it
-    must be a C-contiguous, writable float64 array).
+    The encoder's gradient x.T @ d_pre is never formed: scipy's CSC kernel
+    (the one x.T @ d runs; x's CSR arrays are x.T's CSC arrays) adds the
+    step -(lr_effective / encoder_scale) * d_pre straight into the stored
+    encoder's batch rows. The decay then multiplies encoder_scale, which
+    shrinks every row of the effective encoder; below _SCALE_FLOOR the scale
+    is folded into the encoder and reset to 1.0, one dense pass in many
+    steps. The step and the head gradients are checked, and an encoder the
+    kernel cannot write in place refused, before any parameter changes.
     """
-    encoder = params.encoder
-    if encoder.dtype != np.float64 or not (encoder.flags.c_contiguous
-                                           and encoder.flags.writeable):
+    if params.encoder.dtype != np.float64 or not params.encoder.flags.carray:
         raise ValidationError("the encoder must be a C-contiguous, writable "
                               "float64 array to be updated in place")
     step = grads.d_pre * (-lr_effective / params.encoder_scale)
@@ -390,7 +378,7 @@ def apply_grads(params: ModelParams, grads: Grads, lr_effective: float,
         raise DivergenceError("non-finite gradients; reduce the learning rate")
     x = grads.x
     _sparsetools.csc_matvecs(x.shape[1], x.shape[0], step.shape[1], x.indptr,
-                             x.indices, x.data, step.ravel(), encoder.ravel())
+                             x.indices, x.data, step.ravel(), params.encoder.ravel())
     decay = 1.0 - lr_effective * weight_decay
     if weight_decay:
         params.encoder_scale *= decay

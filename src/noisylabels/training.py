@@ -14,27 +14,14 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-
 from scipy import sparse
 
 from .data import Dataset
 from .errors import ConsensusCollapseError, ValidationError
-
-from .model import (
-    Featurizer,
-    ModelParams,
-    TrainConfig,
-    apply_grads,
-    backward_from_logit_grads,
-    _encode,
-    _forward,
-    _mean_ce_and_grads,
-    _row_losses,
-    evaluate_features,
-    featurize_dataset,
-    init_params,
-    mean_ce_and_grads,
-)
+from .model import (Featurizer, ModelParams, TrainConfig, _encode, _forward,
+                    _mean_ce_and_grads, _row_losses, apply_grads,
+                    backward_from_logit_grads, evaluate_features, featurize_dataset,
+                    init_params, mean_ce_and_grads)
 from .util import derive_rng
 
 MEMBER_METHODS = ("vanilla", "coteaching", "ceta")
@@ -166,10 +153,6 @@ class Featurized:
         return self.x.shape[0]
 
 
-def _init_seed(cfg: TrainConfig) -> int:
-    return cfg.seed if cfg.init_seed is None else cfg.init_seed
-
-
 def _train_loop(data: Featurized, cfg: TrainConfig, n_nets: int, n_heads: int,
                 objective: Callable) -> tuple[tuple[ModelParams, ...], list[dict]]:
     """The minibatch loop every trainer runs: it sets up the nets, feeds
@@ -185,7 +168,8 @@ def _train_loop(data: Featurized, cfg: TrainConfig, n_nets: int, n_heads: int,
     improvement and stops after cfg.patience evaluations without one.
     Returns the best snapshots and the history.
     """
-    seeds = [_init_seed(cfg) + i for i in range(n_nets)]
+    init_seed = cfg.seed if cfg.init_seed is None else cfg.init_seed
+    seeds = [init_seed + i for i in range(n_nets)]
     nets = [init_params(data.featurizer, data.n_labels, cfg.hidden_size, n_heads,
                         cfg.drop_rate, seed=s) for s in seeds]
     dropout = [derive_rng(s, "dropout") for s in seeds]
@@ -280,18 +264,15 @@ def _train_coteaching(data: Featurized, cfg: TrainConfig, sched: CoteachSchedule
                 f"forget rate {sched.forget_rate(step):.3f} keeps no instances "
                 f"from a batch of {len(batch)}")
         # simultaneous small-loss selection, then crossed gradients; each
-        # reads only its own net and dropout stream. A CSR row's
-        # pre-activations do not depend on the other rows, so each net's
-        # update reuses the rows of its scoring pass.
+        # reads only its own net and dropout stream, and each net's update
+        # reuses its scoring pass's rows (a CSR row's pre-activations do not
+        # depend on the other rows)
         pres = [_encode(net, xb)[0] for net in nets]
         kept = [np.sort(np.argsort(_row_losses(net, pre, yb), kind="stable")[:keep])
                 for net, pre in zip(nets, pres)]
-        losses, grads = [], []
-        for net, pre, other_kept, rng in zip(nets, pres, (kept[1], kept[0]), dropout):
-            loss, g = _mean_ce_and_grads(net, _take_rows(xb, other_kept),
-                                         pre[other_kept], yb[other_kept], rng, True)
-            losses.append(loss)
-            grads.append(g)
+        losses, grads = zip(*(
+            _mean_ce_and_grads(net, _take_rows(xb, k), pre[k], yb[k], rng, True)
+            for net, pre, k, rng in zip(nets, pres, kept[::-1], dropout)))
         return {
             "step": step,
             "train_batch_loss": losses[0],
@@ -300,7 +281,7 @@ def _train_coteaching(data: Featurized, cfg: TrainConfig, sched: CoteachSchedule
             "batch_indices": batch.tolist(),
             "kept_net1": batch[kept[0]].tolist(),
             "kept_net2": batch[kept[1]].tolist(),
-        }, grads
+        }, list(grads)
 
     (best1, best2), history = _train_loop(data, cfg, 2, 1, objective)
     return best1, best2, history
