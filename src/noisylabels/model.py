@@ -300,6 +300,9 @@ def _row_losses(params: ModelParams, pre: np.ndarray, y: np.ndarray) -> np.ndarr
 
 @dataclass
 class Grads:
+    """One batch's head gradients and d_pre, the gradient of its
+    pre-activations; apply_grads steps the encoder from x and d_pre."""
+
     x: sparse.csr_array  # the batch, or its raw CSR arrays
     d_pre: np.ndarray    # batch x hidden; the encoder's gradient is x.T @ d_pre
     heads: dict[int, tuple[np.ndarray, np.ndarray]]  # head -> (dW, db)

@@ -617,11 +617,11 @@ class TestApplyGrads:
             apply_grads(params, grads, lr, 1e-2)
         self.assert_unchanged(params, before, 0.75)
 
-    @pytest.mark.parametrize("layout", [np.asfortranarray,
-                                        lambda a: a.astype(np.float32),
-                                        lambda a: a.astype(">f8"),
-                                        lambda a: np.repeat(a, 2, axis=1)[:, ::2]],
-                             ids=["fortran", "float32", "big-endian", "strided"])
+    @pytest.mark.parametrize("layout", [
+        np.asfortranarray, lambda a: a.astype(np.float32), lambda a: a.astype(">f8"),
+        lambda a: np.repeat(a, 2, axis=1)[:, ::2],
+        lambda a: np.lib.stride_tricks.as_strided(a, writeable=False)],
+        ids=["fortran", "float32", "big-endian", "strided", "read-only"])
     def test_encoder_the_kernel_cannot_write_is_refused(self, layout):
         # the kernel writes through encoder.ravel(), which copies such an
         # encoder, so the step would be lost (or the kernel would raise)
@@ -633,14 +633,6 @@ class TestApplyGrads:
             apply_grads(params, grads, 0.1, 1e-2)
         self.assert_unchanged(params, before, 1.0)
         assert params.encoder.dtype == before.encoder.dtype
-
-    def test_read_only_encoder_is_refused(self):
-        params, grads = self.setup_params()
-        params.encoder.flags.writeable = False
-        before = params.copy()
-        with pytest.raises(ValidationError, match="C-contiguous, writable float64"):
-            apply_grads(params, grads, 0.1, 1e-2)
-        self.assert_unchanged(params, before, 1.0)
 
 
 def random_csr(rng, n_rows, n_cols, index_dtype, empty_rows=()):
