@@ -9,10 +9,8 @@ from noisylabels import (
     clean_dataset,
     evaluate,
     get_preset,
-    retrain_on_cleaned,
     threshold_sweep_csv,
     train_vanilla,
-    tune_threshold,
 )
 
 for preset in (get_preset("yoruba_like"), get_preset("hausa_like")):
@@ -23,12 +21,10 @@ for preset in (get_preset("yoruba_like"), get_preset("hausa_like")):
     baseline, _ = train_vanilla(train, val, cfg, feat)
     baseline_acc = evaluate(baseline, test, feat)
 
-    clean_cfg = CleanConfig(folds=5, seed=0)
-    threshold, diagnostics = tune_threshold(train, val, clean_cfg, cfg, feat)
-    cleaned, report = clean_dataset(train, replace(clean_cfg,
-                                                   threshold=threshold),
-                                    cfg, feat, val)
-    _, cleaned_acc = retrain_on_cleaned(cleaned, val, cfg, feat, test)
+    # one pass: tune the threshold, clean, and keep the retrained model
+    cleaned, report, diagnostics, model = clean_dataset(
+        train, CleanConfig(folds=5, seed=0), cfg, feat, val)
+    threshold, cleaned_acc = report.threshold_used, evaluate(model, test, feat)
 
     print(f"--- {preset.name} ---")
     print(f"tuned threshold {threshold:.3f} "

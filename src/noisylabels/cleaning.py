@@ -1,6 +1,6 @@
 """N-fold loss-based noise cleaning: fine-tune on each fold's complement,
 score the held-out fold by per-instance loss, drop everything at or above a
-threshold, and retrain on what survives.
+threshold, and retrain on what survives, all in one clean_dataset pass.
 
 The selection path never looks at gold labels; gold is only used afterwards
 to report noise levels before and after cleaning when it happens to exist.
@@ -27,7 +27,7 @@ DEFAULT_TUNING_QUANTILES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 @dataclass(frozen=True)
 class CleanConfig:
-    """Fold count, loss threshold (None = tune separately) and tuning grid.
+    """Fold count, loss threshold (None = tune it) and tuning grid.
 
     tuning_grid takes absolute thresholds; when it is None the grid is built
     from tuning_quantiles of the observed held-out loss distribution.
@@ -144,17 +144,19 @@ def _report(train: Dataset, cleaned: Dataset, losses, fold_of, kept, removed,
     )
 
 
-def _clean_pass(train: Dataset, val: Dataset, cfg: CleanConfig,
-                train_cfg: TrainConfig, featurizer: Featurizer,
-                retrain: bool = False):
-    """Held-out losses once, then the threshold (tuned unless cfg fixes it),
-    then the cleaned set: (cleaned, report, diagnostics, model).
+def clean_dataset(train: Dataset, cfg: CleanConfig, train_cfg: TrainConfig,
+                  featurizer: Featurizer, val: Dataset
+                  ) -> tuple[Dataset, CleaningReport,
+                             list[ThresholdDiagnostic] | None, ModelParams | None]:
+    """The cleaning pass: held-out losses once, then the threshold (tuned
+    unless cfg fixes it), then the cleaned set, in the original instance
+    order: (cleaned, report, diagnostics, model).
 
-    diagnostics is the tuning curve, None for a fixed threshold. model is
-    the vanilla model trained on the cleaned set with train_cfg, or None for
-    a fixed threshold without retrain. A tuned pass has already trained
-    exactly that model for the winning candidate, so it keeps it instead of
-    training it again.
+    For a tuned threshold, diagnostics is the tuning curve and model the
+    winning candidate's model, which is the vanilla model trained on the
+    cleaned set with train_cfg; for a fixed threshold both are None
+    (retrain_on_cleaned trains that model). Raises EmptyCleanedSetError
+    rather than returning an empty training set.
     """
     data = Featurized.of(featurizer, train, val)
     losses, fold_of = _heldout(data, cfg, train_cfg)
@@ -168,24 +170,7 @@ def _clean_pass(train: Dataset, val: Dataset, cfg: CleanConfig,
     if len(cleaned) == 0:
         raise EmptyCleanedSetError(
             f"threshold {threshold} removed all {len(train)} instances")
-    if retrain and model is None:
-        model, _ = _train_vanilla(data.rows(kept), train_cfg)
     return cleaned, report, diagnostics, model
-
-
-def clean_dataset(train: Dataset, cfg: CleanConfig, train_cfg: TrainConfig,
-                  featurizer: Featurizer, val: Dataset
-                  ) -> tuple[Dataset, CleaningReport]:
-    """Drop training instances whose held-out loss is >= the fixed threshold.
-
-    The cleaned dataset preserves the original instance order. Raises
-    EmptyCleanedSetError rather than returning an empty training set.
-    """
-    if cfg.threshold is None:
-        raise ValidationError("clean_dataset needs a fixed threshold; "
-                              "run tune_threshold first")
-    cleaned, report, _, _ = _clean_pass(train, val, cfg, train_cfg, featurizer)
-    return cleaned, report
 
 
 @dataclass(frozen=True)
@@ -204,16 +189,12 @@ def tune_threshold(train: Dataset, val: Dataset, cfg: CleanConfig,
     """Pick the loss threshold whose cleaned-and-retrained model scores best
     on the (noisy) validation set; ties go to the smaller threshold.
 
-    Fold models are trained once and reused across candidates, which is
-    equivalent to running the full cleaning pass per candidate because the
-    fold partition and fold-model seeds do not depend on the threshold. So
-    tuning costs the fold trainings plus one training per candidate (5 + 9
-    with the defaults). The harness's nc method and the CLI go further: one
-    pass computes the held-out losses once for tuning and cleaning, and the
-    winning candidate's model is the retrained model.
+    Fold models are trained once and reused across candidates, so tuning
+    costs the fold trainings plus one training per candidate. This is the
+    tuned clean_dataset pass, keeping only its threshold and tuning curve.
     """
-    _, report, diagnostics, _ = _clean_pass(
-        train, val, replace(cfg, threshold=None), train_cfg, featurizer)
+    _, report, diagnostics, _ = clean_dataset(
+        train, replace(cfg, threshold=None), train_cfg, featurizer, val)
     return report.threshold_used, diagnostics
 
 

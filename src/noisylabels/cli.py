@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .cleaning import _clean_pass
+from .cleaning import clean_dataset
 from .data import _save_splits, load_dataset, save_dataset
 from .errors import NoisyLabelsError, ValidationError
 from .harness import ExperimentConfig, _apply_noise, _materialize, _preset, \
@@ -33,12 +33,15 @@ def _cmd_noise(args) -> int:
     preset = _preset(cfg)
     noised = apply_noise(load_dataset(args.infile, args.format), cfg.noise,
                          cfg.base_seed, preset.labeler if preset else None)
-    save_dataset(noised, args.out, args.format)
+    # the level and the matrix can fail (no gold, no rows), so both are
+    # computed before anything is written
     level = noise_level(noised) if noised.has_gold() else None
+    matrix = noise_matrix(noised) if args.matrix_out else None
+    save_dataset(noised, args.out, args.format)
     if level is not None:
         print(f"measured noise level: {level:.4f}")
-    if args.matrix_out:
-        noise_matrix(noised).save(args.matrix_out)
+    if matrix is not None:
+        matrix.save(args.matrix_out)
     print(f"wrote noised dataset to {args.out}")
     return 0
 
@@ -98,15 +101,16 @@ def _cmd_clean(args) -> int:
     cfg = _load_cli_config(args)
     out_dir = _checked_dir(args.out_dir or "cleaning_out")
     train, val = _apply_noise(_materialize(cfg), cfg, cfg.base_seed)
-    cleaned, report, diagnostics, _ = _clean_pass(
-        train, val, replace(cfg.cleaning, seed=cfg.base_seed),
-        replace(cfg.train, seed=cfg.base_seed), cfg.featurizer)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cleaned, report, diagnostics, _ = clean_dataset(
+        train, replace(cfg.cleaning, seed=cfg.base_seed),
+        replace(cfg.train, seed=cfg.base_seed), cfg.featurizer, val)
+    # the cleaned set is encoded before out_dir is made, so a set that
+    # cannot be saved leaves nothing behind
+    _save_splits({"cleaned": cleaned}, out_dir, "jsonl")
     if diagnostics is not None:
         (out_dir / "threshold_sweep.csv").write_text(
             threshold_sweep_csv(diagnostics), encoding="utf-8")
         print(f"tuned threshold: {report.threshold_used}")
-    save_dataset(cleaned, out_dir / "cleaned.jsonl", "jsonl")
     report.save(out_dir / "cleaning_report.json")
     if train.has_gold():
         (out_dir / "noise_matrices.csv").write_text(

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cleaning import CleanConfig, _clean_pass
+from .cleaning import CleanConfig, clean_dataset, retrain_on_cleaned
 from .data import Dataset, SplitSpec, generate_synthetic_corpus, load_dataset, \
     split_dataset
 from .ensembles import COMPACT_GRID, EnsembleSpec, _predict_features, \
@@ -239,11 +239,12 @@ def _run_method(cfg: ExperimentConfig, mat: _Materialized, train: Dataset,
             members = train_boosting(train, val, spec, feat)
         record["n_members"] = len(members)
     elif cfg.method == "nc":
-        # same result as tune_threshold -> clean_dataset -> retrain_on_cleaned,
-        # with the held-out losses and the winner's training done once
-        cleaned, report, _, params = _clean_pass(
-            train, val, replace(cfg.cleaning, seed=run_seed), tcfg, feat,
-            retrain=True)
+        # a tuned pass returns its winning candidate's model, which is the
+        # retrained model; a fixed threshold retrains on the cleaned set
+        cleaned, report, _, params = clean_dataset(
+            train, replace(cfg.cleaning, seed=run_seed), tcfg, feat, val)
+        if params is None:
+            params, _ = retrain_on_cleaned(cleaned, val, tcfg, feat)
         members = [params]
         record.update({
             "threshold_used": report.threshold_used,

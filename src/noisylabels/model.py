@@ -236,7 +236,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _encode(params: ModelParams, x: sparse.csr_array):
-    """Pre-activations and their ReLU, before any dropout.
+    """Pre-activations, before the ReLU and any dropout.
 
     x is a csr_array or a training batch with the same data, indices, indptr
     and shape; the product is scipy's CSR kernel, the one x @ encoder runs,
@@ -253,7 +253,7 @@ def _encode(params: ModelParams, x: sparse.csr_array):
                              x.data, params.encoder.ravel(), pre.ravel())
     if params.encoder_scale != 1.0:
         pre *= params.encoder_scale
-    return pre, np.maximum(pre, 0.0)
+    return pre
 
 
 def _dropout_scales(params: ModelParams, shape: tuple[int, ...], n: int,
@@ -277,24 +277,24 @@ def _head_logits(params: ModelParams, hidden: np.ndarray, head: int) -> np.ndarr
 def _forward(params: ModelParams, pre: np.ndarray, n_heads: int,
              train_mode: bool = False, rng: np.random.Generator | None = None):
     """The forward pass every loss and gradient runs, from the pre-activations
-    _encode gives: the dropout scales and log-probabilities of the first
-    n_heads heads. Each head draws its own dropout scale from rng, in head
-    order."""
+    _encode gives: the hidden layer (their ReLU), then the dropout scales and
+    log-probabilities of the first n_heads heads. Each head draws its own
+    dropout scale from rng, in head order."""
     hidden = np.maximum(pre, 0.0)
     scales = _dropout_scales(params, pre.shape, n_heads, train_mode, rng)
     logps = [_log_softmax(_head_logits(params, hidden if s is None else hidden * s, h))
              for h, s in enumerate(scales)]
-    return scales, logps
+    return hidden, scales, logps
 
 
 def instance_losses(params: ModelParams, x: sparse.csr_array, y: np.ndarray
                     ) -> np.ndarray:
     """Per-row cross-entropy -log p(y) of head 0, computed in evaluation mode."""
-    return _row_losses(params, _encode(params, x)[0], y)
+    return _row_losses(params, _encode(params, x), y)
 
 
 def _row_losses(params: ModelParams, pre: np.ndarray, y: np.ndarray) -> np.ndarray:
-    _, [logp] = _forward(params, pre, 1)
+    _, _, [logp] = _forward(params, pre, 1)
     return -logp[np.arange(len(pre)), np.asarray(y, dtype=np.int64)]
 
 
@@ -311,18 +311,18 @@ class Grads:
 def backward_from_logit_grads(
     params: ModelParams,
     x: sparse.csr_array,
-    pre: np.ndarray,
+    hidden: np.ndarray,
     scales: list[np.ndarray | None],
     logit_grads: dict[int, np.ndarray],
 ) -> Grads:
     """Map d(loss)/d(logits) per head back to the head gradients and to
     d_pre = d(loss)/d(pre-activations), from which apply_grads steps the
-    encoder. `pre` and `scales` must be those of the _forward call that
+    encoder. `hidden` and `scales` must be those of the _forward call that
     produced the logits: scales[head] is the dropout scale that head's
     hidden layer was multiplied by (None for none), so dropout is treated
-    consistently between loss and gradient.
+    consistently between loss and gradient. The ReLU passes gradient where
+    hidden > 0, which is where the pre-activation is.
     """
-    hidden = np.maximum(pre, 0.0)
     d_hidden = np.zeros_like(hidden)
     head_grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for head, g in logit_grads.items():
@@ -332,7 +332,7 @@ def backward_from_logit_grads(
         head_grads[head] = (head_hidden.T @ g, g.sum(axis=0))
         d_head = g @ h.weights.T
         d_hidden += d_head if scale is None else d_head * scale
-    return Grads(x, d_hidden * (pre > 0.0), head_grads)
+    return Grads(x, d_hidden * (hidden > 0.0), head_grads)
 
 
 def mean_ce_and_grads(params: ModelParams, x: sparse.csr_array, y: np.ndarray,
@@ -340,19 +340,19 @@ def mean_ce_and_grads(params: ModelParams, x: sparse.csr_array, y: np.ndarray,
                       train_mode: bool = False) -> tuple[float, Grads]:
     """Mean cross-entropy of head 0 over the batch, with its exact gradient.
     In train mode the dropout mask is drawn from scale_rng."""
-    return _mean_ce_and_grads(params, x, _encode(params, x)[0], y, scale_rng,
+    return _mean_ce_and_grads(params, x, _encode(params, x), y, scale_rng,
                               train_mode)
 
 
 def _mean_ce_and_grads(params, x, pre, y, scale_rng, train_mode):
     y = np.asarray(y, dtype=np.int64)
     b = x.shape[0]
-    scales, [logp] = _forward(params, pre, 1, train_mode, scale_rng)
+    hidden, scales, [logp] = _forward(params, pre, 1, train_mode, scale_rng)
     rows = np.arange(b)
     g = np.exp(logp)
     g[rows, y] -= 1.0
     return float(-logp[rows, y].mean()), backward_from_logit_grads(
-        params, x, pre, scales, {0: g / b})
+        params, x, hidden, scales, {0: g / b})
 
 
 # below this encoder scale, apply_grads folds the scale into the encoder
@@ -405,7 +405,7 @@ def predict_probs(params: ModelParams, x: sparse.csr_array) -> np.ndarray:
     """Evaluation-mode probabilities: the mean of the heads' softmaxes, which
     for a one-head model is that head's softmax exactly."""
     params.check_finite()
-    _, hidden = _encode(params, x)
+    hidden = np.maximum(_encode(params, x), 0.0)
     return np.mean([_softmax(_head_logits(params, hidden, h))
                     for h in range(params.n_heads)], axis=0)
 

@@ -267,7 +267,7 @@ def _train_coteaching(data: Featurized, cfg: TrainConfig, sched: CoteachSchedule
         # reads only its own net and dropout stream, and each net's update
         # reuses its scoring pass's rows (a CSR row's pre-activations do not
         # depend on the other rows)
-        pres = [_encode(net, xb)[0] for net in nets]
+        pres = [_encode(net, xb) for net in nets]
         kept = [np.sort(np.argsort(_row_losses(net, pre, yb), kind="stable")[:keep])
                 for net, pre in zip(nets, pres)]
         losses, grads = zip(*(
@@ -335,8 +335,8 @@ def ceta_batch_objective(params: ModelParams, x, y: np.ndarray, ceta: CetaConfig
         raise ValidationError("consensus training needs exactly 2 heads")
     y = np.asarray(y, dtype=np.int64)
     b = x.shape[0]
-    pre, _ = _encode(params, x)
-    scales, logps = _forward(params, pre, 2, train_mode, scale_rng)
+    hidden, scales, logps = _forward(params, _encode(params, x), 2, train_mode,
+                                     scale_rng)
     probs = [np.exp(lp) for lp in logps]
 
     consensus = probs[0].argmax(axis=1) == probs[1].argmax(axis=1)
@@ -359,7 +359,7 @@ def ceta_batch_objective(params: ModelParams, x, y: np.ndarray, ceta: CetaConfig
             g[~consensus] = 0.0
             logit_grads[h] += g / n_cons
 
-    grads = backward_from_logit_grads(params, x, pre, scales, logit_grads)
+    grads = backward_from_logit_grads(params, x, hidden, scales, logit_grads)
     return loss, grads, consensus, float(tv.mean())
 
 

@@ -135,7 +135,8 @@ class TestCriterion2:
                                   1 - n / (n + 60) - 30 / (n + 60), seed=1))
             train = inject_uniform_noise(train, 0.2, seed=2)
             sentinel = CleanConfig(folds=folds, threshold=1e9, seed=4)
-            cleaned, report = clean_dataset(train, sentinel, tcfg, feat, val)
+            cleaned, report, _, _ = clean_dataset(train, sentinel, tcfg, feat,
+                                                  val)
             assert cleaned == train
             ids = {i.id for i in train}
             kept_sets = []
@@ -144,7 +145,7 @@ class TestCriterion2:
                     for q in (0.2, 0.4, 0.6, 0.8)] + [1e9]
             for t in grid:
                 ccfg = CleanConfig(folds=folds, threshold=t, seed=4)
-                _, rep = clean_dataset(train, ccfg, tcfg, feat, val)
+                _, rep, _, _ = clean_dataset(train, ccfg, tcfg, feat, val)
                 assert set(rep.kept_ids) | set(rep.removed_ids) == ids
                 assert not set(rep.kept_ids) & set(rep.removed_ids)
                 assert all(rep.per_instance_loss[i] < t for i in rep.kept_ids)

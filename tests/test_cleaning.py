@@ -70,7 +70,7 @@ class TestCleanDataset:
                                                  tiny_featurizer):
         train, val, _, cfg = noisy_setup
         ccfg = CleanConfig(folds=4, threshold=1e9, seed=5)
-        cleaned, report = clean_dataset(train, ccfg, cfg, tiny_featurizer, val)
+        cleaned, report, _, _ = clean_dataset(train, ccfg, cfg, tiny_featurizer, val)
         assert cleaned == train
         assert report.removed_ids == ()
         assert set(report.kept_ids) == {i.id for i in train}
@@ -84,7 +84,7 @@ class TestCleanDataset:
     def test_strict_filtering_and_partition(self, noisy_setup, tiny_featurizer):
         train, val, _, cfg = noisy_setup
         ccfg = CleanConfig(folds=4, threshold=0.7, seed=5)
-        cleaned, report = clean_dataset(train, ccfg, cfg, tiny_featurizer, val)
+        cleaned, report, _, _ = clean_dataset(train, ccfg, cfg, tiny_featurizer, val)
         assert set(report.kept_ids) | set(report.removed_ids) == \
             {i.id for i in train}
         assert not set(report.kept_ids) & set(report.removed_ids)
@@ -97,11 +97,11 @@ class TestCleanDataset:
         # an instance whose loss exactly equals the threshold is removed
         train, val, _, cfg = noisy_setup
         probe = CleanConfig(folds=4, threshold=1e9, seed=5)
-        _, report = clean_dataset(train, probe, cfg, tiny_featurizer, val)
+        _, report, _, _ = clean_dataset(train, probe, cfg, tiny_featurizer, val)
         some_id = report.kept_ids[len(report.kept_ids) // 2]
         exact = report.per_instance_loss[some_id]
         ccfg = CleanConfig(folds=4, threshold=exact, seed=5)
-        _, report2 = clean_dataset(train, ccfg, cfg, tiny_featurizer, val)
+        _, report2, _, _ = clean_dataset(train, ccfg, cfg, tiny_featurizer, val)
         assert some_id in report2.removed_ids
 
     def test_monotone_in_threshold(self, noisy_setup, tiny_featurizer):
@@ -109,7 +109,7 @@ class TestCleanDataset:
         kept_sets = []
         for t in (0.2, 0.5, 1.0, 2.0, 1e9):
             ccfg = CleanConfig(folds=4, threshold=t, seed=5)
-            _, report = clean_dataset(train, ccfg, cfg, tiny_featurizer, val)
+            _, report, _, _ = clean_dataset(train, ccfg, cfg, tiny_featurizer, val)
             kept_sets.append(set(report.kept_ids))
         for smaller, larger in zip(kept_sets, kept_sets[1:]):
             assert smaller <= larger
@@ -117,7 +117,7 @@ class TestCleanDataset:
     def test_order_preserved(self, noisy_setup, tiny_featurizer):
         train, val, _, cfg = noisy_setup
         ccfg = CleanConfig(folds=4, threshold=0.7, seed=5)
-        cleaned, _ = clean_dataset(train, ccfg, cfg, tiny_featurizer, val)
+        cleaned, _, _, _ = clean_dataset(train, ccfg, cfg, tiny_featurizer, val)
         positions = {i.id: k for k, i in enumerate(train.instances)}
         order = [positions[i.id] for i in cleaned.instances]
         assert order == sorted(order)
@@ -126,25 +126,42 @@ class TestCleanDataset:
         # the same selection must come out when gold labels do not exist
         train, val, _, cfg = noisy_setup
         ccfg = CleanConfig(folds=4, threshold=0.7, seed=5)
-        _, with_gold = clean_dataset(train, ccfg, cfg, tiny_featurizer, val)
-        _, without_gold = clean_dataset(strip_gold(train), ccfg, cfg,
-                                        tiny_featurizer, strip_gold(val))
+        _, with_gold, _, _ = clean_dataset(train, ccfg, cfg, tiny_featurizer, val)
+        _, without_gold, _, _ = clean_dataset(strip_gold(train), ccfg, cfg,
+                                              tiny_featurizer, strip_gold(val))
         assert with_gold.kept_ids == without_gold.kept_ids
         assert with_gold.removed_ids == without_gold.removed_ids
         assert without_gold.noise_before is None
         assert without_gold.noise_after is None
         assert with_gold.noise_before is not None
 
-    def test_threshold_must_be_fixed(self, noisy_setup, tiny_featurizer):
+    def test_tuned_pass_matches_the_composition(self, noisy_setup,
+                                                tiny_featurizer):
+        # one untuned pass equals tune_threshold, then a fixed-threshold pass,
+        # then retrain_on_cleaned: the same cleaned set, report bytes, tuning
+        # curve and model bits; a fixed pass returns no curve and no model
         train, val, _, cfg = noisy_setup
-        with pytest.raises(ValidationError, match="threshold"):
-            clean_dataset(train, CleanConfig(folds=4, threshold=None), cfg,
-                          tiny_featurizer, val)
+        ccfg = CleanConfig(folds=3, tuning_quantiles=(0.5, 0.8), seed=2)
+        cleaned, report, diagnostics, model = clean_dataset(
+            train, ccfg, cfg, tiny_featurizer, val)
+
+        t, curve = tune_threshold(train, val, ccfg, cfg, tiny_featurizer)
+        fixed, fixed_report, no_curve, no_model = clean_dataset(
+            train, replace(ccfg, threshold=t), cfg, tiny_featurizer, val)
+        retrained, _ = retrain_on_cleaned(fixed, val, cfg, tiny_featurizer)
+        assert no_curve is None and no_model is None
+        assert cleaned == fixed
+        assert report.to_json() == fixed_report.to_json()
+        assert diagnostics == curve and report.threshold_used == t
+        assert model.n_heads == retrained.n_heads
+        assert model.drop_rate == retrained.drop_rate
+        for a, b in zip(model.arrays(), retrained.arrays(), strict=True):
+            assert a.tobytes() == b.tobytes()
 
     def test_report_json(self, noisy_setup, tiny_featurizer, tmp_path):
         train, val, _, cfg = noisy_setup
         ccfg = CleanConfig(folds=4, threshold=0.7, seed=5)
-        _, report = clean_dataset(train, ccfg, cfg, tiny_featurizer, val)
+        _, report, _, _ = clean_dataset(train, ccfg, cfg, tiny_featurizer, val)
         path = tmp_path / "report.json"
         report.save(path)
         payload = json.loads(path.read_text())

@@ -435,7 +435,7 @@ class TestOutputPathErrors:
         def reached(*args, **kwargs):
             raise AssertionError("work started before the output was checked")
 
-        for name in ("run_experiment", "compare_methods", "_clean_pass",
+        for name in ("run_experiment", "compare_methods", "clean_dataset",
                      "_materialize", "apply_noise"):
             monkeypatch.setattr(cli, name, reached)
 
@@ -513,8 +513,8 @@ def reference_cleaning(cfg_path, out_dir):
                                             cfg.featurizer)
     (out_dir / "threshold_sweep.csv").write_text(
         threshold_sweep_csv(diagnostics), encoding="utf-8")
-    cleaned, report = clean_dataset(train, replace(ccfg, threshold=threshold),
-                                    tcfg, cfg.featurizer, val)
+    cleaned, report, _, _ = clean_dataset(
+        train, replace(ccfg, threshold=threshold), tcfg, cfg.featurizer, val)
     (out_dir / "noise_matrices.csv").write_text(
         noise_matrices_csv(train, cleaned), encoding="utf-8")
     save_dataset(cleaned, out_dir / "cleaned.jsonl", "jsonl")
@@ -540,6 +540,44 @@ class TestOnePassCleaning:
         assert set(cli) == {"threshold_sweep.csv", "cleaning_report.json",
                             "cleaned.jsonl", "labels.txt", "noise_matrices.csv"}
         assert cli == self.files(tmp_path / "ref")
+
+
+class TestNoPartialOutputs:
+    """A command that fails leaves no output behind, even when it fails
+    after its method has run."""
+
+    def test_unsaveable_cleaned_set_writes_nothing(self, tmp_path, capsys):
+        # a JSONL label may have edge whitespace, which labels.txt cannot
+        # store; clean finds out only when it saves the cleaned set
+        corpus = write_corpus(tmp_path / "corpus.jsonl", instances=120)
+        (tmp_path / "labels.txt").unlink()
+        corpus.write_text(corpus.read_text(encoding="utf-8").replace(
+            '"class1"', '" class1"'), encoding="utf-8")
+        cfg = write_config(tmp_path / "cfg.json", method="nc",
+                           dataset={"path": str(corpus)}, cleaning={"folds": 3})
+        out = tmp_path / "out"
+        assert main(["clean", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: label names [' class1'] cannot be saved")
+        assert not out.exists()
+
+    def test_matrix_without_gold_writes_nothing(self, tmp_path, capsys):
+        # the matrix needs gold labels; noise used to write --out first
+        corpus = write_corpus(tmp_path / "corpus.jsonl")
+        corpus.write_text("".join(
+            json.dumps({k: v for k, v in json.loads(line).items()
+                        if k != "gold_label"}) + "\n"
+            for line in corpus.read_text(encoding="utf-8").splitlines()),
+            encoding="utf-8")
+        cfg = write_config(tmp_path / "cfg.json", noise={"kind": "none"})
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["noise", "--config", str(cfg), "--in", str(corpus),
+                     "--out", str(out / "o.jsonl"),
+                     "--matrix-out", str(out / "m.csv")]) == 1
+        assert capsys.readouterr().err == \
+            "error: operation requires gold labels on every instance\n"
+        assert not any(out.iterdir())
 
 
 class TestPipelines:

@@ -121,8 +121,8 @@ class TestRunExperiment:
         ccfg = replace(cfg.cleaning, seed=cfg.base_seed)
         tcfg = replace(cfg.train, seed=cfg.base_seed)
         threshold, _ = tune_threshold(train, val, ccfg, tcfg, cfg.featurizer)
-        cleaned, report = clean_dataset(train, replace(ccfg, threshold=threshold),
-                                        tcfg, cfg.featurizer, val)
+        cleaned, report, _, _ = clean_dataset(
+            train, replace(ccfg, threshold=threshold), tcfg, cfg.featurizer, val)
         _, accuracy = retrain_on_cleaned(cleaned, val, tcfg, cfg.featurizer,
                                          mat.test)
         assert run == {"threshold_used": threshold,
@@ -328,6 +328,76 @@ def malformed(draw, raw):
     return mutated(raw, path, OTHER_KIND[draw(st.sampled_from(kinds))])
 
 
+@pytest.fixture(scope="module")
+def corpus_rows(tmp_path_factory):
+    """The rows of a 60-instance JSONL corpus with gold and annotator labels
+    over class0..class2, as save_dataset writes them."""
+    corpus = tmp_path_factory.mktemp("rows") / "corpus.jsonl"
+    save_dataset(generate_synthetic_corpus(3, 60, 8, 0.0, seed=3,
+                                           annotators_per_instance=2,
+                                           annotator_disagreement=0.5),
+                 corpus, "jsonl")
+    return [json.loads(line)
+            for line in corpus.read_text(encoding="utf-8").splitlines()]
+
+
+@st.composite
+def mutated_corpus(draw, rows):
+    """The JSONL lines of rows with one row's label or gold label padded with
+    whitespace, one row's key dropped or given a value of another JSON kind,
+    one id repeated, one line made no JSON object, or all but a few rows
+    dropped."""
+    rows = copy.deepcopy(rows)
+    i = draw(st.integers(0, len(rows) - 1))
+    how = draw(st.sampled_from(["pad", "drop", "retype", "repeat_id",
+                                "not_object", "truncate"]))
+    if how == "pad":
+        key = draw(st.sampled_from(["label", "gold_label"]))
+        pad = draw(st.sampled_from([" ", "\t", "\u00a0"]))
+        rows[i][key] = draw(st.sampled_from([pad + rows[i][key],
+                                             rows[i][key] + pad]))
+    elif how in ("drop", "retype"):
+        key = draw(st.sampled_from(sorted(rows[i])))
+        if how == "drop":
+            del rows[i][key]
+        else:
+            rows[i][key] = draw(st.sampled_from(
+                ["class9", 7, True, None, ["class1"], {"k": 1}]))
+    elif how == "repeat_id":
+        rows[i]["id"] = rows[(i + 1) % len(rows)]["id"]
+    elif how == "truncate":
+        rows = rows[:draw(st.sampled_from([0, 1, 2, 5]))]
+    lines = [json.dumps(row) for row in rows]
+    if how == "not_object":
+        lines[i] = draw(st.sampled_from(["{", "x", "[]", "null", '"row"']))
+    return lines
+
+
+@st.composite
+def mutated_labels(draw, labels):
+    """labels with one name dropped, repeated, padded or added, a blank
+    line inserted, the order reversed, or every name dropped."""
+    labels = list(labels)
+    i = draw(st.integers(0, len(labels) - 1))
+    how = draw(st.sampled_from(["drop", "repeat", "pad", "add", "blank",
+                                "reverse", "empty"]))
+    if how == "drop":
+        del labels[i]
+    elif how == "repeat":
+        labels.insert(i, labels[i])
+    elif how == "pad":
+        labels[i] = f" {labels[i]}\t"
+    elif how == "add":
+        labels.append("class9")
+    elif how == "blank":
+        labels.insert(i, "")
+    elif how == "reverse":
+        labels.reverse()
+    else:
+        labels = []
+    return labels
+
+
 class TestMalformedConfigProperties:
     def test_valid_configs_materialize(self, valid_configs):
         for raw in valid_configs:
@@ -383,14 +453,85 @@ class TestMalformedConfigProperties:
         with tempfile.TemporaryDirectory() as tmp:
             cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "table.csv"
             cfg.write_text(json.dumps(raw), encoding="utf-8")
-            err = io.StringIO()
-            with redirect_stdout(io.StringIO()), redirect_stderr(err):
-                code = main(["compare", "--config", str(cfg), "--out", str(out)])
-            assert code in (0, 1, 2)
-            assert "Traceback" not in err.getvalue()
+            if self.run(["compare", "--config", str(cfg), "--out", str(out)]):
+                assert not out.exists()
+
+    # the input set noise and clean start from: a 60-row JSONL corpus with
+    # gold and annotator labels, with or without its labels.txt, and a config
+    # reading it; a 5-step training keeps each clean to a few milliseconds
+    CORPUS_CONFIG = {
+        "method": "nc",
+        "split": {"train": 0.6, "validation": 0.2, "test": 0.2, "seed": 1},
+        "featurizer": {"hash_dim": 256},
+        "train": {"steps": 5, "batch_size": 8, "eval_every": 5,
+                  "hidden_size": 8},
+        "cleaning": {"folds": 2, "tuning_quantiles": [0.5, 0.9]},
+        "runs": 1,
+    }
+
+    @classmethod
+    def corpus_inputs(cls, data, rows, tmp: Path) -> Path:
+        """Writes corpus.jsonl, labels.txt (unless drawn away) and cfg.json
+        into tmp, one of them mutated; returns the config's path."""
+        target = data.draw(st.sampled_from(["config", "corpus", "labels"]))
+        labels = ["class0", "class1", "class2"]
+        if target == "corpus":
+            lines = data.draw(mutated_corpus(rows))
+        else:
+            lines = [json.dumps(row) for row in rows]
+        (tmp / "corpus.jsonl").write_text("".join(f"{line}\n" for line in lines),
+                                          encoding="utf-8")
+        if target == "labels" or data.draw(st.booleans()):
+            if target == "labels":
+                labels = data.draw(mutated_labels(labels))
+            (tmp / "labels.txt").write_text("".join(f"{name}\n" for name in labels),
+                                            encoding="utf-8")
+        raw = {**cls.CORPUS_CONFIG,
+               "dataset": {"path": str(tmp / "corpus.jsonl"), "format": "jsonl"},
+               "noise": data.draw(st.sampled_from([
+                   {"kind": "none"}, {"kind": "uniform_random", "level": 0.2}]))}
+        if target == "config":
+            raw = data.draw(malformed(raw))
+        (tmp / "cfg.json").write_text(json.dumps(raw), encoding="utf-8")
+        return tmp / "cfg.json"
+
+    @staticmethod
+    def run(argv) -> int:
+        """main(argv)'s exit code, after checking it and its stderr."""
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert err.getvalue().startswith(
+                "error: " if code == 1 else "method failure: ")
+        return code
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_noise_exits_zero_one_or_two(self, corpus_rows, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = self.corpus_inputs(data, corpus_rows, tmp)
+            out = tmp / "out"
+            out.mkdir()
+            code = self.run(["noise", "--config", str(cfg), "--in",
+                             str(tmp / "corpus.jsonl"), "--out",
+                             str(out / "noised.jsonl"), "--matrix-out",
+                             str(out / "matrix.csv")])
             if code:
-                assert err.getvalue().startswith(
-                    "error: " if code == 1 else "method failure: ")
+                assert not any(out.iterdir())
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_clean_exits_zero_one_or_two(self, corpus_rows, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = self.corpus_inputs(data, corpus_rows, tmp)
+            out = tmp / "out"
+            code = self.run(["clean", "--config", str(cfg), "--out-dir", str(out)])
+            if code:
                 assert not out.exists()
 
 

@@ -405,8 +405,8 @@ class TestGradients:
 
         # the dense reference: d_pre as the backward pass forms it, then the
         # full hash_dim x hidden gradient
-        pre, _ = _encode(params, x)
-        _, [logp] = _forward(params, pre, 1)
+        pre = _encode(params, x)
+        _, _, [logp] = _forward(params, pre, 1)
         g = np.exp(logp)
         g[np.arange(5), y] -= 1.0
         d_hidden = np.zeros_like(pre)
@@ -449,11 +449,11 @@ class TestGradients:
         feat = Featurizer(hash_dim=64, hash_seed=0)
         params = init_params(feat, n_labels=3, hidden_size=8, n_heads=2, seed=4)
         x = featurize_texts(feat, texts)
-        pre, _ = _encode(params, x)
+        pre = _encode(params, x)
         g = np.random.default_rng(len(texts)).normal(size=(len(texts), 3))
         scale = np.random.default_rng(1).random(pre.shape) < 0.8
-        grads = backward_from_logit_grads(params, x, pre, [None, scale * 1.25],
-                                          {0: g, 1: -g})
+        grads = backward_from_logit_grads(params, x, np.maximum(pre, 0.0),
+                                          [None, scale * 1.25], {0: g, 1: -g})
 
         # the reference: d_pre as the backward pass forms it, and x restricted
         # to np.unique's distinct columns, then transposed, times d_pre
@@ -663,12 +663,13 @@ class TestRawKernels:
         assert x.indices.dtype == x.indptr.dtype == index_dtype
         raw = _CSRRows(x.data, x.indices, x.indptr, x.shape)
         for batch in (raw, x):
-            pre, hidden = _encode(params, batch)
+            pre = _encode(params, batch)
+            hidden, _, _ = _forward(params, pre, 1)
             assert np.array_equal(pre, x @ params.encoder)
             assert np.array_equal(hidden, np.maximum(x @ params.encoder, 0.0))
 
             g = rng.normal(size=(n_rows, 3))
-            grads = backward_from_logit_grads(params, batch, pre, [None], {0: g})
+            grads = backward_from_logit_grads(params, batch, hidden, [None], {0: g})
             d_pre = (g @ params.heads[0].weights.T) * (pre > 0.0)
             assert np.array_equal(grads.d_pre, d_pre)
             # apply_grads' kernel call, into a zero encoder, is x.T @ d_pre

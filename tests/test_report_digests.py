@@ -42,12 +42,15 @@ SYNTHETIC = {
 RULES = [{"keywords": ["tok0001", "tok0020", "tok0039"], "label": 1},
          {"keywords": ["tok0024"], "label": "class2"}]
 
-# name -> config; every method on the synthetic config, plus each noise kind
-# and a preset with its own rule labeler
+# name -> config; every method on the synthetic config, nc with a fixed
+# threshold too, plus each noise kind and a preset with its own rule labeler
 CONFIGS = {
     **{method: {**SYNTHETIC, "method": method}
        for method in ("vanilla", "coteaching", "ceta", "hme", "hte",
                       "boosting", "nc")},
+    # keeps 112 and 118 of the 168 training instances in its two runs
+    "nc/fixed_threshold": {**SYNTHETIC, "method": "nc",
+                           "cleaning": {"folds": 3, "threshold": 1.0}},
     "vanilla/pseudo_real_world": {
         **SYNTHETIC, "method": "vanilla",
         "noise": {"kind": "pseudo_real_world", "level": 0.2}},

@@ -251,7 +251,7 @@ class TestCoteaching:
         net.encoder_scale = 0.7  # as after decayed steps
         batch = np.arange(7, 39)
         xb = _take_rows(x, batch)
-        pre, _ = _encode(net, xb)
+        pre = _encode(net, xb)
         assert np.array_equal(_row_losses(net, pre, y[batch]),
                               instance_losses(net, xb, y[batch]))
         kept = np.sort(np.random.default_rng(1).choice(32, 20, replace=False))
