@@ -19,7 +19,7 @@ from .errors import EmptyCleanedSetError, ValidationError
 from .model import Featurizer, ModelParams, TrainConfig, evaluate, \
     evaluate_features, instance_losses
 from .noise import noise_level
-from .training import Featurized, _train_vanilla, train_vanilla
+from .training import Featurized, _train, train_vanilla
 from .util import derive_rng, stable_hash
 
 DEFAULT_TUNING_QUANTILES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -119,7 +119,7 @@ def _heldout(data: Featurized, cfg: CleanConfig, train_cfg: TrainConfig
             raise ValidationError(
                 f"fold {i}: training complement of {complement.size} is too small")
         fold_cfg = replace(train_cfg, seed=_fold_seed(train_cfg, i))
-        params, _ = _train_vanilla(data.rows(complement), fold_cfg)
+        (params,), _ = _train("vanilla", data.rows(complement), fold_cfg)
         losses[held] = instance_losses(params, data.x[held], data.y[held])
         del params  # free this fold's model before the next one trains
     return losses, fold_of
@@ -210,7 +210,7 @@ def _tune(data: Featurized, losses: np.ndarray, cfg: CleanConfig,
         kept = np.flatnonzero(losses < threshold)
         acc = None
         if kept.size:
-            params, _ = _train_vanilla(data.rows(kept), train_cfg)
+            (params,), _ = _train("vanilla", data.rows(kept), train_cfg)
             acc = evaluate_features(params, data.x_val, data.y_val)
             if best_acc is None or acc > best_acc:  # ties go to the smaller threshold
                 best_acc, best_threshold, best_params = acc, threshold, params

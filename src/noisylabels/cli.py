@@ -26,6 +26,7 @@ from .harness import ExperimentConfig, _apply_noise, _materialize, _preset, \
     _read_json, compare_methods, noise_matrices_csv, run_experiment, \
     threshold_sweep_csv
 from .noise import apply_noise, noise_level, noise_matrix
+from .util import _conforms
 
 
 def _cmd_noise(args) -> int:
@@ -144,7 +145,8 @@ def _cmd_compare(args) -> int:
 
 
 def _accuracy_runs_csv(report) -> str:
-    per_run = report.get("per_run", []) if isinstance(report, dict) else None
+    """One row per run with an accuracy, a finite number, and an int seed."""
+    per_run = report.get("per_run") if isinstance(report, dict) else None
     if not isinstance(per_run, list) \
             or not all(isinstance(run, dict) for run in per_run):
         raise ValidationError("report must be an object with a 'per_run' list "
@@ -152,9 +154,12 @@ def _accuracy_runs_csv(report) -> str:
     lines = ["run,seed,accuracy"]
     for i, run in enumerate(per_run):
         if "accuracy" in run:
-            if "seed" not in run:
-                raise ValidationError(f"report run {i} has an accuracy but no seed")
-            lines.append(f"{i},{run['seed']},{run['accuracy']!r}")
+            seed, accuracy = run.get("seed"), run["accuracy"]
+            if not (_conforms(seed, int) and _conforms(accuracy, float)
+                    and abs(accuracy) < float("inf")):
+                raise ValidationError(f"report run {i} needs a finite numeric "
+                                      "accuracy and an integer seed")
+            lines.append(f"{i},{seed},{accuracy!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -27,8 +27,7 @@ from .model import (
     predict_probs,
     save_model,
 )
-from .training import MEMBER_METHODS, CetaConfig, CoteachSchedule, Featurized, \
-    _train_method
+from .training import MEMBER_METHODS, CetaConfig, CoteachSchedule, Featurized, _train
 from .util import derive_rng
 
 logger = logging.getLogger(__name__)
@@ -59,6 +58,15 @@ COMPACT_GRID = GridLists(
 )
 
 
+def _grid_pairs(lists: GridLists, m: int) -> list[tuple[int, float]]:
+    """The grid's (steps, learning_rate) pairs, if m members can each take one."""
+    pairs = list(itertools.product(lists.steps, lists.learning_rate))
+    if m < 1 or m > len(pairs):
+        raise ValidationError(
+            f"member count {m} must be in [1, {len(pairs)}] for this grid")
+    return pairs
+
+
 def sample_grid_configs(lists: GridLists, m: int, seed: int,
                         base: TrainConfig) -> list[TrainConfig]:
     """m configs cycling the grid, guaranteed distinct (steps, lr) pairs,
@@ -67,10 +75,7 @@ def sample_grid_configs(lists: GridLists, m: int, seed: int,
     The (steps, learning_rate) pair is sampled without replacement; the
     remaining fields are drawn independently per member.
     """
-    pairs = list(itertools.product(lists.steps, lists.learning_rate))
-    if m < 1 or m > len(pairs):
-        raise ValidationError(
-            f"member count {m} must be in [1, {len(pairs)}] for this grid")
+    pairs = _grid_pairs(lists, m)
     rng = derive_rng(seed, "hyper-grid")
     chosen = rng.choice(len(pairs), size=m, replace=False)
     configs = []
@@ -162,9 +167,9 @@ def _train_members(train: Dataset, val: Dataset, spec: EnsembleSpec,
     failures: list[str] = []
     for label, method, cfg, rows in _member_plan(spec, len(train)):
         try:
-            members.append(_train_method(
-                method, data if rows is None else data.rows(rows), cfg,
-                spec.coteach, spec.ceta))
+            nets, _ = _train(method, data if rows is None else data.rows(rows),
+                             cfg, spec.coteach, spec.ceta)
+            members.append(nets[0])
         except MethodError as exc:
             failures.append(f"{label}: {exc}")
             logger.warning("ensemble member %s failed: %s", label, exc)
@@ -250,22 +255,27 @@ def save_ensemble(directory: str | Path, featurizer: Featurizer,
                   configs: list[TrainConfig] | None = None,
                   seeds: list[int] | None = None) -> Path:
     """Write member checkpoints plus a manifest (method, config, seed,
-    checkpoint path per member) sufficient to re-run prediction later."""
+    checkpoint path per member) sufficient to re-run prediction later. Bad
+    metadata raises ValidationError before anything is written."""
+    if any(given is not None and len(given) != len(members)
+           for given in (methods, configs, seeds)):
+        raise ValidationError("methods, configs and seeds need one entry per member")
+    entries = [{
+        "method": methods[i] if methods else "vanilla",
+        "config": configs[i].__dict__ if configs else None,
+        "seed": seeds[i] if seeds else None,
+        "checkpoint": f"member{i:02d}.ckpt",
+    } for i in range(len(members))]
+    try:
+        text = json.dumps({"version": 1, "members": entries}, indent=2)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"ensemble manifest cannot be encoded: {exc}") from None
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for i, member in enumerate(members):
-        name = f"member{i:02d}.ckpt"
-        save_model(directory / name, featurizer, member)
-        entries.append({
-            "method": methods[i] if methods else "vanilla",
-            "config": configs[i].__dict__ if configs else None,
-            "seed": seeds[i] if seeds else None,
-            "checkpoint": name,
-        })
+    for entry, member in zip(entries, members):
+        save_model(directory / entry["checkpoint"], featurizer, member)
     manifest = directory / "ensemble.json"
-    manifest.write_text(json.dumps({"version": 1, "members": entries}, indent=2),
-                        encoding="utf-8")
+    manifest.write_text(text, encoding="utf-8")
     return manifest
 
 

@@ -21,14 +21,13 @@ import numpy as np
 from .cleaning import CleanConfig, clean_dataset, retrain_on_cleaned
 from .data import Dataset, SplitSpec, generate_synthetic_corpus, load_dataset, \
     split_dataset
-from .ensembles import COMPACT_GRID, EnsembleSpec, _predict_features, \
+from .ensembles import COMPACT_GRID, EnsembleSpec, _grid_pairs, _predict_features, \
     sample_grid_configs, train_boosting, train_heterogeneous, train_homogeneous
 from .errors import MethodError, ValidationError
 from .model import Featurizer, TrainConfig, featurize_dataset
 from .noise import apply_noise, noise_level, noise_matrix
 from .presets import Preset, get_preset
-from .training import MEMBER_METHODS, CetaConfig, CoteachSchedule, Featurized, \
-    _train_method
+from .training import MEMBER_METHODS, CetaConfig, CoteachSchedule, Featurized, _train
 from .util import checked_call
 
 METHODS = MEMBER_METHODS + ("hme", "hte", "boosting", "nc")
@@ -40,7 +39,8 @@ DATASET_KEYS = {"preset": {"preset", "corpus_seed"}, "synthetic": {"synthetic"},
 
 @dataclass(frozen=True)
 class EnsembleSettings:
-    """hme and boosting train `members` members, and only boosting reads
+    """hme and boosting train `members` members (hme at most one per
+    (steps, learning_rate) pair of COMPACT_GRID), and only boosting reads
     subset_fraction; hte always trains one member per MEMBER_METHODS."""
 
     members: int = 5
@@ -74,6 +74,8 @@ class ExperimentConfig:
             raise ValidationError(f"method must be one of {METHODS}")
         if self.runs < 1:
             raise ValidationError("runs must be >= 1")
+        if self.method == "hme":  # one COMPACT_GRID pair per member
+            _grid_pairs(COMPACT_GRID, self.ensemble.members)
         sources = [s for s in DATASET_KEYS if s in self.dataset] \
             if isinstance(self.dataset, dict) else []
         if len(sources) != 1 or self.dataset.keys() - DATASET_KEYS[sources[0]]:
@@ -218,8 +220,9 @@ def _run_method(cfg: ExperimentConfig, mat: _Materialized, train: Dataset,
     feat = cfg.featurizer
     record: dict = {}
     if cfg.method in MEMBER_METHODS:
-        members = [_train_method(cfg.method, Featurized.of(feat, train, val), tcfg,
-                                 cfg.coteaching, cfg.ceta)]
+        nets, _ = _train(cfg.method, Featurized.of(feat, train, val), tcfg,
+                         cfg.coteaching, cfg.ceta)
+        members = [nets[0]]
     elif cfg.method in ("hme", "hte", "boosting"):
         if cfg.method == "hme":
             grid = sample_grid_configs(COMPACT_GRID, cfg.ensemble.members,
@@ -238,8 +241,7 @@ def _run_method(cfg: ExperimentConfig, mat: _Materialized, train: Dataset,
                                 base_config=tcfg, seed=run_seed)
             members = train_boosting(train, val, spec, feat)
         record["n_members"] = len(members)
-    elif cfg.method == "nc":
-        # a tuned pass returns its winning candidate's model, which is the
+    else:  # nc: a tuned pass returns its winning candidate's model, the
         # retrained model; a fixed threshold retrains on the cleaned set
         cleaned, report, _, params = clean_dataset(
             train, replace(cfg.cleaning, seed=run_seed), tcfg, feat, val)
@@ -252,8 +254,6 @@ def _run_method(cfg: ExperimentConfig, mat: _Materialized, train: Dataset,
             "noise_before": report.noise_before,
             "noise_after": report.noise_after,
         })
-    else:  # pragma: no cover - guarded by config validation
-        raise ValidationError(f"unhandled method {cfg.method}")
     record["accuracy"], _ = _predict_features(members, x_test, mat.test.observed())
     record["seed"] = run_seed
     if train.has_gold():

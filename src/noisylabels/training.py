@@ -34,34 +34,29 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> np.ndarray | float:
     return float(d) if np.ndim(d) == 0 else d
 
 
-@dataclass
 class EarlyStopState:
-    """Best-so-far validation accuracy with parameter snapshots; a snapshot
-    holds its model's effective encoder at scale 1.0."""
+    """Best-so-far validation accuracy with snapshots of the nets, copied
+    once when the state is built and overwritten in place on each
+    improvement; a snapshot holds its net's effective encoder at scale 1.0."""
 
-    best_val_accuracy: float = -math.inf
-    evals_since_improvement: int = 0
-    best_snapshots: tuple[ModelParams, ...] = ()
+    def __init__(self, *nets: ModelParams):
+        self.best_val_accuracy = -math.inf
+        self.evals_since_improvement = 0
+        self.best_snapshots = tuple(p.copy() for p in nets)
 
     def update(self, accuracy: float, *params: ModelParams) -> bool:
         """Record one evaluation; returns True on improvement."""
         if accuracy > self.best_val_accuracy:
             self.best_val_accuracy = accuracy
-            if not self.best_snapshots:
-                self.best_snapshots = tuple(p.copy() for p in params)
-            else:  # overwrite the snapshots in place rather than allocate new ones
-                for snap, p in zip(self.best_snapshots, params):
-                    np.multiply(p.encoder, p.encoder_scale, out=snap.encoder)
-                    for dst, src in zip(snap.heads, p.heads):
-                        np.copyto(dst.weights, src.weights)
-                        np.copyto(dst.bias, src.bias)
+            for snap, p in zip(self.best_snapshots, params):
+                np.multiply(p.encoder, p.encoder_scale, out=snap.encoder)
+                for dst, src in zip(snap.heads, p.heads):
+                    np.copyto(dst.weights, src.weights)
+                    np.copyto(dst.bias, src.bias)
             self.evals_since_improvement = 0
             return True
         self.evals_since_improvement += 1
         return False
-
-    def should_stop(self, patience: int) -> bool:
-        return self.evals_since_improvement >= patience
 
 
 class _CSRRows(NamedTuple):
@@ -155,18 +150,18 @@ class Featurized:
 
 def _train_loop(data: Featurized, cfg: TrainConfig, n_nets: int, n_heads: int,
                 objective: Callable) -> tuple[tuple[ModelParams, ...], list[dict]]:
-    """The minibatch loop every trainer runs: it sets up the nets, feeds
-    them batches and applies their updates.
+    """The minibatch loop of every method (_train is its one caller): it
+    sets up the nets, feeds them batches and applies their updates.
 
     Net i has n_heads heads, is initialized from the init seed + i and draws
     its dropout from derive_rng(init seed + i, "dropout"). Each step,
     objective(step, nets, dropout, batch, xb, yb, steps_per_epoch) gets one
     batch (its row indexes into data.x, those rows and their labels) and
-    returns the step's history row and a list of one Grads per net, applied
-    in net order. Every cfg.eval_every steps, and at the last step, the loop
-    scores nets[0] on the validation split, snapshots all nets on
-    improvement and stops after cfg.patience evaluations without one.
-    Returns the best snapshots and the history.
+    returns the step's history fields, which follow "step" in its row, and
+    one Grads per net, applied in net order. Every cfg.eval_every steps and
+    at the last step, the loop scores nets[0] on the validation split,
+    snapshots all nets on improvement and stops after cfg.patience
+    evaluations without one. Returns the best snapshots and the history.
     """
     init_seed = cfg.seed if cfg.init_seed is None else cfg.init_seed
     seeds = [init_seed + i for i in range(n_nets)]
@@ -174,11 +169,12 @@ def _train_loop(data: Featurized, cfg: TrainConfig, n_nets: int, n_heads: int,
                         cfg.drop_rate, seed=s) for s in seeds]
     dropout = [derive_rng(s, "dropout") for s in seeds]
     batcher = _Batcher(data.x, data.y, cfg.batch_size, derive_rng(cfg.seed, "batches"))
-    state = EarlyStopState()
+    state = EarlyStopState(*nets)
     history: list[dict] = []
     for step in range(1, cfg.steps + 1):
-        row, grads = objective(step, nets, dropout, *batcher.next(),
-                               batcher.steps_per_epoch)
+        fields, grads = objective(step, nets, dropout, *batcher.next(),
+                                  batcher.steps_per_epoch)
+        row = {"step": step, **fields}
         for net in nets:  # popping frees each net's gradients once applied
             apply_grads(net, grads.pop(0), cfg.effective_lr(step), cfg.weight_decay)
         history.append(row)
@@ -186,7 +182,7 @@ def _train_loop(data: Featurized, cfg: TrainConfig, n_nets: int, n_heads: int,
             acc = evaluate_features(nets[0], data.x_val, data.y_val)
             state.update(acc, *nets)
             row["val_accuracy"] = acc
-            if state.should_stop(cfg.patience):
+            if state.evals_since_improvement >= cfg.patience:
                 break
     return state.best_snapshots, history
 
@@ -203,19 +199,14 @@ def train_vanilla(train: Dataset, val: Dataset, cfg: TrainConfig,
     Returns the parameter snapshot with the best validation accuracy seen,
     plus a per-step history of batch losses and evaluation results.
     """
-    return _train_vanilla(Featurized.of(featurizer, train, val), cfg)
+    (best,), history = _train("vanilla", Featurized.of(featurizer, train, val), cfg)
+    return best, history
 
 
-def _vanilla_objective(step, nets, dropout, _, xb, yb, __):
+def _vanilla_objective(_, nets, dropout, __, xb, yb, ___):
     loss, grads = mean_ce_and_grads(nets[0], xb, yb, scale_rng=dropout[0],
                                     train_mode=True)
-    return {"step": step, "train_batch_loss": loss}, [grads]
-
-
-def _train_vanilla(data: Featurized, cfg: TrainConfig
-                   ) -> tuple[ModelParams, list[dict]]:
-    (best,), history = _train_loop(data, cfg, 1, 1, _vanilla_objective)
-    return best, history
+    return {"train_batch_loss": loss}, [grads]
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +216,15 @@ def _train_vanilla(data: Featurized, cfg: TrainConfig
 
 @dataclass(frozen=True)
 class CoteachSchedule:
-    """Forget rate ramps linearly from 0 to tau over ramp_steps."""
+    """Forget rate ramps linearly from 0 to tau over ramp_steps. tau < 1,
+    so every step keeps at least one instance of its batch."""
 
     tau: float = 0.35
     ramp_steps: int = 120
 
     def __post_init__(self):
-        if not 0.0 <= self.tau <= 1.0 or self.ramp_steps < 0:
-            raise ValidationError("need 0 <= tau <= 1 and ramp_steps >= 0")
+        if not 0.0 <= self.tau < 1.0 or self.ramp_steps < 0:
+            raise ValidationError("need 0 <= tau < 1 and ramp_steps >= 0")
 
     def forget_rate(self, step: int) -> float:
         if self.ramp_steps <= 0:
@@ -252,17 +244,14 @@ def train_coteaching(
     kept set. Early stopping watches network 1's validation accuracy; both
     networks' best snapshots are returned.
     """
-    return _train_coteaching(Featurized.of(featurizer, train, val), cfg, sched)
+    (best1, best2), history = _train(
+        "coteaching", Featurized.of(featurizer, train, val), cfg, sched)
+    return best1, best2, history
 
 
-def _train_coteaching(data: Featurized, cfg: TrainConfig, sched: CoteachSchedule
-                      ) -> tuple[ModelParams, ModelParams, list[dict]]:
+def _coteaching_objective(sched: CoteachSchedule) -> Callable:
     def objective(step, nets, dropout, batch, xb, yb, _):
         keep = math.ceil((1.0 - sched.forget_rate(step)) * len(batch))
-        if keep < 1:
-            raise ValidationError(
-                f"forget rate {sched.forget_rate(step):.3f} keeps no instances "
-                f"from a batch of {len(batch)}")
         # simultaneous small-loss selection, then crossed gradients; each
         # reads only its own net and dropout stream, and each net's update
         # reuses its scoring pass's rows (a CSR row's pre-activations do not
@@ -274,7 +263,6 @@ def _train_coteaching(data: Featurized, cfg: TrainConfig, sched: CoteachSchedule
             _mean_ce_and_grads(net, _take_rows(xb, k), pre[k], yb[k], rng, True)
             for net, pre, k, rng in zip(nets, pres, kept[::-1], dropout)))
         return {
-            "step": step,
             "train_batch_loss": losses[0],
             "train_batch_loss_net2": losses[1],
             "kept_fraction": keep / len(batch),
@@ -283,8 +271,7 @@ def _train_coteaching(data: Featurized, cfg: TrainConfig, sched: CoteachSchedule
             "kept_net2": batch[kept[1]].tolist(),
         }, list(grads)
 
-    (best1, best2), history = _train_loop(data, cfg, 2, 1, objective)
-    return best1, best2, history
+    return objective
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +360,15 @@ def train_ceta(
     probabilities. Raises ConsensusCollapseError when no instance reaches
     consensus for an entire epoch.
     """
-    return _train_ceta(Featurized.of(featurizer, train, val), cfg, ceta)
+    (best,), history = _train("ceta", Featurized.of(featurizer, train, val), cfg,
+                              ceta=ceta)
+    return best, history
 
 
-def _train_ceta(data: Featurized, cfg: TrainConfig, ceta: CetaConfig
-                ) -> tuple[ModelParams, list[dict]]:
+def _ceta_objective(ceta: CetaConfig) -> Callable:
     empty_streak = 0
 
-    def objective(step, nets, dropout, _, xb, yb, steps_per_epoch):
+    def objective(_, nets, dropout, __, xb, yb, steps_per_epoch):
         nonlocal empty_streak
         loss, grads, consensus, tv_mean = ceta_batch_objective(
             nets[0], xb, yb, ceta, scale_rng=dropout[0], train_mode=True)
@@ -390,22 +378,22 @@ def _train_ceta(data: Featurized, cfg: TrainConfig, ceta: CetaConfig
                 f"no consensus for {empty_streak} consecutive batches "
                 "(a full epoch); lambda_w or the initialization is pathological")
         return {
-            "step": step,
             "train_batch_loss": loss,
             "consensus_fraction": float(consensus.mean()),
             "tv_mean": tv_mean,
         }, [grads]
 
-    (best,), history = _train_loop(data, cfg, 1, 2, objective)
-    return best, history
+    return objective
 
 
-def _train_method(method: str, data: Featurized, cfg: TrainConfig,
-                  coteach: CoteachSchedule, ceta: CetaConfig) -> ModelParams:
-    """The one model a run of a MEMBER_METHODS method yields (co-teaching:
-    network 1)."""
+def _train(method: str, data: Featurized, cfg: TrainConfig,
+           coteach: CoteachSchedule = CoteachSchedule(),
+           ceta: CetaConfig = CetaConfig()
+           ) -> tuple[tuple[ModelParams, ...], list[dict]]:
+    """One run of a MEMBER_METHODS method: every net's best snapshot
+    (co-teaching: network 1, then network 2) and the history."""
     if method == "vanilla":
-        return _train_vanilla(data, cfg)[0]
+        return _train_loop(data, cfg, 1, 1, _vanilla_objective)
     if method == "coteaching":
-        return _train_coteaching(data, cfg, coteach)[0]
-    return _train_ceta(data, cfg, ceta)[0]
+        return _train_loop(data, cfg, 2, 1, _coteaching_objective(coteach))
+    return _train_loop(data, cfg, 1, 2, _ceta_objective(ceta))

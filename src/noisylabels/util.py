@@ -26,19 +26,14 @@ def stable_hash(data: str, seed: int = 0) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def derive_rng(seed: int, *tags: str | int) -> np.random.Generator:
-    """Independent named RNG stream derived from a base seed.
+def derive_rng(seed: int, tag: str) -> np.random.Generator:
+    """Independent named RNG stream derived from a base seed and one tag.
 
     Distinct tags give statistically independent streams, so e.g. batch
     shuffling and dropout can be reseeded separately without interfering.
     """
-    entropy = [seed % 2**64]
-    for tag in tags:
-        if isinstance(tag, str):
-            entropy.append(stable_hash(tag))
-        else:
-            entropy.append(int(tag) % 2**64)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return np.random.default_rng(np.random.SeedSequence(
+        [seed % 2**64, stable_hash(tag)]))
 
 
 def _conforms(value, hint) -> bool:

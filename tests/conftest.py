@@ -45,6 +45,16 @@ def toy_dataset():
 
 
 @pytest.fixture()
+def no_training(monkeypatch):
+    """Make training.Featurized.of, which every training starts with, fail
+    the test: for inputs that must be refused before anything trains."""
+    def reached(*args, **kwargs):
+        raise AssertionError("training started before the input was refused")
+
+    monkeypatch.setattr(training.Featurized, "of", reached)
+
+
+@pytest.fixture()
 def no_consensus(monkeypatch):
     """Wrap training.ceta_batch_objective so every batch's consensus mask is
     all False; returns the list of the wrapped calls' batch sizes."""

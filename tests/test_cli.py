@@ -99,6 +99,44 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "error: unknown 'ensemble' keys: ['grid']\n"
 
+    def test_compare_refuses_an_oversized_hme_cell_first(self, tmp_path, capsys,
+                                                         no_training):
+        # the third cell's member count is refused before the first cell trains
+        raw = json.loads(write_config(tmp_path / "cfg.json").read_text())
+        del raw["method"]
+        raw["experiments"] = [{"method": "vanilla"}, {"method": "coteaching"},
+                              {"method": "hme", "ensemble": {"members": 17}}]
+        cfg = tmp_path / "compare.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: member count 17 must be in [1, 16] for this grid\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ramp_steps", [150, 10_000])
+    def test_train_refuses_tau_one_first(self, tmp_path, capsys, no_training,
+                                         ramp_steps):
+        # a forget rate of 1 keeps no instance, whether or not the run
+        # reaches the end of its ramp
+        cfg = write_config(tmp_path / "cfg.json", method="coteaching",
+                           coteaching={"tau": 1.0, "ramp_steps": ramp_steps})
+        out = tmp_path / "report.json"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: need 0 <= tau < 1 and ramp_steps >= 0\n"
+        assert not out.exists()
+
+    def test_every_run_failing_is_two(self, tmp_path, capsys, no_consensus):
+        cfg = write_config(tmp_path / "cfg.json", method="ceta", runs=2)
+        out = tmp_path / "r.json"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("method failure: every run failed; first error: "
+                              "ConsensusCollapseError: no consensus")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_config_file_is_one(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "corpus.jsonl")
         out = tmp_path / "x.jsonl"
@@ -251,9 +289,20 @@ class TestWrongShapeInputs:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "cleaning_out").exists()
 
-    @pytest.mark.parametrize("payload", [[1, 2], {"per_run": 3},
-                                         {"per_run": [7]},
-                                         {"per_run": [{"accuracy": 0.5}]}])
+    @pytest.mark.parametrize("payload", [
+        [1, 2], {"per_run": 3}, {"per_run": [7]},
+        {"per_run": [{"accuracy": 0.5}]},
+        {"per_run": [{"accuracy": {"a": 1, "b": 2}, "seed": [1, 2]},
+                     {"accuracy": "x", "seed": True},
+                     {"accuracy": 0.5, "seed": 3}]},
+        {"accuracy_mean": 0.5},
+        {"per_run": [{"accuracy": True, "seed": 1}]},
+        {"per_run": [{"accuracy": 0.5, "seed": False}]},
+        {"per_run": [{"accuracy": float("nan"), "seed": 1}]},
+        {"per_run": [{"accuracy": float("inf"), "seed": 1}]},
+        {"per_run": [{"accuracy": 0.5, "seed": 1.0}]},
+        {"per_run": [{"accuracy": None, "seed": 1}]},
+    ])
     def test_plotdata_report_of_wrong_shape_is_one(self, tmp_path, capsys,
                                                    payload):
         report = tmp_path / "report.json"

@@ -261,6 +261,23 @@ class TestHeterogeneous:
             EnsembleSpec(kind="heterogeneous", member_count=1,
                          member_methods=("bert",))
 
+    def test_every_member_failing_raises(self, small_splits, tiny_featurizer,
+                                         fast_config, no_consensus):
+        train, val, _ = small_splits
+        spec = EnsembleSpec(kind="heterogeneous", member_methods=("ceta",),
+                            base_config=fast_config)
+        with pytest.raises(MethodError,
+                           match="every ensemble member failed: ceta: no consensus"):
+            train_heterogeneous(train, val, spec, tiny_featurizer)
+        assert len(no_consensus) == len(train) // fast_config.batch_size
+
+    def test_spec_of_another_kind_rejected(self, small_splits, tiny_featurizer,
+                                           fast_config, no_training):
+        train, val, _ = small_splits
+        spec = EnsembleSpec(kind="boosting", member_count=2, base_config=fast_config)
+        with pytest.raises(ValidationError, match="spec.kind must be 'homogeneous'"):
+            train_homogeneous(train, val, spec, tiny_featurizer)
+
 
 class TestBoosting:
     def test_subset_sizes_exact(self):
@@ -330,6 +347,20 @@ class TestManifest:
         acc_loaded, pred_loaded = predict_ensemble(loaded, test, feat)
         assert acc_orig == acc_loaded
         assert np.array_equal(pred_orig.averaged, pred_loaded.averaged)
+
+    @pytest.mark.parametrize("metadata, message", [
+        ({"seeds": [np.int64(1), np.int64(2), np.int64(3)]}, "cannot be encoded"),
+        ({"methods": ["vanilla"]}, "one entry per member"),
+        ({"configs": [TrainConfig()]}, "one entry per member"),
+        ({"seeds": [1, 2, 3, 4]}, "one entry per member"),
+        ({"methods": []}, "one entry per member"),
+    ], ids=["numpy-seeds", "one-method", "one-config", "four-seeds", "no-methods"])
+    def test_bad_metadata_writes_nothing(self, tmp_path, tiny_featurizer,
+                                         metadata, message):
+        members = random_members(tiny_featurizer, 3, 3, seed=2)
+        with pytest.raises(ValidationError, match=message):
+            save_ensemble(tmp_path / "ens", tiny_featurizer, members, **metadata)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_manifest_rejected(self, tmp_path):
         path = tmp_path / "ensemble.json"

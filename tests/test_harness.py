@@ -1,7 +1,9 @@
 import copy
+import csv
 import io
 import itertools
 import json
+import math
 import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -32,8 +34,8 @@ from noisylabels import (
     split_dataset,
     threshold_sweep_csv,
 )
-from noisylabels import DivergenceError, clean_dataset, retrain_on_cleaned, \
-    tune_threshold
+from noisylabels import DivergenceError, MethodError, clean_dataset, \
+    retrain_on_cleaned, tune_threshold
 from noisylabels import harness, training
 from noisylabels.cleaning import ThresholdDiagnostic
 from noisylabels.cli import _compare_configs, main
@@ -139,8 +141,8 @@ class TestRunExperiment:
                 raise DivergenceError("diverged")
             return real(method, data, cfg, coteach, ceta)
 
-        real = harness._train_method
-        monkeypatch.setattr(harness, "_train_method", diverge_on_seed_3)
+        real = harness._train
+        monkeypatch.setattr(harness, "_train", diverge_on_seed_3)
         report = run_experiment(base_config())
         assert report.partial
         assert report.per_run[0] == {"seed": 3,
@@ -150,9 +152,17 @@ class TestRunExperiment:
         def buggy(method, data, cfg, coteach, ceta):
             raise TypeError("a bug, not a method failure")
 
-        monkeypatch.setattr(harness, "_train_method", buggy)
+        monkeypatch.setattr(harness, "_train", buggy)
         with pytest.raises(TypeError, match="a bug"):
             run_experiment(base_config())
+
+    def test_every_run_failing_raises(self, no_consensus):
+        with pytest.raises(MethodError, match="every run failed; first error: "
+                           "ConsensusCollapseError: no consensus"):
+            run_experiment(base_config(method="ceta", runs=2))
+        # both runs trained until their collapse: one epoch of the 210
+        # training rows each
+        assert len(no_consensus) == 2 * (210 // TrainConfig().batch_size)
 
     def test_ensemble_methods_run(self):
         for method, extra in (("hme", {"ensemble": {"members": 2}}),
@@ -533,6 +543,71 @@ class TestMalformedConfigProperties:
             code = self.run(["clean", "--config", str(cfg), "--out-dir", str(out)])
             if code:
                 assert not out.exists()
+
+    # every method a train config can name, with each section it reads, on
+    # the compare property's 60-instance corpus and 5-step training
+    TRAIN = {**{k: v for k, v in COMPARE.items() if k != "experiments"},
+             "noise": {"kind": "uniform_random", "level": 0.2},
+             "coteaching": {"tau": 0.3, "ramp_steps": 3},
+             "ceta": {"consensus_rule": "heads_agree", "lambda_w": 0.2},
+             "ensemble": {"members": 2, "subset_fraction": 0.8},
+             "cleaning": {"folds": 2, "tuning_quantiles": [0.5, 0.9]}}
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_train_exits_zero_one_or_two(self, data):
+        # half the draws keep the config well-typed and put an edge value
+        # into one number, which may still train
+        raw = {"method": data.draw(st.sampled_from(harness.METHODS)), **self.TRAIN}
+        if data.draw(st.booleans()):
+            raw = data.draw(malformed(raw))
+        else:
+            path = data.draw(st.sampled_from([
+                p for p, v in nodes(raw) if json_kind(v) == "number"]))
+            raw = mutated(raw, path, data.draw(st.sampled_from(
+                [0, -1, 1, 2, 17, 0.999, 1.0, 1e-9, 1e9, 2**40])))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "report.json"
+            cfg.write_text(json.dumps(raw), encoding="utf-8")
+            if self.run(["train", "--config", str(cfg), "--out", str(out)]):
+                assert not out.exists()
+
+    @pytest.fixture(scope="class")
+    def train_report(self, tmp_path_factory):
+        """A real two-run train --out report."""
+        tmp = tmp_path_factory.mktemp("report")
+        cfg, out = tmp / "cfg.json", tmp / "report.json"
+        cfg.write_text(json.dumps({"method": "vanilla", **self.TRAIN, "runs": 2}),
+                       encoding="utf-8")
+        assert self.run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        return json.loads(out.read_text(encoding="utf-8"))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_plotdata_exits_zero_or_one(self, train_report, data):
+        # half the draws change the per-run records plotdata reads
+        scope = data.draw(st.sampled_from([(), ("per_run",)]))
+        path = data.draw(st.sampled_from([p for p, _ in nodes(train_report)
+                                          if len(p) > len(scope)
+                                          and p[:len(scope)] == scope]))
+        if data.draw(st.booleans()) and isinstance(path[-1], str):
+            report = mutated(train_report, path, drop=True)
+        else:
+            report = mutated(train_report, path, data.draw(st.sampled_from(
+                [*OTHER_KIND.values(), None, {}, 0.5, -1, math.nan, math.inf])))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "report.json", Path(tmp) / "plots"
+            path.write_text(json.dumps(report), encoding="utf-8")
+            if self.run(["plotdata", "--report", str(path), "--out-dir", str(out)]):
+                assert not out.exists()
+                return
+            rows = list(csv.reader(io.StringIO(
+                (out / "accuracy_runs.csv").read_text(encoding="utf-8"))))
+            assert rows[0] == ["run", "seed", "accuracy"]
+            for row in rows[1:]:
+                assert len(row) == 3 and row[0].isdigit(), row
+                assert re.fullmatch(r"-?[0-9]+", row[1]), row
+                assert math.isfinite(float(row[2])), row
 
 
 class TestOneDefaultPerKnob:

@@ -27,7 +27,7 @@ from noisylabels.cli import main
 from noisylabels.model import _encode, _mean_ce_and_grads, _row_losses, \
     featurize_dataset, featurize_texts, instance_losses, mean_ce_and_grads
 from noisylabels.training import MEMBER_METHODS, EarlyStopState, Featurized, \
-    _Batcher, _CSRRows, _take_rows, _train_method, ceta_batch_objective
+    _Batcher, _CSRRows, _take_rows, _train, ceta_batch_objective
 from noisylabels.util import derive_rng
 from tests.test_model import assert_matches_central_differences, \
     dense_encoder_grad
@@ -131,12 +131,13 @@ class TestTakeRows:
 
 class TestEarlyStopState:
     def test_snapshot_holds_the_effective_encoder(self, tiny_featurizer):
-        # the first improvement copies, later ones write in place; both store
-        # scale * encoder at scale 1.0 and leave the model as it was
+        # building the state copies the net, and every improvement writes
+        # scale * encoder at scale 1.0 into that copy, leaving the model as
+        # it was
         params = init_params(tiny_featurizer, n_labels=3, hidden_size=4, seed=0)
         params.encoder /= 0.7
         params.encoder_scale = 0.7
-        state = EarlyStopState()
+        state = EarlyStopState(params)
         for accuracy in (0.5, 0.6):
             stored = params.encoder.copy()
             assert state.update(accuracy, params)
@@ -150,9 +151,9 @@ class TestEarlyStopState:
     def test_snapshots_are_copies_taken_at_the_last_improvement(self,
                                                                 tiny_featurizer):
         params = init_params(tiny_featurizer, n_labels=3, hidden_size=4, seed=0)
-        state = EarlyStopState()
+        state = EarlyStopState(params)
+        [first] = state.best_snapshots
         assert state.update(0.5, params)
-        first = state.best_snapshots[0]
         for a in params.arrays():
             a += 1.0
         assert state.update(0.6, params)
@@ -268,7 +269,7 @@ class TestCoteaching:
         train, val, _ = noisy_splits
         cfg = TrainConfig(steps=40, learning_rate=0.5, patience=99,
                           batch_size=8, eval_every=10, seed=0, hidden_size=8)
-        with pytest.raises(ValidationError, match="keeps no instances"):
+        with pytest.raises(ValidationError, match="tau < 1"):
             train_coteaching(train, val, cfg, CoteachSchedule(tau=1.0,
                                                               ramp_steps=0),
                              tiny_featurizer)
@@ -464,8 +465,8 @@ class TestReturnedScale:
                   *train_coteaching(train, val, cfg, sched, tiny_featurizer)[:2],
                   train_ceta(train, val, cfg, CetaConfig(), tiny_featurizer)[0]]
         data = Featurized.of(tiny_featurizer, train, val)
-        models += [_train_method(m, data, cfg, sched, CetaConfig())
-                   for m in MEMBER_METHODS]
+        models += [net for m in MEMBER_METHODS
+                   for net in _train(m, data, cfg, sched, CetaConfig())[0]]
         assert [m.encoder_scale for m in models] == [1.0] * len(models)
 
 
@@ -483,12 +484,17 @@ class TestTrainMethod:
                                                    tiny_featurizer),
             "ceta": lambda: train_ceta(train, val, fast_config, ceta,
                                        tiny_featurizer),
-        }[method]()[0]
-        model = _train_method(method, Featurized.of(tiny_featurizer, train, val),
-                              fast_config, sched, ceta)
-        assert len(model.arrays()) == len(public.arrays())
+        }[method]()
+        nets, history = _train(method, Featurized.of(tiny_featurizer, train, val),
+                               fast_config, sched, ceta)
+        model, first = nets[0], public[0]
+        assert len(model.arrays()) == len(first.arrays())
         assert all(np.array_equal(a, b)
-                   for a, b in zip(model.arrays(), public.arrays()))
+                   for a, b in zip(model.arrays(), first.arrays()))
+        # every net, network 1 first, and the history
+        assert len(nets) == len(public) - 1
+        assert all(params_equal(a, b) for a, b in zip(nets, public[:-1]))
+        assert history == public[-1]
 
 
 class TestHistory:
