@@ -8,8 +8,10 @@ classifiers over a single encoder; vanilla training uses one head.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import asdict, dataclass
 from functools import partial
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -42,42 +44,163 @@ class Featurizer:
         object.__setattr__(self, "ngram_orders", orders)
 
 
-# hash_seed -> space-joined n-gram -> stable_hash of the gram. Tokens hold no
-# whitespace, so the number of spaces gives the order. stable_hash is pure, so
-# the memo cannot change a result; only one seed's table is kept, and it is
-# cleared when full, so it never holds more than _GRAM_HASH_CAP grams.
+# hash_seed -> that seed's memo of n-gram hashes. Only one seed's memo is kept;
+# stable_hash is pure, so a memo cannot change a result. A kept memo holds at
+# most _GRAM_HASH_CAP n-grams: a call whose new n-grams do not fit starts over
+# on a fresh memo, which replaces the full one if the call's n-grams fit.
 _GRAM_HASH_CAP = 2**18
-_gram_hashes: dict[int, dict[str, int]] = {}
+_gram_hashes: dict[int, _GramMemo] = {}
+_gram_hashes_lock = threading.Lock()
+_NO_KEY = 2**63 - 1  # sorts after every key, so a lookup never runs off the table
+
+
+class _MemoFull(Exception):
+    """A call's new n-grams would take a kept memo past the cap."""
+
+
+class _GramMemo:
+    """The distinct n-grams of one hash seed, as integer ids.
+
+    tokens maps a token to the id of its unigram. A longer n-gram's key is
+    prefix id * 2**31 + last token id; keys is sorted and key_ids holds each
+    key's id. hashes[id] is stable_hash("k:gram", seed). A call holds the lock
+    from its first lookup to its last.
+    """
+
+    def __init__(self, seed: int):
+        self.seed, self.size, self.capped = seed, 0, False
+        self.lock = threading.Lock()
+        self.tokens: dict[str, int] = {}
+        self.keys = np.array([_NO_KEY], np.int64)
+        self.key_ids = np.array([-1], np.int64)
+        self.hashes = np.empty(1024, np.uint64)
+
+    def _add(self, hashes: list[int]) -> int:
+        """The first of the new ids these hashes get."""
+        start, stop = self.size, self.size + len(hashes)
+        if self.capped and stop > _GRAM_HASH_CAP:
+            raise _MemoFull
+        if stop > len(self.hashes):
+            self.hashes = np.resize(self.hashes, max(stop, 2 * len(self.hashes)))
+        self.hashes[start:stop] = hashes
+        self.size = stop
+        return start
+
+    def _token_ids(self, tokens: list[str]) -> np.ndarray:
+        """Each token's id, or -1 for a token UTF-8 cannot encode."""
+        ids = np.fromiter(map(self.tokens.get, tokens, repeat(-1)), np.int64,
+                          len(tokens))
+        missing = np.flatnonzero(ids < 0).tolist()
+        if missing:
+            new = {}
+            for token in dict.fromkeys(tokens[i] for i in missing):
+                try:
+                    new[token] = stable_hash(f"1:{token}", self.seed)
+                except UnicodeEncodeError:
+                    pass
+            start = self._add(list(new.values()))
+            self.tokens.update(zip(new, range(start, self.size)))
+            ids[missing] = [self.tokens.get(tokens[i], -1) for i in missing]
+        return ids
+
+    def _gram_ids(self, keys: np.ndarray, order: int, tokens: list[str],
+                  starts: np.ndarray) -> np.ndarray:
+        """The ids of n-grams of one order by key; the i-th starts at
+        tokens[starts[i]]."""
+        by_key = np.argsort(keys)  # searchsorted is about 3x faster over sorted keys
+        at = np.empty_like(by_key)
+        at[by_key] = np.searchsorted(self.keys, keys[by_key])
+        ids, missing = self.key_ids[at], np.flatnonzero(self.keys[at] != keys)
+        if len(missing):
+            new_keys, first, inverse = np.unique(
+                keys[missing], return_index=True, return_inverse=True)
+            start = self._add(
+                [stable_hash(f"{order}:" + " ".join(tokens[s:s + order]), self.seed)
+                 for s in starts[missing[first]].tolist()])
+            new_ids = np.arange(start, self.size)
+            at = np.searchsorted(self.keys, new_keys)
+            self.keys = np.insert(self.keys, at, new_keys)
+            self.key_ids = np.insert(self.key_ids, at, new_ids)
+            ids[missing] = new_ids[inverse]
+        return ids
+
+    def occurrences(self, orders: tuple[int, ...], tokens: list[str],
+                    lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The row and hash of every occurrence of a requested n-gram.
+
+        Raises ValidationError for the first text with a requested n-gram
+        UTF-8 cannot encode; a text too short for every order has none.
+        """
+        with self.lock:
+            ids = self._token_ids(tokens)
+            rows = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+            # room[i]: the tokens from i to the end of its text
+            room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(tokens))
+            bad = np.unique(rows[ids < 0])
+            if len(bad):
+                failing = bad[lengths[bad] >= orders[0]]
+                if len(failing):
+                    raise ValidationError(f"text {failing[0]} is not encodable "
+                                          "as UTF-8 (surrogates not allowed)")
+                room[np.isin(rows, bad)] = 0
+            top = max((o for o in orders if o <= room.max(initial=0)), default=0)
+            starts = np.flatnonzero(room)
+            grams = ids[starts]
+            found_rows, found_ids = [], []
+            for order in range(1, top + 1):
+                if order > 1:
+                    keep = room[starts] >= order
+                    starts, grams = starts[keep], grams[keep]
+                    grams = self._gram_ids(grams * 2**31 + ids[starts + order - 1],
+                                           order, tokens, starts)
+                if order in orders:
+                    found_rows.append(rows[starts])
+                    found_ids.append(grams)
+            empty = [np.empty(0, np.int64)]
+            return np.concatenate(found_rows or empty), \
+                self.hashes[np.concatenate(found_ids or empty)]
+
+
+def _keep_memo(memo: _GramMemo) -> _GramMemo:
+    """Cap memo and make it the one kept, in place of any other."""
+    memo.capped = True
+    with _gram_hashes_lock:
+        _gram_hashes.clear()
+        _gram_hashes[memo.seed] = memo
+    return memo
 
 
 def featurize_texts(featurizer: Featurizer, texts: list[str]) -> sparse.csr_array:
-    """Stack of hashed n-gram rows; repeated n-grams accumulate weight."""
+    """Stack of hashed n-gram rows; repeated n-grams accumulate weight.
+
+    A call looks each token up once in its hash seed's memo and every longer
+    n-gram by an integer key of its prefix's id and its last token's id, so
+    it builds a string only for an n-gram new to the memo. The work grows
+    with the longest text, not the largest order: an order longer than every
+    text adds no feature. Raises ValidationError when texts x hash_dim
+    reaches 2**63, or for the first text with a requested n-gram UTF-8
+    cannot encode.
+    """
     seed, dim, n = featurizer.hash_seed, featurizer.hash_dim, len(texts)
-    table = _gram_hashes.get(seed)
-    if table is None:
-        _gram_hashes.clear()
-        table = _gram_hashes[seed] = {}
-    hashes: list[int] = []
-    lengths: list[int] = []
+    if max(n, 1) * dim >= 2**63:
+        raise ValidationError(f"hash_dim {dim} is too large for {n} texts: "
+                              "texts x hash_dim must be below 2**63")
+    token_lists = [text.lower().split() for text in texts]
+    lengths = np.fromiter(map(len, token_lists), np.int64, n)
+    tokens = list(chain.from_iterable(token_lists))
+    orders = featurizer.ngram_orders
+    memo = _gram_hashes.get(seed)
+    if memo is None:
+        memo = _keep_memo(_GramMemo(seed))
     try:
-        for row, text in enumerate(texts):
-            tokens = text.lower().split()
-            start = len(hashes)
-            for order in featurizer.ngram_orders:
-                for gram in map(" ".join, zip(*(tokens[i:] for i in range(order)))):
-                    h = table.get(gram)
-                    if h is None:
-                        if len(table) >= _GRAM_HASH_CAP:
-                            table.clear()
-                        h = table[gram] = stable_hash(f"{order}:{gram}", seed)
-                    hashes.append(h)
-            lengths.append(len(hashes) - start)
-    except UnicodeEncodeError as exc:
-        raise ValidationError(f"text {row} is not encodable as UTF-8 ({exc.reason})") \
-            from None
+        rows, hashes = memo.occurrences(orders, tokens, lengths)
+    except _MemoFull:
+        memo = _GramMemo(seed)
+        rows, hashes = memo.occurrences(orders, tokens, lengths)
+        if memo.size <= _GRAM_HASH_CAP:
+            _keep_memo(memo)
     # one sort over (row, index) keys gives every row's sorted distinct indices
-    cells = np.repeat(np.arange(n, dtype=np.int64) * dim, lengths) \
-        + (np.array(hashes, dtype=np.uint64) % dim).astype(np.int64)
+    cells = rows * dim + (hashes % dim).astype(np.int64)
     cells, counts = np.unique(cells, return_counts=True)
     indptr = np.searchsorted(cells, np.arange(n + 1, dtype=np.int64) * dim)
     # exact integer sums of squares, so the norms match np.linalg.norm bit for bit

@@ -346,12 +346,16 @@ class TestWrongShapeInputs:
         assert sorted(tmp_path.iterdir()) == before
 
     # 2^40 hash rows of a 16-wide float64 encoder take 128 TiB, which no
-    # allocator grants, so the request is refused at once; 2^63 instances do
+    # allocator grants, so the request is refused at once; 2^61 or 2^62 hash
+    # rows times a split's texts overflow the featurizer's 64-bit cell keys,
+    # so featurizing is refused before it starts; 2^63 instances do
     # not fit the C integer numpy draws them into; an encoder of 1024 x 2^62
     # or 2^63 floats has more bytes than an index can address; the class
     # vocabularies are bounded before any token list is built
     @pytest.mark.parametrize("overrides, message", [
         ({"featurizer": {"hash_dim": 2 ** 40}}, "Unable to allocate"),
+        ({"featurizer": {"hash_dim": 2 ** 61}}, f"hash_dim {2 ** 61} is too large"),
+        ({"featurizer": {"hash_dim": 2 ** 62}}, f"hash_dim {2 ** 62} is too large"),
         ({"dataset": {"synthetic": {"classes": 3, "instances": 2 ** 63}}},
          "Python int too large"),
         ({"train": {"steps": 5, "hidden_size": 2 ** 62}},
@@ -367,8 +371,8 @@ class TestWrongShapeInputs:
         ({"dataset": {"synthetic": {"classes": 2 ** 40, "instances": 2 ** 40,
                                     "vocab_per_class": 20}}},
          "vocab_per_class must be >= 4, and vocab_per_class x classes at most")],
-        ids=["hash-dim", "instances", "hidden-size-2^62", "hidden-size-2^63",
-             "vocab-per-class-2^40", "vocab-per-class-2^63", "classes-2^40"])
+        ids=["hash-dim", "hash-dim-2^61", "hash-dim-2^62", "instances",
+             "hidden-size-2^62", "hidden-size-2^63", "vocab-per-class-2^40", "vocab-per-class-2^63", "classes-2^40"])
     def test_setting_too_large_is_one(self, tmp_path, capsys, overrides,
                                       message):
         cfg = write_config(tmp_path / "cfg.json", **overrides)
@@ -855,6 +859,17 @@ class TestEntryPoint:
         assert result.returncode == 0
         sizes = re.search(r"wrote (\d+)/(\d+)/(\d+) instances", result.stdout)
         assert sum(map(int, sizes.groups())) == 20
+
+    def test_order_longer_than_every_text_trains(self, tmp_path):
+        # the featurizer's work grows with the longest text, not the order
+        cfg = write_config(tmp_path / "cfg.json",
+                           featurizer={"hash_dim": 1024, "ngram_orders": [1, 10**9]},
+                           train={"steps": 5, "hidden_size": 8})
+        result = subprocess.run(
+            [sys.executable, "-m", "noisylabels.cli", "train", "--config", str(cfg),
+             "--out", str(tmp_path / "report.json")],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
 
     def test_usage_error_exits_one(self):
         result = subprocess.run([sys.executable, "-m", "noisylabels.cli", "train"],

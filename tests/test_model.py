@@ -87,6 +87,46 @@ def reference_featurize(featurizer, texts):
                             shape=(len(texts), featurizer.hash_dim))
 
 
+def first_unencodable(featurizer, texts):
+    """Index of the first text whose requested n-grams the reference cannot
+    hash, or None."""
+    for i, text in enumerate(texts):
+        try:
+            reference_featurize(featurizer, [text])
+        except UnicodeEncodeError:
+            return i
+    return None
+
+
+def distinct_grams(texts, top):
+    """The distinct n-grams of orders 1..top, which a call holds in the memo."""
+    tokens = [text.lower().split() for text in texts]
+    return len({(k, tuple(t[i:i + k])) for t in tokens
+                for k in range(1, top + 1) for i in range(len(t) - k + 1)})
+
+
+def in_four_threads(work):
+    """[work(0), ..., work(3)], run in four threads with a 1 µs switch
+    interval, so that they interleave often."""
+    results = [None] * 4
+
+    def run(k):
+        results[k] = work(k)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
 def assert_matches_reference(featurizer, texts):
     assert_same_csr(featurize_texts(featurizer, texts),
                     reference_featurize(featurizer, texts))
@@ -104,6 +144,9 @@ def assert_same_csr(actual, expected):
 TOKENS = st.sampled_from(["a", "A", "b", "ab", "aB", "ß", "SS", "İ", "ǅ", "x1"])
 SPACES = st.sampled_from([" ", "  ", "\t", "\n", "\u3000", "\x85"])
 TEXTS = st.lists(TOKENS | SPACES, max_size=12).map("".join) | st.text(max_size=30)
+# tokens UTF-8 cannot encode: lone surrogates, and a pair Python keeps as two
+SURROGATES = st.sampled_from(["\ud800", "a\udfff", "\udbff\udc00"])
+TEXTS_WITH_SURROGATES = st.lists(TOKENS | SURROGATES | SPACES, max_size=8).map("".join)
 FEATURIZERS = st.builds(
     Featurizer,
     hash_dim=st.integers(1, 16).map(lambda k: 2**k),
@@ -118,13 +161,41 @@ class TestFeaturizer:
     def test_matches_per_text_reference(self, featurizer, texts):
         assert_matches_reference(featurizer, texts)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(FEATURIZERS, st.lists(TEXTS_WITH_SURROGATES, max_size=6))
+    def test_unencodable_texts_match_the_reference(self, featurizer, texts):
+        # a text fails only through an n-gram of a requested order, so a
+        # text too short for every order featurizes to an empty row
+        bad = first_unencodable(featurizer, texts)
+        if bad is None:
+            assert_matches_reference(featurizer, texts)
+        else:
+            with pytest.raises(ValidationError, match=f"^text {bad} "):
+                featurize_texts(featurizer, texts)
+
+    def test_surrogate_outside_every_requested_gram(self):
+        bigrams = Featurizer(2**8, (2,))
+        with pytest.raises(ValidationError, match="^text 1 "):
+            featurize_texts(bigrams, ["ok", "x \ud800", "y \ud800"])
+        assert featurize_texts(bigrams, ["\ud800"]).nnz == 0
+        assert_matches_reference(bigrams, ["\ud800", "a b"])
+        # the bigram "a \ud800" is never requested, nor hashed as a prefix
+        assert_matches_reference(Featurizer(2**8, (3,)), ["a \ud800", "a b c"])
+
+    def test_order_longer_than_every_text_adds_nothing(self):
+        texts = ["alpha beta gamma", "", "Beta beta", "delta"]
+        assert_same_csr(featurize_texts(Featurizer(2**8, (1, 2**40)), texts),
+                        featurize_texts(Featurizer(2**8, (1,)), texts))
+        assert_matches_reference(Featurizer(2**8, (2, 3, 2**40)), texts)
+
     def test_memo_keyed_by_seed_not_dim(self):
         texts = ["alpha beta gamma", "Beta alpha", "gamma gamma delta", ""]
         for seed in (0, 1, 0, 5, 1, 0):
             assert_matches_reference(Featurizer(2**10, (1, 2), seed), texts)
         for dim in (2**10, 2**4, 2**16, 2**4):
             assert_matches_reference(Featurizer(dim, (1, 2, 3), 3), texts)
-        assert list(model._gram_hashes) == [3]  # one seed's table at a time
+        assert list(model._gram_hashes) == [3]  # one seed's memo at a time
+        assert model._gram_hashes[3].size == distinct_grams(texts, 3)
 
     def test_memo_never_exceeds_cap(self, monkeypatch):
         monkeypatch.setattr(model, "_GRAM_HASH_CAP", 8)
@@ -132,33 +203,55 @@ class TestFeaturizer:
         texts = [f"w{i} w{i + 1} w{i * 7} w{i}" for i in range(30)]
         assert_matches_reference(featurizer, texts)
         for i in range(len(texts)):
-            assert_matches_reference(featurizer, texts[i:i + 2])
-            assert 0 < len(model._gram_hashes[11]) <= 8
+            for call in (texts[i:i + 1], texts[i:i + 2]):
+                assert_matches_reference(featurizer, call)
+                assert all(m.size <= 8 for m in model._gram_hashes.values())
+                if distinct_grams(call, 2) <= 8:
+                    assert 0 < model._gram_hashes[11].size <= 8
+
+    def test_call_over_the_cap_keeps_no_memo(self, monkeypatch):
+        # a call with more distinct n-grams than the cap uses a memo of its
+        # own, which it drops; the memo of the last call that fit stays
+        monkeypatch.setattr(model, "_GRAM_HASH_CAP", 8)
+        monkeypatch.setattr(model, "_gram_hashes", {})
+        featurizer = Featurizer(2**8, (1, 2), 11)
+        big = [f"w{i} w{i + 1} w{i * 7} w{i}" for i in range(30)]
+        assert distinct_grams(big, 2) > 8
+        assert_matches_reference(featurizer, big)
+        assert all(m.size <= 8 for m in model._gram_hashes.values())
+        assert_matches_reference(featurizer, ["a b a"])
+        kept = model._gram_hashes[11]
+        assert kept.size == distinct_grams(["a b a"], 2)
+        assert_matches_reference(featurizer, big)
+        assert model._gram_hashes == {11: kept}
+        assert kept.size == distinct_grams(["a b a"], 2)
 
     def test_concurrent_calls_with_a_small_cap(self, monkeypatch):
         # four threads on two cores, two hash seeds, and a cap far below the
-        # distinct grams: tables are cleared and replaced under every call
+        # distinct grams: pairs of texts fit the cap, so they fill, share and
+        # replace the seeds' memos, and the whole list never fits
         monkeypatch.setattr(model, "_GRAM_HASH_CAP", 16)
         texts = [f"w{i % 13} w{i % 7} W{i % 5} w{i}" for i in range(300)]
+        calls = [texts[j:j + 2] for j in range(0, len(texts), 2)] + [texts]
         featurizers = [Featurizer(2**8, (1, 2), k % 2) for k in range(4)]
-        results = [None] * 4
-
-        def work(k):
-            results[k] = featurize_texts(featurizers[k], texts)
-
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        results = in_four_threads(
+            lambda k: [featurize_texts(featurizers[k], call) for call in calls])
         for featurizer, result in zip(featurizers, results):
-            assert_same_csr(result, reference_featurize(featurizer, texts))
+            for call, x in zip(calls, result, strict=True):
+                assert_same_csr(x, reference_featurize(featurizer, call))
+
+    def test_concurrent_calls_share_one_memo(self, monkeypatch):
+        # four threads add distinct n-grams to one seed's memo at once, so
+        # ids handed out without the memo's lock would collide
+        monkeypatch.setattr(model, "_gram_hashes", {})
+        featurizer = Featurizer(2**8, (1, 2), 0)
+        calls = [[[f"t{k}w{i} t{k}w{i + 1} t{k}w{i * 3}"] for i in range(200)]
+                 for k in range(4)]
+        results = in_four_threads(
+            lambda k: [featurize_texts(featurizer, call) for call in calls[k]])
+        for own_calls, result in zip(calls, results):
+            for call, x in zip(own_calls, result, strict=True):
+                assert_same_csr(x, reference_featurize(featurizer, call))
 
     def test_lone_surrogate_names_its_text(self):
         with pytest.raises(ValidationError, match="text 1 "):
