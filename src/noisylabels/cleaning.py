@@ -82,7 +82,7 @@ def _fold_seed(train_cfg: TrainConfig, fold: int) -> int:
 def fold_partition(n: int, folds: int, seed: int) -> np.ndarray:
     """Fold index per instance position; folds are disjoint, exhaustive and
     balanced to within one instance."""
-    if folds > n:
+    if not 1 <= folds <= n:
         raise ValidationError(f"cannot split {n} instances into {folds} folds")
     order = derive_rng(seed, "folds").permutation(n)
     fold_of = np.empty(n, dtype=np.int64)

@@ -254,9 +254,8 @@ def load_dataset(path: str | Path, format: str = "jsonl") -> Dataset:
         else:
             header = fh.readline()
             columns = header.rstrip("\n").split("\t")
-            if columns[:3] != ["id", "text", "label"] or \
-                    columns not in (["id", "text", "label"],
-                                    ["id", "text", "label", "gold_label"]):
+            if columns not in (["id", "text", "label"],
+                               ["id", "text", "label", "gold_label"]):
                 raise DataFormatError(
                     "header must be id<TAB>text<TAB>label[<TAB>gold_label]", line=1)
             has_gold = len(columns) == 4

@@ -255,8 +255,13 @@ def save_ensemble(directory: str | Path, featurizer: Featurizer,
                   configs: list[TrainConfig] | None = None,
                   seeds: list[int] | None = None) -> Path:
     """Write member checkpoints plus a manifest (method, config, seed,
-    checkpoint path per member) sufficient to re-run prediction later. Bad
-    metadata raises ValidationError before anything is written."""
+    checkpoint path per member) sufficient to re-run prediction later. No
+    members or bad metadata raise ValidationError, and a member with
+    non-finite params DivergenceError, before anything is written."""
+    if not members:
+        raise ValidationError("an ensemble needs at least one member")
+    for member in members:
+        member.check_finite()
     if any(given is not None and len(given) != len(members)
            for given in (methods, configs, seeds)):
         raise ValidationError("methods, configs and seeds need one entry per member")

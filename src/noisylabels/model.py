@@ -44,18 +44,15 @@ class Featurizer:
         object.__setattr__(self, "ngram_orders", orders)
 
 
-# hash_seed -> that seed's memo of n-gram hashes. Only one seed's memo is kept;
-# stable_hash is pure, so a memo cannot change a result. A kept memo holds at
-# most _GRAM_HASH_CAP n-grams: a call whose new n-grams do not fit starts over
-# on a fresh memo, which replaces the full one if the call's n-grams fit.
+# The one kept memo of n-gram hashes, for the hash seed of the call that left
+# it; stable_hash is pure, so a memo cannot change a result. A call holds
+# _memo_lock while it takes the memo out of the slot (or a fresh one when the
+# slot is empty or holds another seed), looks its n-grams up and puts it back,
+# which it does only when the memo then holds at most _GRAM_HASH_CAP n-grams.
 _GRAM_HASH_CAP = 2**18
-_gram_hashes: dict[int, _GramMemo] = {}
-_gram_hashes_lock = threading.Lock()
+_memo: _GramMemo | None = None
+_memo_lock = threading.Lock()
 _NO_KEY = 2**63 - 1  # sorts after every key, so a lookup never runs off the table
-
-
-class _MemoFull(Exception):
-    """A call's new n-grams would take a kept memo past the cap."""
 
 
 class _GramMemo:
@@ -63,13 +60,11 @@ class _GramMemo:
 
     tokens maps a token to the id of its unigram. A longer n-gram's key is
     prefix id * 2**31 + last token id; keys is sorted and key_ids holds each
-    key's id. hashes[id] is stable_hash("k:gram", seed). A call holds the lock
-    from its first lookup to its last.
+    key's id. hashes[id] is stable_hash("k:gram", seed).
     """
 
     def __init__(self, seed: int):
-        self.seed, self.size, self.capped = seed, 0, False
-        self.lock = threading.Lock()
+        self.seed, self.size = seed, 0
         self.tokens: dict[str, int] = {}
         self.keys = np.array([_NO_KEY], np.int64)
         self.key_ids = np.array([-1], np.int64)
@@ -78,8 +73,6 @@ class _GramMemo:
     def _add(self, hashes: list[int]) -> int:
         """The first of the new ids these hashes get."""
         start, stop = self.size, self.size + len(hashes)
-        if self.capped and stop > _GRAM_HASH_CAP:
-            raise _MemoFull
         if stop > len(self.hashes):
             self.hashes = np.resize(self.hashes, max(stop, 2 * len(self.hashes)))
         self.hashes[start:stop] = hashes
@@ -87,20 +80,15 @@ class _GramMemo:
         return start
 
     def _token_ids(self, tokens: list[str]) -> np.ndarray:
-        """Each token's id, or -1 for a token UTF-8 cannot encode."""
+        """Each token's id."""
         ids = np.fromiter(map(self.tokens.get, tokens, repeat(-1)), np.int64,
                           len(tokens))
         missing = np.flatnonzero(ids < 0).tolist()
         if missing:
-            new = {}
-            for token in dict.fromkeys(tokens[i] for i in missing):
-                try:
-                    new[token] = stable_hash(f"1:{token}", self.seed)
-                except UnicodeEncodeError:
-                    pass
-            start = self._add(list(new.values()))
+            new = dict.fromkeys(tokens[i] for i in missing)
+            start = self._add([stable_hash(f"1:{token}", self.seed) for token in new])
             self.tokens.update(zip(new, range(start, self.size)))
-            ids[missing] = [self.tokens.get(tokens[i], -1) for i in missing]
+            ids[missing] = [self.tokens[tokens[i]] for i in missing]
         return ids
 
     def _gram_ids(self, keys: np.ndarray, order: int, tokens: list[str],
@@ -126,48 +114,27 @@ class _GramMemo:
 
     def occurrences(self, orders: tuple[int, ...], tokens: list[str],
                     lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The row and hash of every occurrence of a requested n-gram.
-
-        Raises ValidationError for the first text with a requested n-gram
-        UTF-8 cannot encode; a text too short for every order has none.
-        """
-        with self.lock:
-            ids = self._token_ids(tokens)
-            rows = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-            # room[i]: the tokens from i to the end of its text
-            room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(tokens))
-            bad = np.unique(rows[ids < 0])
-            if len(bad):
-                failing = bad[lengths[bad] >= orders[0]]
-                if len(failing):
-                    raise ValidationError(f"text {failing[0]} is not encodable "
-                                          "as UTF-8 (surrogates not allowed)")
-                room[np.isin(rows, bad)] = 0
-            top = max((o for o in orders if o <= room.max(initial=0)), default=0)
-            starts = np.flatnonzero(room)
-            grams = ids[starts]
-            found_rows, found_ids = [], []
-            for order in range(1, top + 1):
-                if order > 1:
-                    keep = room[starts] >= order
-                    starts, grams = starts[keep], grams[keep]
-                    grams = self._gram_ids(grams * 2**31 + ids[starts + order - 1],
-                                           order, tokens, starts)
-                if order in orders:
-                    found_rows.append(rows[starts])
-                    found_ids.append(grams)
-            empty = [np.empty(0, np.int64)]
-            return np.concatenate(found_rows or empty), \
-                self.hashes[np.concatenate(found_ids or empty)]
-
-
-def _keep_memo(memo: _GramMemo) -> _GramMemo:
-    """Cap memo and make it the one kept, in place of any other."""
-    memo.capped = True
-    with _gram_hashes_lock:
-        _gram_hashes.clear()
-        _gram_hashes[memo.seed] = memo
-    return memo
+        """The row and hash of every occurrence of a requested n-gram; every
+        token must be encodable as UTF-8."""
+        ids = self._token_ids(tokens)
+        rows = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        # room[i]: the tokens from i to the end of its text
+        room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(tokens))
+        top = max((o for o in orders if o <= lengths.max(initial=0)), default=0)
+        starts, grams = np.arange(len(tokens)), ids
+        found_rows, found_ids = [], []
+        for order in range(1, top + 1):
+            if order > 1:
+                keep = room[starts] >= order
+                starts, grams = starts[keep], grams[keep]
+                grams = self._gram_ids(grams * 2**31 + ids[starts + order - 1],
+                                       order, tokens, starts)
+            if order in orders:
+                found_rows.append(rows[starts])
+                found_ids.append(grams)
+        empty = [np.empty(0, np.int64)]
+        return np.concatenate(found_rows or empty), \
+            self.hashes[np.concatenate(found_ids or empty)]
 
 
 def featurize_texts(featurizer: Featurizer, texts: list[str]) -> sparse.csr_array:
@@ -179,26 +146,38 @@ def featurize_texts(featurizer: Featurizer, texts: list[str]) -> sparse.csr_arra
     with the longest text, not the largest order: an order longer than every
     text adds no feature. Raises ValidationError when texts x hash_dim
     reaches 2**63, or for the first text with a requested n-gram UTF-8
-    cannot encode.
+    cannot encode; a text too short for every order has none. Both are
+    decided before the memo is touched.
     """
+    global _memo
     seed, dim, n = featurizer.hash_seed, featurizer.hash_dim, len(texts)
     if max(n, 1) * dim >= 2**63:
         raise ValidationError(f"hash_dim {dim} is too large for {n} texts: "
                               "texts x hash_dim must be below 2**63")
+    orders = featurizer.ngram_orders
     token_lists = [text.lower().split() for text in texts]
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError:
+        for i, text in enumerate(texts):
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                # a text of at least orders[0] tokens has every token in a
+                # requested n-gram
+                if len(token_lists[i]) >= orders[0]:
+                    raise ValidationError(f"text {i} is not encodable as UTF-8 "
+                                          "(surrogates not allowed)") from None
+                token_lists[i] = []
     lengths = np.fromiter(map(len, token_lists), np.int64, n)
     tokens = list(chain.from_iterable(token_lists))
-    orders = featurizer.ngram_orders
-    memo = _gram_hashes.get(seed)
-    if memo is None:
-        memo = _keep_memo(_GramMemo(seed))
-    try:
-        rows, hashes = memo.occurrences(orders, tokens, lengths)
-    except _MemoFull:
-        memo = _GramMemo(seed)
+    with _memo_lock:
+        memo, _memo = _memo, None
+        if memo is None or memo.seed != seed:
+            memo = _GramMemo(seed)
         rows, hashes = memo.occurrences(orders, tokens, lengths)
         if memo.size <= _GRAM_HASH_CAP:
-            _keep_memo(memo)
+            _memo = memo
     # one sort over (row, index) keys gives every row's sorted distinct indices
     cells = rows * dim + (hashes % dim).astype(np.int64)
     cells, counts = np.unique(cells, return_counts=True)
@@ -559,7 +538,9 @@ _read_npy = partial(np.lib.format.read_array, allow_pickle=False)
 def save_model(path: str | Path, featurizer: Featurizer, params: ModelParams) -> None:
     """Version-2 checkpoint at exactly `path`: .npy records (NumPy NEP 1) of
     the JSON metadata, then the encoder and each head's weights and bias as
-    little-endian float64; bit-exact, and equal params give equal bytes."""
+    little-endian float64; bit-exact, and equal params give equal bytes.
+    Non-finite params raise DivergenceError before the file is opened."""
+    params.check_finite()
     meta = {"version": CHECKPOINT_VERSION, "featurizer": asdict(featurizer),
             "drop_rate": params.drop_rate, "heads": params.n_heads}
     with open(path, "wb") as fh:

@@ -60,6 +60,11 @@ class TestFoldPartition:
         with pytest.raises(ValidationError):
             fold_partition(3, 5, seed=0)
 
+    @pytest.mark.parametrize("folds", [0, -1])
+    def test_fewer_than_one_fold_rejected(self, folds):
+        with pytest.raises(ValidationError, match="into"):
+            fold_partition(5, folds, seed=0)
+
     def test_deterministic(self):
         assert np.array_equal(fold_partition(100, 5, seed=9),
                               fold_partition(100, 5, seed=9))

@@ -9,6 +9,7 @@ import pytest
 from noisylabels import (
     COMPACT_GRID,
     CoteachSchedule,
+    DivergenceError,
     EnsembleSpec,
     Featurizer,
     GridLists,
@@ -360,6 +361,16 @@ class TestManifest:
         members = random_members(tiny_featurizer, 3, 3, seed=2)
         with pytest.raises(ValidationError, match=message):
             save_ensemble(tmp_path / "ens", tiny_featurizer, members, **metadata)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_saves_only_what_load_accepts(self, tmp_path, tiny_featurizer):
+        # load_ensemble refuses an empty member list and a non-finite member
+        with pytest.raises(ValidationError, match="at least one member"):
+            save_ensemble(tmp_path / "ens", tiny_featurizer, [])
+        members = random_members(tiny_featurizer, 3, 3, seed=2)
+        members[2].heads[0].bias[1] = np.nan
+        with pytest.raises(DivergenceError):
+            save_ensemble(tmp_path / "ens", tiny_featurizer, members)
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_manifest_rejected(self, tmp_path):

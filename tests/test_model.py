@@ -194,8 +194,8 @@ class TestFeaturizer:
             assert_matches_reference(Featurizer(2**10, (1, 2), seed), texts)
         for dim in (2**10, 2**4, 2**16, 2**4):
             assert_matches_reference(Featurizer(dim, (1, 2, 3), 3), texts)
-        assert list(model._gram_hashes) == [3]  # one seed's memo at a time
-        assert model._gram_hashes[3].size == distinct_grams(texts, 3)
+        assert model._memo.seed == 3  # one seed's memo at a time
+        assert model._memo.size == distinct_grams(texts, 3)
 
     def test_memo_never_exceeds_cap(self, monkeypatch):
         monkeypatch.setattr(model, "_GRAM_HASH_CAP", 8)
@@ -205,26 +205,32 @@ class TestFeaturizer:
         for i in range(len(texts)):
             for call in (texts[i:i + 1], texts[i:i + 2]):
                 assert_matches_reference(featurizer, call)
-                assert all(m.size <= 8 for m in model._gram_hashes.values())
-                if distinct_grams(call, 2) <= 8:
-                    assert 0 < model._gram_hashes[11].size <= 8
+                assert model._memo is None or 0 < model._memo.size <= 8
 
     def test_call_over_the_cap_keeps_no_memo(self, monkeypatch):
-        # a call with more distinct n-grams than the cap uses a memo of its
-        # own, which it drops; the memo of the last call that fit stays
+        # a call past the cap leaves no memo, and the next call that fits
+        # keeps exactly its own n-grams
         monkeypatch.setattr(model, "_GRAM_HASH_CAP", 8)
-        monkeypatch.setattr(model, "_gram_hashes", {})
+        monkeypatch.setattr(model, "_memo", None)
         featurizer = Featurizer(2**8, (1, 2), 11)
         big = [f"w{i} w{i + 1} w{i * 7} w{i}" for i in range(30)]
         assert distinct_grams(big, 2) > 8
-        assert_matches_reference(featurizer, big)
-        assert all(m.size <= 8 for m in model._gram_hashes.values())
-        assert_matches_reference(featurizer, ["a b a"])
-        kept = model._gram_hashes[11]
-        assert kept.size == distinct_grams(["a b a"], 2)
-        assert_matches_reference(featurizer, big)
-        assert model._gram_hashes == {11: kept}
-        assert kept.size == distinct_grams(["a b a"], 2)
+        for _ in range(2):
+            assert_matches_reference(featurizer, big)
+            assert model._memo is None
+            assert_matches_reference(featurizer, ["a b a"])
+            assert model._memo.seed == 11
+            assert model._memo.size == distinct_grams(["a b a"], 2)
+
+    def test_call_that_raises_leaves_the_memo(self):
+        featurizer = Featurizer(2**8, (1, 2), 4)
+        featurize_texts(featurizer, ["kept a", "kept b"])
+        kept, size = model._memo, model._memo.size
+        with pytest.raises(ValidationError, match="^text 1 "):
+            featurize_texts(featurizer, ["new c", "new \ud800", "new d"])
+        with pytest.raises(ValidationError, match="too large"):
+            featurize_texts(Featurizer(2**62, (1, 2), 4), ["new c", "new d"])
+        assert model._memo is kept and kept.size == size
 
     def test_concurrent_calls_with_a_small_cap(self, monkeypatch):
         # four threads on two cores, two hash seeds, and a cap far below the
@@ -243,7 +249,7 @@ class TestFeaturizer:
     def test_concurrent_calls_share_one_memo(self, monkeypatch):
         # four threads add distinct n-grams to one seed's memo at once, so
         # ids handed out without the memo's lock would collide
-        monkeypatch.setattr(model, "_gram_hashes", {})
+        monkeypatch.setattr(model, "_memo", None)
         featurizer = Featurizer(2**8, (1, 2), 0)
         calls = [[[f"t{k}w{i} t{k}w{i + 1} t{k}w{i * 3}"] for i in range(200)]
                  for k in range(4)]
@@ -252,6 +258,9 @@ class TestFeaturizer:
         for own_calls, result in zip(calls, results):
             for call, x in zip(own_calls, result, strict=True):
                 assert_same_csr(x, reference_featurize(featurizer, call))
+        every_text = [text for own_calls in calls for call in own_calls
+                      for text in call]
+        assert model._memo.size == distinct_grams(every_text, 2)
 
     def test_lone_surrogate_names_its_text(self):
         with pytest.raises(ValidationError, match="text 1 "):
@@ -845,6 +854,15 @@ class TestEvaluate:
 
 
 class TestCheckpoints:
+    def test_non_finite_params_write_nothing(self, tmp_path):
+        # load_model refuses a checkpoint with a non-finite entry
+        feat = Featurizer(hash_dim=16)
+        params = init_params(feat, n_labels=2, hidden_size=3, seed=0)
+        params.encoder[4, 1] = np.nan
+        with pytest.raises(DivergenceError):
+            save_model(tmp_path / "model", feat, params)
+        assert list(tmp_path.iterdir()) == []
+
     def test_roundtrip_bit_exact(self, tmp_path):
         feat = Featurizer(hash_dim=128, ngram_orders=(1, 2), hash_seed=3)
         params = init_params(feat, n_labels=4, hidden_size=6, n_heads=2,
