@@ -60,14 +60,16 @@ class _GramMemo:
 
     tokens maps a token to the id of its unigram. A longer n-gram's key is
     prefix id * 2**31 + last token id; keys is sorted and key_ids holds each
-    key's id. hashes[id] is stable_hash("k:gram", seed).
+    key's id, except that keys added since the last merge are in the sorted
+    recent and recent_ids, merged in once len(recent)**2 > len(keys). Both
+    end with _NO_KEY. hashes[id] is stable_hash("k:gram", seed).
     """
 
     def __init__(self, seed: int):
         self.seed, self.size = seed, 0
         self.tokens: dict[str, int] = {}
-        self.keys = np.array([_NO_KEY], np.int64)
-        self.key_ids = np.array([-1], np.int64)
+        self.keys = self.recent = np.array([_NO_KEY], np.int64)
+        self.key_ids = self.recent_ids = np.array([-1], np.int64)
         self.hashes = np.empty(1024, np.uint64)
 
     def _add(self, hashes: list[int]) -> int:
@@ -95,10 +97,13 @@ class _GramMemo:
                   starts: np.ndarray) -> np.ndarray:
         """The ids of n-grams of one order by key; the i-th starts at
         tokens[starts[i]]."""
-        by_key = np.argsort(keys)  # searchsorted is about 3x faster over sorted keys
-        at = np.empty_like(by_key)
-        at[by_key] = np.searchsorted(self.keys, keys[by_key])
-        ids, missing = self.key_ids[at], np.flatnonzero(self.keys[at] != keys)
+        # missing stays in key order: searchsorted is ~3x faster over sorted keys
+        ids, missing = np.empty_like(keys), np.argsort(keys)
+        for table, table_ids in ((self.keys, self.key_ids), (self.recent, self.recent_ids)):
+            at = np.searchsorted(table, keys[missing])
+            hit = table[at] == keys[missing]
+            ids[missing[hit]] = table_ids[at[hit]]
+            missing = missing[~hit]
         if len(missing):
             new_keys, first, inverse = np.unique(
                 keys[missing], return_index=True, return_inverse=True)
@@ -106,9 +111,14 @@ class _GramMemo:
                 [stable_hash(f"{order}:" + " ".join(tokens[s:s + order]), self.seed)
                  for s in starts[missing[first]].tolist()])
             new_ids = np.arange(start, self.size)
-            at = np.searchsorted(self.keys, new_keys)
-            self.keys = np.insert(self.keys, at, new_keys)
-            self.key_ids = np.insert(self.key_ids, at, new_ids)
+            at = np.searchsorted(self.recent, new_keys)
+            self.recent = np.insert(self.recent, at, new_keys)
+            self.recent_ids = np.insert(self.recent_ids, at, new_ids)
+            if len(self.recent) ** 2 > len(self.keys):
+                at = np.searchsorted(self.keys, self.recent[:-1])
+                self.keys = np.insert(self.keys, at, self.recent[:-1])
+                self.key_ids = np.insert(self.key_ids, at, self.recent_ids[:-1])
+                self.recent, self.recent_ids = self.recent[-1:], self.recent_ids[-1:]
             ids[missing] = new_ids[inverse]
         return ids
 
@@ -379,14 +389,15 @@ def _head_logits(params: ModelParams, hidden: np.ndarray, head: int) -> np.ndarr
 def _forward(params: ModelParams, pre: np.ndarray, n_heads: int,
              train_mode: bool = False, rng: np.random.Generator | None = None):
     """The forward pass every loss and gradient runs, from the pre-activations
-    _encode gives: the hidden layer (their ReLU), then the dropout scales and
-    log-probabilities of the first n_heads heads. Each head draws its own
-    dropout scale from rng, in head order."""
+    _encode gives: the hidden layer (their ReLU), then for each of the first
+    n_heads heads its dropout scale (None for none) with the hidden layer
+    times it, and its log-probabilities; the scales are drawn from rng."""
     hidden = np.maximum(pre, 0.0)
-    scales = _dropout_scales(params, pre.shape, n_heads, train_mode, rng)
-    logps = [_log_softmax(_head_logits(params, hidden if s is None else hidden * s, h))
-             for h, s in enumerate(scales)]
-    return hidden, scales, logps
+    dropped = [(s, hidden if s is None else hidden * s)
+               for s in _dropout_scales(params, pre.shape, n_heads, train_mode, rng)]
+    logps = [_log_softmax(_head_logits(params, d, h))
+             for h, (_, d) in enumerate(dropped)]
+    return hidden, dropped, logps
 
 
 def instance_losses(params: ModelParams, x: sparse.csr_array, y: np.ndarray
@@ -414,27 +425,26 @@ def backward_from_logit_grads(
     params: ModelParams,
     x: sparse.csr_array,
     hidden: np.ndarray,
-    scales: list[np.ndarray | None],
+    dropped: list[tuple[np.ndarray | None, np.ndarray]],
     logit_grads: dict[int, np.ndarray],
 ) -> Grads:
     """Map d(loss)/d(logits) per head back to the head gradients and to
     d_pre = d(loss)/d(pre-activations), from which apply_grads steps the
-    encoder. `hidden` and `scales` must be those of the _forward call that
-    produced the logits: scales[head] is the dropout scale that head's
-    hidden layer was multiplied by (None for none), so dropout is treated
-    consistently between loss and gradient. The ReLU passes gradient where
-    hidden > 0, which is where the pre-activation is.
+    encoder. `hidden` and `dropped` must be those of the _forward call that
+    produced the logits: dropped[head] is the dropout scale that head's
+    hidden layer was multiplied by (None for none) and that product, so
+    dropout is treated consistently between loss and gradient. The ReLU
+    passes gradient where hidden > 0, which is where the pre-activation is.
     """
-    d_hidden = np.zeros_like(hidden)
     head_grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    d_heads = []
     for head, g in logit_grads.items():
-        scale = scales[head]
-        h = params.heads[head]
-        head_hidden = hidden if scale is None else hidden * scale
+        scale, head_hidden = dropped[head]
         head_grads[head] = (head_hidden.T @ g, g.sum(axis=0))
-        d_head = g @ h.weights.T
-        d_hidden += d_head if scale is None else d_head * scale
-    return Grads(x, d_hidden * (hidden > 0.0), head_grads)
+        d_head = g @ params.heads[head].weights.T
+        d_heads.append(d_head if scale is None else d_head * scale)
+    # the sum starts from the first head's term, so one head adds nothing
+    return Grads(x, sum(d_heads[1:], d_heads[0]) * (hidden > 0.0), head_grads)
 
 
 def mean_ce_and_grads(params: ModelParams, x: sparse.csr_array, y: np.ndarray,
@@ -449,12 +459,13 @@ def mean_ce_and_grads(params: ModelParams, x: sparse.csr_array, y: np.ndarray,
 def _mean_ce_and_grads(params, x, pre, y, scale_rng, train_mode):
     y = np.asarray(y, dtype=np.int64)
     b = x.shape[0]
-    hidden, scales, [logp] = _forward(params, pre, 1, train_mode, scale_rng)
+    hidden, dropped, [logp] = _forward(params, pre, 1, train_mode, scale_rng)
     rows = np.arange(b)
     g = np.exp(logp)
     g[rows, y] -= 1.0
-    return float(-logp[rows, y].mean()), backward_from_logit_grads(
-        params, x, hidden, scales, {0: g / b})
+    # the bits of a one-dimensional .mean(), without its Python wrapper
+    return float(-np.add.reduce(logp[rows, y]) / b), backward_from_logit_grads(
+        params, x, hidden, dropped, {0: g / b})
 
 
 # below this encoder scale, apply_grads folds the scale into the encoder
@@ -478,9 +489,9 @@ def apply_grads(params: ModelParams, grads: Grads, lr_effective: float,
         raise ValidationError("the encoder must be a C-contiguous, writable "
                               "float64 array to be updated in place")
     step = grads.d_pre * (-lr_effective / params.encoder_scale)
-    arrays = [step] + [a for pair in grads.heads.values() for a in pair]
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise DivergenceError("non-finite gradients; reduce the learning rate")
+    for a in [step] + [a for pair in grads.heads.values() for a in pair]:
+        if not np.isfinite(a).all():
+            raise DivergenceError("non-finite gradients; reduce the learning rate")
     x = grads.x
     _sparsetools.csc_matvecs(x.shape[1], x.shape[0], step.shape[1], x.indptr,
                              x.indices, x.data, step.ravel(), params.encoder.ravel())
@@ -505,11 +516,16 @@ def apply_grads(params: ModelParams, grads: Grads, lr_effective: float,
 
 def predict_probs(params: ModelParams, x: sparse.csr_array) -> np.ndarray:
     """Evaluation-mode probabilities: the mean of the heads' softmaxes, which
-    for a one-head model is that head's softmax exactly."""
-    params.check_finite()
-    hidden = np.maximum(_encode(params, x), 0.0)
-    return np.mean([_softmax(_head_logits(params, hidden, h))
-                    for h in range(params.n_heads)], axis=0)
+    for a one-head model is that head's softmax exactly. A non-finite one
+    (as from a NaN or +inf encoder entry a row of x touches) raises
+    DivergenceError; params are checked when saved, loaded or trained."""
+    with np.errstate(invalid="ignore", over="ignore"):  # checked below
+        hidden = np.maximum(_encode(params, x), 0.0)
+        probs = np.mean([_softmax(_head_logits(params, hidden, h))
+                         for h in range(params.n_heads)], axis=0)
+    if not np.isfinite(probs).all():
+        raise DivergenceError("non-finite probabilities; parameters not finite")
+    return probs
 
 
 def evaluate_features(params: ModelParams, x: sparse.csr_array, y: np.ndarray

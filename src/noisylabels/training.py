@@ -161,7 +161,9 @@ def _train_loop(data: Featurized, cfg: TrainConfig, n_nets: int, n_heads: int,
     one Grads per net, applied in net order. Every cfg.eval_every steps and
     at the last step, the loop scores nets[0] on the validation split,
     snapshots all nets on improvement and stops after cfg.patience
-    evaluations without one. Returns the best snapshots and the history.
+    evaluations without one. Returns the best snapshots and the history. A
+    net not finite when the loop ends raises DivergenceError; it covers every
+    snapshot, as steps are checked finite and decay keeps inf and NaN.
     """
     init_seed = cfg.seed if cfg.init_seed is None else cfg.init_seed
     seeds = [init_seed + i for i in range(n_nets)]
@@ -184,6 +186,8 @@ def _train_loop(data: Featurized, cfg: TrainConfig, n_nets: int, n_heads: int,
             row["val_accuracy"] = acc
             if state.evals_since_improvement >= cfg.patience:
                 break
+    for net in nets:
+        net.check_finite()
     return state.best_snapshots, history
 
 
@@ -322,8 +326,8 @@ def ceta_batch_objective(params: ModelParams, x, y: np.ndarray, ceta: CetaConfig
         raise ValidationError("consensus training needs exactly 2 heads")
     y = np.asarray(y, dtype=np.int64)
     b = x.shape[0]
-    hidden, scales, logps = _forward(params, _encode(params, x), 2, train_mode,
-                                     scale_rng)
+    hidden, dropped, logps = _forward(params, _encode(params, x), 2, train_mode,
+                                      scale_rng)
     probs = [np.exp(lp) for lp in logps]
 
     consensus = probs[0].argmax(axis=1) == probs[1].argmax(axis=1)
@@ -346,7 +350,7 @@ def ceta_batch_objective(params: ModelParams, x, y: np.ndarray, ceta: CetaConfig
             g[~consensus] = 0.0
             logit_grads[h] += g / n_cons
 
-    grads = backward_from_logit_grads(params, x, hidden, scales, logit_grads)
+    grads = backward_from_logit_grads(params, x, hidden, dropped, logit_grads)
     return loss, grads, consensus, float(tv.mean())
 
 

@@ -156,6 +156,22 @@ class TestRunExperiment:
         with pytest.raises(TypeError, match="a bug"):
             run_experiment(base_config())
 
+    def test_diverging_training_is_a_failed_run(self, monkeypatch):
+        # seed 3's training goes non-finite mid-run; the other run completes
+        def huge_lr_on_seed_3(method, data, cfg, coteach, ceta):
+            if cfg.seed == 3:
+                cfg = replace(cfg, learning_rate=1e8)
+            return real(method, data, cfg, coteach, ceta)
+
+        real = harness._train
+        monkeypatch.setattr(harness, "_train", huge_lr_on_seed_3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_experiment(base_config())
+        assert report.partial
+        assert report.per_run[0]["seed"] == 3
+        assert report.per_run[0]["error"].startswith("DivergenceError: non-finite")
+        assert "accuracy" in report.per_run[1]
+
     def test_every_run_failing_raises(self, no_consensus):
         with pytest.raises(MethodError, match="every run failed; first error: "
                            "ConsensusCollapseError: no consensus"):

@@ -222,6 +222,29 @@ class TestFeaturizer:
             assert model._memo.seed == 11
             assert model._memo.size == distinct_grams(["a b a"], 2)
 
+    def test_calls_across_the_merge_point_match_a_fresh_memo(self, monkeypatch):
+        # n-grams new to the memo go to its recent table, which is merged
+        # into the main one once its length squared exceeds the main table's
+        monkeypatch.setattr(model, "_memo", None)
+        featurizer = Featurizer(2**10, (1, 2, 3), 6)
+        featurize_texts(featurizer, [f"w{i} w{i + 1} w{i + 2}" for i in range(200)])
+        memo, merges = model._memo, 0
+        calls = [[f"w{i} n{i} w{i + 1}", f"n{i} n{i + 1} w{i}"] for i in range(120)]
+        for call in calls + calls[::7]:
+            recent = len(memo.recent)
+            x = featurize_texts(featurizer, call)
+            assert model._memo is memo
+            merges += len(memo.recent) < recent
+            model._memo = None
+            fresh = featurize_texts(featurizer, call)
+            model._memo = memo
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(x, attr), getattr(fresh, attr))
+        assert merges >= 2
+        assert memo.size == distinct_grams(
+            [f"w{i} w{i + 1} w{i + 2}" for i in range(200)]
+            + [text for call in calls for text in call], 3)
+
     def test_call_that_raises_leaves_the_memo(self):
         featurizer = Featurizer(2**8, (1, 2), 4)
         featurize_texts(featurizer, ["kept a", "kept b"])
@@ -554,8 +577,11 @@ class TestGradients:
         pre = _encode(params, x)
         g = np.random.default_rng(len(texts)).normal(size=(len(texts), 3))
         scale = np.random.default_rng(1).random(pre.shape) < 0.8
-        grads = backward_from_logit_grads(params, x, np.maximum(pre, 0.0),
-                                          [None, scale * 1.25], {0: g, 1: -g})
+        hidden = np.maximum(pre, 0.0)
+        grads = backward_from_logit_grads(params, x, hidden,
+                                          [(None, hidden),
+                                           (scale * 1.25, hidden * (scale * 1.25))],
+                                          {0: g, 1: -g})
 
         # the reference: d_pre as the backward pass forms it, and x restricted
         # to np.unique's distinct columns, then transposed, times d_pre
@@ -771,7 +797,8 @@ class TestRawKernels:
             assert np.array_equal(hidden, np.maximum(x @ params.encoder, 0.0))
 
             g = rng.normal(size=(n_rows, 3))
-            grads = backward_from_logit_grads(params, batch, hidden, [None], {0: g})
+            grads = backward_from_logit_grads(params, batch, hidden, [(None, hidden)],
+                                              {0: g})
             d_pre = (g @ params.heads[0].weights.T) * (pre > 0.0)
             assert np.array_equal(grads.d_pre, d_pre)
             # apply_grads' kernel call, into a zero encoder, is x.T @ d_pre
@@ -844,6 +871,33 @@ class TestEvaluate:
         x = featurize_texts(feat, texts)
         y = rng.integers(0, 3, size=40)
         assert evaluate_features(params, x, y) == _predict_features([params], x, y)[0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_non_finite_row_a_request_touches_is_divergence(self, bad, n_heads):
+        feat = Featurizer(hash_dim=64, hash_seed=0)
+        params = init_params(feat, n_labels=3, hidden_size=4, n_heads=n_heads,
+                             seed=0)
+        x = featurize_texts(feat, ["abc def", "ghi"])
+        params.encoder[x.indices[-1], 1] = bad
+        with pytest.raises(DivergenceError, match="non-finite probabilities"):
+            predict_probs(params, x)
+        with pytest.raises(DivergenceError):
+            evaluate_features(params, x, np.array([0, 1]))
+
+    def test_only_the_outputs_are_checked(self):
+        # predict_probs no longer scans the encoder: a NaN in a row no text
+        # of the request touches, or a -inf entry the ReLU masks, leaves
+        # every probability finite
+        feat = Featurizer(hash_dim=64, hash_seed=0)
+        params = init_params(feat, n_labels=3, hidden_size=4, n_heads=2, seed=0)
+        x = featurize_texts(feat, ["abc def", "ghi"])
+        reference = predict_probs(params, x)
+        params.encoder[np.setdiff1d(np.arange(64), x.indices)] = np.nan
+        assert np.array_equal(predict_probs(params, x), reference)
+        params.encoder[x.indices[0], 2] = -np.inf
+        probs = predict_probs(params, x)
+        assert np.isfinite(probs).all() and np.allclose(probs.sum(axis=1), 1.0)
 
     def test_empty_dataset_rejected(self):
         feat = Featurizer(hash_dim=64, hash_seed=0)

@@ -9,6 +9,7 @@ from noisylabels import (
     CetaConfig,
     ConsensusCollapseError,
     CoteachSchedule,
+    DivergenceError,
     Featurizer,
     TrainConfig,
     ValidationError,
@@ -24,10 +25,12 @@ from noisylabels import (
 )
 from noisylabels import SplitSpec
 from noisylabels.cli import main
+from noisylabels import training
 from noisylabels.model import _encode, _mean_ce_and_grads, _row_losses, \
     featurize_dataset, featurize_texts, instance_losses, mean_ce_and_grads
 from noisylabels.training import MEMBER_METHODS, EarlyStopState, Featurized, \
-    _Batcher, _CSRRows, _take_rows, _train, ceta_batch_objective
+    _Batcher, _coteaching_objective, _CSRRows, _take_rows, _train, \
+    ceta_batch_objective
 from noisylabels.util import derive_rng
 from tests.test_model import assert_matches_central_differences, \
     dense_encoder_grad
@@ -107,12 +110,101 @@ class TestBatcher:
             perm = reference.permutation(n)
             for start in range(0, n - size + 1, size):
                 batch, xb, yb = batcher.next()
+                if start == 0:  # the epoch's gather, which every batch slices
+                    expected = x[batcher._perm]
+                    for attr in ("indptr", "indices", "data"):
+                        assert np.array_equal(getattr(batcher._x, attr),
+                                              getattr(expected, attr))
+                    assert batcher._x.shape == expected.shape
                 assert np.array_equal(batch, perm[start:start + size])
                 expected = x[batch]
                 for attr in ("indptr", "indices", "data"):
                     assert np.array_equal(getattr(xb, attr), getattr(expected, attr))
                 assert xb.shape == expected.shape
                 assert np.array_equal(yb, y[batch])
+
+
+def grad_arrays(grads):
+    return [grads.d_pre] + [a for pair in grads.heads.values() for a in pair]
+
+
+def assert_share_no_memory(arrays, others):
+    for a in arrays:
+        for b in others:
+            assert not np.shares_memory(a, b)
+
+
+class TestGradsOwnTheirArrays:
+    """A step's Grads hold arrays of their own, which no later step writes."""
+
+    def test_consecutive_steps(self, tiny_featurizer):
+        x = featurize_texts(tiny_featurizer, ["a b c", "b d", "", "a e f g"])
+        y = np.array([0, 2, 1, 1])
+        params = init_params(tiny_featurizer, 3, 8, drop_rate=0.2, seed=1)
+        rng = derive_rng(2, "dropout")
+        (_, first), (_, second) = (mean_ce_and_grads(params, x, y, rng, True)
+                                   for _ in range(2))
+        assert_share_no_memory(grad_arrays(first), grad_arrays(second))
+
+    def test_coteaching_nets(self, tiny_featurizer):
+        x = featurize_texts(tiny_featurizer, [f"w{i % 5} w{i % 3} w{i}"
+                                              for i in range(10)])
+        y = np.arange(10) % 3
+        nets = [init_params(tiny_featurizer, 3, 8, drop_rate=0.1, seed=s)
+                for s in (0, 1)]
+        dropout = [derive_rng(s, "dropout") for s in (0, 1)]
+        objective = _coteaching_objective(CoteachSchedule(tau=0.3, ramp_steps=0))
+        raw = _CSRRows(x.data, x.indices, x.indptr, x.shape)
+        _, grads = objective(1, nets, dropout, np.arange(10), raw, y, 1)
+        assert len(grads) == 2 and grads[0].d_pre.shape == (7, 8)
+        assert_share_no_memory(grad_arrays(grads[0]), grad_arrays(grads[1]))
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("method", MEMBER_METHODS)
+    def test_huge_learning_rate_is_divergence(self, method, small_splits,
+                                              tiny_featurizer, fast_config,
+                                              monkeypatch):
+        train, val, _ = small_splits
+        data = Featurized.of(tiny_featurizer, train, val)
+        steps = []
+        real = training.apply_grads
+
+        def counted(*args):
+            steps.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(training, "apply_grads", counted)
+        with pytest.raises(DivergenceError), \
+                np.errstate(over="ignore", invalid="ignore"):
+            _train(method, data, replace(fast_config, learning_rate=1e8))
+        assert len(steps) > 1  # the parameters went non-finite mid-run
+
+    @pytest.mark.parametrize("method", MEMBER_METHODS)
+    def test_non_finite_net_is_divergence_when_the_loop_ends(
+            self, method, small_splits, tiny_featurizer, fast_config, monkeypatch):
+        # a row no batch and no validation text touches: no step and no
+        # evaluation sees it, only the check when the loop ends
+        train, val, _ = small_splits
+        data = Featurized.of(tiny_featurizer, train, val)
+        row = np.setdiff1d(np.arange(tiny_featurizer.hash_dim),
+                           np.concatenate([data.x.indices, data.x_val.indices]))[0]
+        real = training.apply_grads
+        nets = []
+
+        def poison_the_last_net(net, *args):
+            real(net, *args)
+            nets.append(net)
+            if len(nets) == 4:  # co-teaching: network 2, never evaluated
+                net.encoder[row, 0] = np.inf
+
+        monkeypatch.setattr(training, "apply_grads", poison_the_last_net)
+        cfg = replace(fast_config, steps=20, eval_every=5)
+        with pytest.raises(DivergenceError, match="non-finite model parameters"):
+            _train(method, data, cfg)
+        assert nets[3] is nets[-1]
+        monkeypatch.setattr(training, "apply_grads", real)
+        assert len(_train(method, data, cfg)[1]) == 20
 
 
 class TestTakeRows:
