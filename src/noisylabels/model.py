@@ -60,16 +60,14 @@ class _GramMemo:
 
     tokens maps a token to the id of its unigram. A longer n-gram's key is
     prefix id * 2**31 + last token id; keys is sorted and key_ids holds each
-    key's id, except that keys added since the last merge are in the sorted
-    recent and recent_ids, merged in once len(recent)**2 > len(keys). Both
-    end with _NO_KEY. hashes[id] is stable_hash("k:gram", seed).
+    key's id. hashes[id] is stable_hash("k:gram", seed).
     """
 
     def __init__(self, seed: int):
         self.seed, self.size = seed, 0
         self.tokens: dict[str, int] = {}
-        self.keys = self.recent = np.array([_NO_KEY], np.int64)
-        self.key_ids = self.recent_ids = np.array([-1], np.int64)
+        self.keys = np.array([_NO_KEY], np.int64)
+        self.key_ids = np.array([-1], np.int64)
         self.hashes = np.empty(1024, np.uint64)
 
     def _add(self, hashes: list[int]) -> int:
@@ -97,13 +95,10 @@ class _GramMemo:
                   starts: np.ndarray) -> np.ndarray:
         """The ids of n-grams of one order by key; the i-th starts at
         tokens[starts[i]]."""
-        # missing stays in key order: searchsorted is ~3x faster over sorted keys
-        ids, missing = np.empty_like(keys), np.argsort(keys)
-        for table, table_ids in ((self.keys, self.key_ids), (self.recent, self.recent_ids)):
-            at = np.searchsorted(table, keys[missing])
-            hit = table[at] == keys[missing]
-            ids[missing[hit]] = table_ids[at[hit]]
-            missing = missing[~hit]
+        by_key = np.argsort(keys)  # searchsorted is about 3x faster over sorted keys
+        at = np.empty_like(by_key)
+        at[by_key] = np.searchsorted(self.keys, keys[by_key])
+        ids, missing = self.key_ids[at], np.flatnonzero(self.keys[at] != keys)
         if len(missing):
             new_keys, first, inverse = np.unique(
                 keys[missing], return_index=True, return_inverse=True)
@@ -111,14 +106,9 @@ class _GramMemo:
                 [stable_hash(f"{order}:" + " ".join(tokens[s:s + order]), self.seed)
                  for s in starts[missing[first]].tolist()])
             new_ids = np.arange(start, self.size)
-            at = np.searchsorted(self.recent, new_keys)
-            self.recent = np.insert(self.recent, at, new_keys)
-            self.recent_ids = np.insert(self.recent_ids, at, new_ids)
-            if len(self.recent) ** 2 > len(self.keys):
-                at = np.searchsorted(self.keys, self.recent[:-1])
-                self.keys = np.insert(self.keys, at, self.recent[:-1])
-                self.key_ids = np.insert(self.key_ids, at, self.recent_ids[:-1])
-                self.recent, self.recent_ids = self.recent[-1:], self.recent_ids[-1:]
+            at = np.searchsorted(self.keys, new_keys)
+            self.keys = np.insert(self.keys, at, new_keys)
+            self.key_ids = np.insert(self.key_ids, at, new_ids)
             ids[missing] = new_ids[inverse]
         return ids
 
