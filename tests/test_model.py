@@ -222,25 +222,6 @@ class TestFeaturizer:
             assert model._memo.seed == 11
             assert model._memo.size == distinct_grams(["a b a"], 2)
 
-    def test_calls_that_add_ngrams_match_a_fresh_memo(self, monkeypatch):
-        # each call inserts its new n-grams into the memo's sorted key table
-        monkeypatch.setattr(model, "_memo", None)
-        featurizer = Featurizer(2**10, (1, 2, 3), 6)
-        featurize_texts(featurizer, [f"w{i} w{i + 1} w{i + 2}" for i in range(200)])
-        memo = model._memo
-        calls = [[f"w{i} n{i} w{i + 1}", f"n{i} n{i + 1} w{i}"] for i in range(120)]
-        for call in calls + calls[::7]:
-            x = featurize_texts(featurizer, call)
-            assert model._memo is memo
-            model._memo = None
-            fresh = featurize_texts(featurizer, call)
-            model._memo = memo
-            for attr in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(x, attr), getattr(fresh, attr))
-        assert memo.size == distinct_grams(
-            [f"w{i} w{i + 1} w{i + 2}" for i in range(200)]
-            + [text for call in calls for text in call], 3)
-
     def test_call_that_raises_leaves_the_memo(self):
         featurizer = Featurizer(2**8, (1, 2), 4)
         featurize_texts(featurizer, ["kept a", "kept b"])
