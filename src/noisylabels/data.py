@@ -119,9 +119,11 @@ class Dataset:
         """Copy of the dataset with observed labels replaced positionally."""
         if len(observed) != len(self.instances):
             raise ValidationError("observed label array length mismatch")
+        # unchanged instances are reused; the constructor is faster than replace
         new = tuple(
-            replace(inst, observed_label=int(lab))
-            for inst, lab in zip(self.instances, observed)
+            inst if inst.observed_label == lab else
+            Instance(inst.id, inst.text, lab, inst.gold_label, inst.annotator_labels)
+            for inst, lab in zip(self.instances, map(int, observed))
         )
         return replace(self, instances=new)
 

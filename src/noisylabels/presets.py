@@ -19,6 +19,7 @@ way gazetteers are built from topic word lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .data import Dataset, SplitSpec, generate_synthetic_corpus, split_dataset, \
     synthetic_class_vocabularies
@@ -83,7 +84,14 @@ class Preset:
     featurizer = Featurizer()
     train_config = TrainConfig()
 
+    def __post_init__(self):
+        if self.class_weights is not None:  # a list would make the preset unhashable
+            object.__setattr__(self, "class_weights", tuple(self.class_weights))
+
+    @lru_cache(maxsize=1)
     def clean_splits(self) -> tuple[Dataset, Dataset, Dataset]:
+        """The splits, built once per process for the last preset asked for;
+        equal presets share them, as immutable Datasets."""
         corpus = generate_synthetic_corpus(
             self.n_classes, self.n_instances, self.vocab_per_class, self.overlap,
             seed=self.corpus_seed, class_weights=self.class_weights,

@@ -235,6 +235,11 @@ class TestValidation:
         with pytest.raises(ValidationError, match="duplicate"):
             Dataset(labels, (Instance("i", "t", 0), Instance("i", "u", 1)))
 
+    def test_with_observed_label_out_of_range(self):
+        corpus = generate_synthetic_corpus(3, 12, 5, 0.0, seed=1)
+        with pytest.raises(ValidationError, match="out of range"):
+            corpus.with_observed([3] + corpus.observed().tolist()[1:])
+
     def test_label_set_needs_two(self):
         with pytest.raises(ValidationError):
             LabelSet(("only",))
@@ -340,3 +345,27 @@ class TestSyntheticCorpus:
             generate_synthetic_corpus(3, 50, 3, 0.0, seed=0)
         with pytest.raises(ValidationError):
             generate_synthetic_corpus(3, 50, 8, 1.5, seed=0)
+
+
+class TestWithObserved:
+    def test_equals_replace_based_reference(self):
+        corpus = generate_synthetic_corpus(4, 120, 8, 0.25, seed=5,
+                                           annotators_per_instance=3)
+        rng = np.random.default_rng(0)
+        observed = np.where(rng.random(len(corpus)) < 0.4,
+                            rng.integers(0, 4, len(corpus)), corpus.observed())
+        reference = replace(corpus, instances=tuple(
+            replace(inst, observed_label=int(lab))
+            for inst, lab in zip(corpus.instances, observed)))
+        got = corpus.with_observed(observed)
+        assert got == reference
+        assert [type(i.observed_label) for i in got] == [int] * len(got)
+
+    def test_reuses_unchanged_instances(self):
+        corpus = generate_synthetic_corpus(3, 30, 5, 0.0, seed=2)
+        observed = corpus.observed()
+        observed[0] = (observed[0] + 1) % 3
+        got = corpus.with_observed(observed)
+        assert got.instances[0] is not corpus.instances[0]
+        assert got.instances[0].observed_label == observed[0]
+        assert all(a is b for a, b in zip(got.instances[1:], corpus.instances[1:]))

@@ -1,12 +1,30 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from noisylabels import (
     ValidationError,
+    apply_noise,
+    generate_synthetic_corpus,
     get_preset,
     noise_level,
     noise_matrix,
+    split_dataset,
 )
+from noisylabels.presets import Preset
+
+
+def fresh_clean_splits(preset):
+    """The preset's splits generated anew from its fields, past the memo."""
+    corpus = generate_synthetic_corpus(
+        preset.n_classes, preset.n_instances, preset.vocab_per_class,
+        preset.overlap, seed=preset.corpus_seed,
+        class_weights=preset.class_weights,
+        global_token_fraction=preset.global_token_fraction,
+        annotators_per_instance=preset.annotators_per_instance,
+        annotator_disagreement=preset.annotator_disagreement)
+    return split_dataset(corpus, preset.split)
 
 
 class TestSeparable:
@@ -44,6 +62,12 @@ class TestYorubaLike:
         a = get_preset("yoruba_like").noisy_splits()
         b = get_preset("yoruba_like").noisy_splits()
         assert a == b
+        # the memo makes a == b hold by construction; a fresh generation
+        # checks the splits themselves are reproducible
+        preset = get_preset("yoruba_like")
+        train, val, test = fresh_clean_splits(preset)
+        assert a == (apply_noise(train, None, 0, preset.labeler),
+                     apply_noise(val, None, 1, preset.labeler), test)
 
 
 class TestHausaLike:
@@ -68,3 +92,34 @@ class TestLookup:
     def test_unknown_rejected(self):
         with pytest.raises(ValidationError):
             get_preset("mnist")
+
+
+class TestCleanSplitsMemo:
+    @pytest.mark.parametrize("name,corpus_seed", [
+        ("separable", None), ("yoruba_like", None), ("hausa_like", None),
+        ("yoruba_like", 5)])
+    def test_equals_a_fresh_generation(self, name, corpus_seed):
+        preset = get_preset(name, corpus_seed)
+        assert preset.clean_splits() == fresh_clean_splits(preset)
+
+    def test_second_call_returns_the_same_objects(self):
+        first = get_preset("hausa_like").clean_splits()
+        second = get_preset("hausa_like").clean_splits()
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_alternating_presets_get_their_own_splits(self):
+        yoruba, hausa = get_preset("yoruba_like"), get_preset("hausa_like")
+        expected = {"yoruba_like": fresh_clean_splits(yoruba),
+                    "hausa_like": fresh_clean_splits(hausa)}
+        for preset in (yoruba, hausa, yoruba):
+            assert preset.clean_splits() == expected[preset.name]
+        assert get_preset("yoruba_like", 5).clean_splits() != expected["yoruba_like"]
+
+    def test_list_class_weights_equal_their_tuple_twin(self):
+        twin = get_preset("yoruba_like", 7)
+        kwargs = {f.name: getattr(twin, f.name) for f in fields(twin)}
+        listed = Preset(**{**kwargs, "class_weights": list(twin.class_weights)})
+        assert listed.class_weights == twin.class_weights
+        assert listed == twin and hash(listed) == hash(twin)
+        assert listed.clean_splits() == fresh_clean_splits(twin)
+        assert replace(twin, class_weights=[1.0] * 7).class_weights == (1.0,) * 7
