@@ -89,6 +89,7 @@ from .presets import (
 from .training import (
     CetaConfig,
     CoteachSchedule,
+    Featurized,
     total_variation,
     train_ceta,
     train_coteaching,

@@ -16,8 +16,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import EmptyCleanedSetError, ValidationError
-from .model import Featurizer, ModelParams, TrainConfig, evaluate, \
-    evaluate_features, instance_losses
+from .model import Featurizer, ModelParams, TrainConfig, evaluate_features, \
+    instance_losses
 from .noise import noise_level
 from .training import Featurized, _train, train_vanilla
 from .util import derive_rng, stable_hash
@@ -95,20 +95,15 @@ def fold_partition(n: int, folds: int, seed: int) -> np.ndarray:
     return fold_of
 
 
-def heldout_losses(train: Dataset, cfg: CleanConfig, train_cfg: TrainConfig,
-                   featurizer: Featurizer, val: Dataset
+def heldout_losses(data: Featurized, cfg: CleanConfig, train_cfg: TrainConfig
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-instance evaluation loss from the fold model that held it out.
+    """Per-instance evaluation loss from the fold model that held it out,
+    and each instance's fold.
 
     For each fold a fresh vanilla model is trained on the complement (early
     stopping on the experiment's validation set, same as the main runs) and
     scored on the held-out fold. Folds are trained in order, one at a time.
     """
-    return _heldout(Featurized.of(featurizer, train, val), cfg, train_cfg)
-
-
-def _heldout(data: Featurized, cfg: CleanConfig, train_cfg: TrainConfig
-             ) -> tuple[np.ndarray, np.ndarray]:
     n = len(data)
     fold_of = fold_partition(n, cfg.folds, cfg.seed)
     losses = np.empty(n, dtype=np.float64)
@@ -125,54 +120,6 @@ def _heldout(data: Featurized, cfg: CleanConfig, train_cfg: TrainConfig
     return losses, fold_of
 
 
-def _report(train: Dataset, cleaned: Dataset, losses, fold_of, kept, removed,
-            threshold: float) -> CleaningReport:
-    ids = [inst.id for inst in train.instances]
-    noise_before = noise_after = None
-    if train.has_gold():
-        noise_before = noise_level(train)
-        if len(cleaned):
-            noise_after = noise_level(cleaned)
-    return CleaningReport(
-        kept_ids=tuple(ids[i] for i in kept),
-        removed_ids=tuple(ids[i] for i in removed),
-        per_instance_loss={ids[i]: float(losses[i]) for i in range(len(ids))},
-        threshold_used=float(threshold),
-        noise_before=noise_before,
-        noise_after=noise_after,
-        fold_of={ids[i]: int(fold_of[i]) for i in range(len(ids))},
-    )
-
-
-def clean_dataset(train: Dataset, cfg: CleanConfig, train_cfg: TrainConfig,
-                  featurizer: Featurizer, val: Dataset
-                  ) -> tuple[Dataset, CleaningReport,
-                             list[ThresholdDiagnostic] | None, ModelParams | None]:
-    """The cleaning pass: held-out losses once, then the threshold (tuned
-    unless cfg fixes it), then the cleaned set, in the original instance
-    order: (cleaned, report, diagnostics, model).
-
-    For a tuned threshold, diagnostics is the tuning curve and model the
-    winning candidate's model, which is the vanilla model trained on the
-    cleaned set with train_cfg; for a fixed threshold both are None
-    (retrain_on_cleaned trains that model). Raises EmptyCleanedSetError
-    rather than returning an empty training set.
-    """
-    data = Featurized.of(featurizer, train, val)
-    losses, fold_of = _heldout(data, cfg, train_cfg)
-    threshold, diagnostics, model = cfg.threshold, None, None
-    if threshold is None:
-        threshold, diagnostics, model = _tune(data, losses, cfg, train_cfg)
-    kept = np.flatnonzero(losses < threshold)  # strictly below; equality removes
-    removed = np.flatnonzero(losses >= threshold)
-    cleaned = train.select(kept)
-    report = _report(train, cleaned, losses, fold_of, kept, removed, threshold)
-    if len(cleaned) == 0:
-        raise EmptyCleanedSetError(
-            f"threshold {threshold} removed all {len(train)} instances")
-    return cleaned, report, diagnostics, model
-
-
 @dataclass(frozen=True)
 class ThresholdDiagnostic:
     """One tuning-curve point: candidate threshold, surviving set size, and
@@ -183,25 +130,16 @@ class ThresholdDiagnostic:
     val_accuracy: float | None
 
 
-def tune_threshold(train: Dataset, val: Dataset, cfg: CleanConfig,
-                   train_cfg: TrainConfig, featurizer: Featurizer
-                   ) -> tuple[float, list[ThresholdDiagnostic]]:
+def tune_threshold(data: Featurized, losses: np.ndarray, cfg: CleanConfig,
+                   train_cfg: TrainConfig
+                   ) -> tuple[float, list[ThresholdDiagnostic], ModelParams]:
     """Pick the loss threshold whose cleaned-and-retrained model scores best
     on the (noisy) validation set; ties go to the smaller threshold.
 
-    Fold models are trained once and reused across candidates, so tuning
-    costs the fold trainings plus one training per candidate. This is the
-    tuned clean_dataset pass, keeping only its threshold and tuning curve.
+    Returns the threshold, the tuning curve and the winning candidate's
+    model. Each candidate that keeps an instance costs one vanilla training
+    on the rows whose held-out loss is below it.
     """
-    _, report, diagnostics, _ = clean_dataset(
-        train, replace(cfg, threshold=None), train_cfg, featurizer, val)
-    return report.threshold_used, diagnostics
-
-
-def _tune(data: Featurized, losses: np.ndarray, cfg: CleanConfig,
-          train_cfg: TrainConfig
-          ) -> tuple[float, list[ThresholdDiagnostic], ModelParams]:
-    """Best threshold, the tuning curve, and the best candidate's model."""
     grid = cfg.tuning_grid if cfg.tuning_grid is not None \
         else np.quantile(losses, cfg.tuning_quantiles)
     diagnostics: list[ThresholdDiagnostic] = []
@@ -221,12 +159,55 @@ def _tune(data: Featurized, losses: np.ndarray, cfg: CleanConfig,
     return best_threshold, diagnostics, best_params
 
 
+def _report(train: Dataset, cleaned: Dataset, losses, fold_of, kept, removed,
+            threshold: float) -> CleaningReport:
+    ids = [inst.id for inst in train.instances]
+    gold = train.has_gold()
+    return CleaningReport(
+        kept_ids=tuple(ids[i] for i in kept),
+        removed_ids=tuple(ids[i] for i in removed),
+        per_instance_loss={ids[i]: float(losses[i]) for i in range(len(ids))},
+        threshold_used=float(threshold),
+        noise_before=noise_level(train) if gold else None,
+        noise_after=noise_level(cleaned) if gold else None,
+        fold_of={ids[i]: int(fold_of[i]) for i in range(len(ids))},
+    )
+
+
+def clean_dataset(train: Dataset, cfg: CleanConfig, train_cfg: TrainConfig,
+                  featurizer: Featurizer, val: Dataset
+                  ) -> tuple[Dataset, CleaningReport,
+                             list[ThresholdDiagnostic] | None, ModelParams | None]:
+    """The cleaning pass: heldout_losses once, then tune_threshold unless
+    cfg fixes the threshold, then the cleaned set, in the original instance
+    order: (cleaned, report, diagnostics, model).
+
+    For a tuned threshold, diagnostics is the tuning curve and model the
+    winning candidate's model, which is the vanilla model trained on the
+    cleaned set with train_cfg; for a fixed threshold both are None
+    (retrain_on_cleaned trains that model). Raises EmptyCleanedSetError
+    rather than returning an empty training set.
+    """
+    data = Featurized.of(featurizer, train, val)
+    losses, fold_of = heldout_losses(data, cfg, train_cfg)
+    threshold, diagnostics, model = cfg.threshold, None, None
+    if threshold is None:
+        threshold, diagnostics, model = tune_threshold(data, losses, cfg, train_cfg)
+    kept = np.flatnonzero(losses < threshold)  # strictly below; equality removes
+    if kept.size == 0:
+        raise EmptyCleanedSetError(
+            f"threshold {threshold} removed all {len(train)} instances")
+    removed = np.flatnonzero(losses >= threshold)
+    cleaned = train.select(kept)
+    report = _report(train, cleaned, losses, fold_of, kept, removed, threshold)
+    return cleaned, report, diagnostics, model
+
+
 def retrain_on_cleaned(cleaned: Dataset, val: Dataset, train_cfg: TrainConfig,
-                       featurizer: Featurizer, test: Dataset | None = None
-                       ) -> tuple[ModelParams, float | None]:
-    """Ordinary vanilla training on the cleaned set; optionally reports
-    accuracy on a clean test set."""
+                       featurizer: Featurizer) -> ModelParams:
+    """Ordinary vanilla training on the cleaned set of a fixed-threshold
+    pass; score it with evaluate."""
     if len(cleaned) == 0:
         raise ValidationError("cannot retrain on an empty cleaned set")
     params, _ = train_vanilla(cleaned, val, train_cfg, featurizer)
-    return params, None if test is None else evaluate(params, test, featurizer)
+    return params

@@ -246,7 +246,7 @@ def _run_method(cfg: ExperimentConfig, mat: _Materialized, train: Dataset,
         cleaned, report, _, params = clean_dataset(
             train, replace(cfg.cleaning, seed=run_seed), tcfg, feat, val)
         if params is None:
-            params, _ = retrain_on_cleaned(cleaned, val, tcfg, feat)
+            params = retrain_on_cleaned(cleaned, val, tcfg, feat)
         members = [params]
         record.update({
             "threshold_used": report.threshold_used,
@@ -347,8 +347,10 @@ def compare_methods(cfgs: list[ExperimentConfig]
                     ) -> tuple[ComparisonTable, list[ExperimentReport]]:
     """Run each config and arrange results as methods x noise settings.
 
-    All configs must share the dataset section. The first row is vanilla on
-    clean data, the ceiling, and the first report is its report.
+    All configs must share the dataset section. The dataset and every
+    config's first-run noise are checked before the first model trains. The
+    first row is vanilla on clean data, the ceiling, and the first report is
+    its report.
     """
     if not cfgs:
         raise ValidationError("compare_methods needs at least one config")
@@ -356,6 +358,9 @@ def compare_methods(cfgs: list[ExperimentConfig]
     for cfg in cfgs[1:]:
         if cfg.dataset != first.dataset or cfg.split != first.split:
             raise ValidationError("all compared configs must share the dataset")
+    mat = _materialize(first)
+    for cfg in cfgs:
+        _apply_noise(mat, cfg, cfg.base_seed)
 
     clean_row = "vanilla (clean data)"
     rows, columns = [clean_row], []

@@ -38,13 +38,19 @@ def derive_rng(seed: int, tag: str) -> np.random.Generator:
 
 def _conforms(value, hint) -> bool:
     """Whether a JSON-loaded value has an annotated type; an int is a float
-    too, a bool is neither, and a list stands for a tuple or sequence."""
+    too, a bool is neither, and a list stands for a tuple or sequence. A
+    fixed-length tuple hint such as tuple[int, int] checks the length and
+    each position; tuple[X, ...] and Sequence[X] check every element as X."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return any(_conforms(value, arg) for arg in args)
     if origin in (tuple, Sequence):
-        return isinstance(value, (list, tuple)) \
-            and all(_conforms(v, args[0]) for v in value)
+        if not isinstance(value, (list, tuple)):
+            return False
+        if origin is tuple and args[-1] is not Ellipsis:
+            return len(value) == len(args) \
+                and all(_conforms(v, arg) for v, arg in zip(value, args))
+        return all(_conforms(v, args[0]) for v in value)
     if hint in (int, float):
         return isinstance(value, (int, hint)) and not isinstance(value, bool)
     return isinstance(value, origin or hint)

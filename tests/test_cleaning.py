@@ -9,6 +9,7 @@ from noisylabels import (
     CleaningReport,
     Dataset,
     EmptyCleanedSetError,
+    Featurized,
     SplitSpec,
     TrainConfig,
     ValidationError,
@@ -23,6 +24,7 @@ from noisylabels import (
     train_vanilla,
     tune_threshold,
 )
+from noisylabels import cleaning
 from noisylabels.data import Instance
 
 
@@ -142,26 +144,48 @@ class TestCleanDataset:
 
     def test_tuned_pass_matches_the_composition(self, noisy_setup,
                                                 tiny_featurizer):
-        # one untuned pass equals tune_threshold, then a fixed-threshold pass,
-        # then retrain_on_cleaned: the same cleaned set, report bytes, tuning
-        # curve and model bits; a fixed pass returns no curve and no model
+        # one untuned pass equals heldout_losses and tune_threshold, then a
+        # fixed-threshold pass, then retrain_on_cleaned: the same cleaned
+        # set, report bytes, tuning curve and model bits; a fixed pass
+        # returns no curve and no model
         train, val, _, cfg = noisy_setup
         ccfg = CleanConfig(folds=3, tuning_quantiles=(0.5, 0.8), seed=2)
         cleaned, report, diagnostics, model = clean_dataset(
             train, ccfg, cfg, tiny_featurizer, val)
 
-        t, curve = tune_threshold(train, val, ccfg, cfg, tiny_featurizer)
+        data = Featurized.of(tiny_featurizer, train, val)
+        losses, _ = heldout_losses(data, ccfg, cfg)
+        t, curve, winner = tune_threshold(data, losses, ccfg, cfg)
         fixed, fixed_report, no_curve, no_model = clean_dataset(
             train, replace(ccfg, threshold=t), cfg, tiny_featurizer, val)
-        retrained, _ = retrain_on_cleaned(fixed, val, cfg, tiny_featurizer)
+        retrained = retrain_on_cleaned(fixed, val, cfg, tiny_featurizer)
         assert no_curve is None and no_model is None
         assert cleaned == fixed
         assert report.to_json() == fixed_report.to_json()
         assert diagnostics == curve and report.threshold_used == t
-        assert model.n_heads == retrained.n_heads
-        assert model.drop_rate == retrained.drop_rate
-        for a, b in zip(model.arrays(), retrained.arrays(), strict=True):
-            assert a.tobytes() == b.tobytes()
+        for other in (winner, retrained):
+            assert model.n_heads == other.n_heads
+            assert model.drop_rate == other.drop_rate
+            for a, b in zip(model.arrays(), other.arrays(), strict=True):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("threshold, tunings", [(None, 1), (0.9, 0)])
+    def test_each_step_runs_once(self, noisy_setup, tiny_featurizer,
+                                 monkeypatch, threshold, tunings):
+        # the pass runs its steps through the public names, once each; a
+        # fixed threshold skips the tuning
+        train, val, _, cfg = noisy_setup
+        calls = []
+        for name in ("heldout_losses", "tune_threshold"):
+            def counted(*args, real=getattr(cleaning, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(cleaning, name, counted)
+        ccfg = CleanConfig(folds=3, threshold=threshold,
+                           tuning_quantiles=(0.5, 0.8), seed=2)
+        clean_dataset(train, ccfg, cfg, tiny_featurizer, val)
+        assert calls == ["heldout_losses"] + ["tune_threshold"] * tunings
 
     def test_report_json(self, noisy_setup, tiny_featurizer, tmp_path):
         train, val, _, cfg = noisy_setup
@@ -177,11 +201,18 @@ class TestCleanDataset:
         assert len(payload["per_instance_loss"]) == len(train)
 
 
+def tuned(train, val, ccfg, cfg, featurizer):
+    """tune_threshold over the held-out losses it computes first."""
+    data = Featurized.of(featurizer, train, val)
+    losses, _ = heldout_losses(data, ccfg, cfg)
+    return tune_threshold(data, losses, ccfg, cfg)
+
+
 class TestTuneThreshold:
     def test_single_candidate_returned(self, noisy_setup, tiny_featurizer):
         train, val, _, cfg = noisy_setup
         ccfg = CleanConfig(folds=3, tuning_grid=(0.9,), seed=2)
-        t, diagnostics = tune_threshold(train, val, ccfg, cfg, tiny_featurizer)
+        t, diagnostics, _ = tuned(train, val, ccfg, cfg, tiny_featurizer)
         assert t == 0.9
         assert len(diagnostics) == 1
 
@@ -191,9 +222,10 @@ class TestTuneThreshold:
         train, val, _, cfg = noisy_setup
         grid = (0.3, 0.9, 2.5)
         ccfg = CleanConfig(folds=3, tuning_grid=grid, seed=2)
-        t, diagnostics = tune_threshold(train, val, ccfg, cfg, tiny_featurizer)
+        t, diagnostics, _ = tuned(train, val, ccfg, cfg, tiny_featurizer)
 
-        losses, _ = heldout_losses(train, ccfg, cfg, tiny_featurizer, val)
+        losses, _ = heldout_losses(Featurized.of(tiny_featurizer, train, val),
+                                   ccfg, cfg)
         best_t, best_acc = None, -1.0
         for candidate in grid:
             kept = np.flatnonzero(losses < candidate)
@@ -211,7 +243,7 @@ class TestTuneThreshold:
     def test_quantile_grid_default(self, noisy_setup, tiny_featurizer):
         train, val, _, cfg = noisy_setup
         ccfg = CleanConfig(folds=3, tuning_quantiles=(0.5, 0.8), seed=2)
-        t, diagnostics = tune_threshold(train, val, ccfg, cfg, tiny_featurizer)
+        t, diagnostics, _ = tuned(train, val, ccfg, cfg, tiny_featurizer)
         assert len(diagnostics) == 2
         assert t in {d.threshold for d in diagnostics}
 
@@ -219,7 +251,7 @@ class TestTuneThreshold:
         train, val, _, cfg = noisy_setup
         ccfg = CleanConfig(folds=3, tuning_grid=(0.0,), seed=2)
         with pytest.raises(EmptyCleanedSetError):
-            tune_threshold(train, val, ccfg, cfg, tiny_featurizer)
+            tuned(train, val, ccfg, cfg, tiny_featurizer)
 
 
 class TestCleaningReport:
@@ -258,9 +290,8 @@ class TestRetrain:
         corpus = generate_synthetic_corpus(3, 400, 20, 0.0, seed=7)
         train, val, test = split_dataset(corpus, SplitSpec(0.7, 0.15, 0.15,
                                                            seed=7))
-        _, accuracy = retrain_on_cleaned(train, val, fast_config,
-                                         tiny_featurizer, test)
-        assert accuracy >= 0.95
+        params = retrain_on_cleaned(train, val, fast_config, tiny_featurizer)
+        assert evaluate(params, test, tiny_featurizer) >= 0.95
 
     def test_empty_rejected(self, noisy_setup, tiny_featurizer):
         train, val, _, cfg = noisy_setup
@@ -270,6 +301,5 @@ class TestRetrain:
 
     def test_no_test_set_returns_none(self, noisy_setup, tiny_featurizer):
         train, val, _, cfg = noisy_setup
-        params, accuracy = retrain_on_cleaned(train, val, cfg, tiny_featurizer)
-        assert accuracy is None
+        params = retrain_on_cleaned(train, val, cfg, tiny_featurizer)
         assert params.n_heads == 1

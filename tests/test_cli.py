@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from noisylabels import ValidationError, clean_dataset, \
-    generate_synthetic_corpus, get_preset, load_dataset, noise_matrix, \
-    save_dataset, tune_threshold
+from noisylabels import Featurized, ValidationError, clean_dataset, \
+    generate_synthetic_corpus, get_preset, heldout_losses, load_dataset, \
+    noise_matrix, save_dataset, tune_threshold
 from noisylabels import cli
 from noisylabels.cli import main
 from noisylabels.harness import ExperimentConfig, _apply_noise, _materialize, \
@@ -112,6 +112,29 @@ class TestExitCodes:
         assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == \
             "error: member count 17 must be in [1, 16] for this grid\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise, message", [
+        ({"kind": "uniform_random", "level": 2.0}, "level must be in [0, 1]"),
+        ({"kind": "feature_dependent",
+          "rules": [{"keywords": ["w0"], "label": "nosuch"}]},
+         "unknown label 'nosuch'"),
+        ({"kind": "uniform_random", "levle": 0.2},
+         "uniform_random noise takes no ['levle']"),
+    ], ids=["level", "label", "key"])
+    def test_compare_refuses_a_malformed_noise_cell_first(
+            self, tmp_path, capsys, no_training, noise, message):
+        # the second cell's noise is refused before the clean row trains
+        raw = json.loads(write_config(tmp_path / "cfg.json").read_text())
+        del raw["method"], raw["noise"]
+        raw["experiments"] = [
+            {"method": "vanilla", "noise": {"kind": "uniform_random", "level": 0.2}},
+            {"method": "vanilla", "noise": noise}]
+        cfg = tmp_path / "compare.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("ramp_steps", [150, 10_000])
@@ -459,6 +482,8 @@ class TestWrongShapeInputs:
         {"split": {"train": float("nan"), "validation": 0.15, "test": 0.15}},
         {"train": {"steps": 80, "seed": 99}},
         {"method": "nc", "cleaning": {"folds": 3, "seed": 99}},
+        {"dataset": {"synthetic": {**SYNTHETIC, "tokens_per_text": [1, 2, 3]}}},
+        {"dataset": {"synthetic": {**SYNTHETIC, "tokens_per_text": [5]}}},
     ])
     def test_malformed_config_sections_are_one(self, tmp_path, capsys,
                                                overrides):
@@ -553,8 +578,9 @@ class TestOutputPathErrors:
 
 
 def reference_cleaning(cfg_path, out_dir):
-    """The clean outputs as composed from tune_threshold and clean_dataset,
-    each computing its own held-out losses."""
+    """The clean outputs as composed from heldout_losses, tune_threshold and
+    clean_dataset, the tuning and the cleaning each from its own held-out
+    losses."""
     cfg = ExperimentConfig.from_dict(
         json.loads(cfg_path.read_text(encoding="utf-8")))
     mat = _materialize(cfg)
@@ -562,8 +588,9 @@ def reference_cleaning(cfg_path, out_dir):
     ccfg = replace(cfg.cleaning, seed=cfg.base_seed)
     tcfg = replace(cfg.train, seed=cfg.base_seed)
     out_dir.mkdir()
-    threshold, diagnostics = tune_threshold(train, val, ccfg, tcfg,
-                                            cfg.featurizer)
+    data = Featurized.of(cfg.featurizer, train, val)
+    threshold, diagnostics, _ = tune_threshold(
+        data, heldout_losses(data, ccfg, tcfg)[0], ccfg, tcfg)
     (out_dir / "threshold_sweep.csv").write_text(
         threshold_sweep_csv(diagnostics), encoding="utf-8")
     cleaned, report, _, _ = clean_dataset(

@@ -34,8 +34,8 @@ from noisylabels import (
     split_dataset,
     threshold_sweep_csv,
 )
-from noisylabels import DivergenceError, MethodError, clean_dataset, \
-    retrain_on_cleaned, tune_threshold
+from noisylabels import DivergenceError, Featurized, MethodError, \
+    clean_dataset, evaluate, heldout_losses, retrain_on_cleaned, tune_threshold
 from noisylabels import harness, training
 from noisylabels.cleaning import ThresholdDiagnostic
 from noisylabels.cli import _compare_configs, main
@@ -122,11 +122,13 @@ class TestRunExperiment:
         train, val = _apply_noise(mat, cfg, cfg.base_seed)
         ccfg = replace(cfg.cleaning, seed=cfg.base_seed)
         tcfg = replace(cfg.train, seed=cfg.base_seed)
-        threshold, _ = tune_threshold(train, val, ccfg, tcfg, cfg.featurizer)
+        data = Featurized.of(cfg.featurizer, train, val)
+        threshold, _, _ = tune_threshold(
+            data, heldout_losses(data, ccfg, tcfg)[0], ccfg, tcfg)
         cleaned, report, _, _ = clean_dataset(
             train, replace(ccfg, threshold=threshold), tcfg, cfg.featurizer, val)
-        _, accuracy = retrain_on_cleaned(cleaned, val, tcfg, cfg.featurizer,
-                                         mat.test)
+        accuracy = evaluate(retrain_on_cleaned(cleaned, val, tcfg, cfg.featurizer),
+                            mat.test, cfg.featurizer)
         assert run == {"threshold_used": threshold,
                        "cleaned_size": len(cleaned),
                        "noise_before": report.noise_before,
