@@ -155,7 +155,7 @@ class SplitSpec:
 #
 # JSONL: one object per line: id, text, label, optional gold_label, optional
 #        annotator_labels (all labels as strings).
-# TSV:   header row `id  text  label  [gold_label]`.
+# TSV:   header row `id  text  label  [gold_label]`; no annotator labels.
 # Both:  optional sidecar labels.txt next to the file fixes the label order;
 #        without it, order is first appearance. All writes UTF-8 with LF.
 # ---------------------------------------------------------------------------
@@ -331,6 +331,8 @@ def _encoded(dataset: Dataset, format: str) -> tuple[bytes, bytes]:
         has_gold = any(inst.gold_label is not None for inst in dataset.instances)
         if any(c in inst.id + inst.text for inst in dataset.instances for c in "\t\r\n"):
             raise ValidationError("TSV cannot store ids or texts with tabs or line breaks")
+        if any(inst.annotator_labels is not None for inst in dataset.instances):
+            raise ValidationError("TSV cannot store annotator labels; save as jsonl")
         header = "id\ttext\tlabel" + ("\tgold_label" if has_gold else "")
         lines.append(header)
         for inst in dataset.instances:

@@ -48,7 +48,8 @@ class EnsembleSettings:
 
     def __post_init__(self):
         if self.members < 1 or not 0.0 < self.subset_fraction <= 1.0:
-            raise ValidationError("bad ensemble settings")
+            raise ValidationError("ensemble 'members' must be >= 1" if self.members < 1
+                                  else "ensemble 'subset_fraction' must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -271,9 +272,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     run trains the fold models and one model per threshold candidate (5 + 9
     with the defaults) and reuses the winner as the retrained model.
     """
-    mat = _materialize(cfg)
-    x_test = featurize_dataset(cfg.featurizer, mat.test)
+    return _experiment(cfg, _materialize(cfg))
 
+
+def _experiment(cfg: ExperimentConfig, mat: _Materialized) -> ExperimentReport:
+    """run_experiment over mat, the splits of cfg's dataset and split."""
+    x_test = featurize_dataset(cfg.featurizer, mat.test)
     per_run = []
     for run_seed in range(cfg.base_seed, cfg.base_seed + cfg.runs):
         try:
@@ -319,20 +323,18 @@ class ComparisonTable:
     columns: list[str]
     cells: dict[tuple[str, str], str]
 
+    def _grid(self, empty: str) -> list[list[str]]:
+        return [["method", *self.columns]] + [
+            [row] + [self.cells.get((row, col), empty) for col in self.columns]
+            for row in self.rows]
+
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["method", *self.columns])
-        for row in self.rows:
-            writer.writerow([row] + [self.cells.get((row, col), "")
-                                     for col in self.columns])
+        csv.writer(buf, lineterminator="\n").writerows(self._grid(""))
         return buf.getvalue()
 
     def to_text(self) -> str:
-        table = [["method", *self.columns]]
-        for row in self.rows:
-            table.append([row] + [self.cells.get((row, col), "-")
-                                  for col in self.columns])
+        table = self._grid("-")
         widths = [max(len(r[i]) for r in table) for i in range(len(table[0]))]
         lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
                  for r in table]
@@ -347,10 +349,10 @@ def compare_methods(cfgs: list[ExperimentConfig]
                     ) -> tuple[ComparisonTable, list[ExperimentReport]]:
     """Run each config and arrange results as methods x noise settings.
 
-    All configs must share the dataset section. The dataset and every
-    config's first-run noise are checked before the first model trains. The
-    first row is vanilla on clean data, the ceiling, and the first report is
-    its report.
+    All configs share one dataset section, materialized once. The dataset,
+    every config's first-run noise and the uniqueness of each (method, noise
+    label) cell are checked before the first model trains. The first row is
+    vanilla on clean data, the ceiling, and the first report is its report.
     """
     if not cfgs:
         raise ValidationError("compare_methods needs at least one config")
@@ -361,23 +363,17 @@ def compare_methods(cfgs: list[ExperimentConfig]
     mat = _materialize(first)
     for cfg in cfgs:
         _apply_noise(mat, cfg, cfg.base_seed)
-
+    keys = [(cfg.method, _noise_label(cfg)) for cfg in cfgs]
+    if len(set(keys)) < len(keys):
+        method, label = max(keys, key=keys.count)
+        raise ValidationError(f"two compared configs are both {method} at {label}")
     clean_row = "vanilla (clean data)"
-    rows, columns = [clean_row], []
-    cells: dict[tuple[str, str], str] = {}
-    reports = [run_experiment(replace(first, method="vanilla",
-                                      noise={"kind": "none"}))]
-    for cfg in cfgs:
-        report = run_experiment(cfg)
-        reports.append(report)
-        row, col = cfg.method, _noise_label(cfg)
-        if row not in rows:
-            rows.append(row)
-        if col not in columns:
-            columns.append(col)
-        cells[(row, col)] = _format_cell(report)
-    for col in columns:
-        cells[(clean_row, col)] = _format_cell(reports[0])
+    reports = [_experiment(cfg, mat) for cfg in
+               [replace(first, method="vanilla", noise={"kind": "none"}), *cfgs]]
+    rows = [clean_row, *dict.fromkeys(row for row, _ in keys)]
+    columns = list(dict.fromkeys(col for _, col in keys))
+    cells = {(clean_row, col): _format_cell(reports[0]) for col in columns}
+    cells.update((key, _format_cell(r)) for key, r in zip(keys, reports[1:]))
     return ComparisonTable(rows, columns, cells), reports
 
 

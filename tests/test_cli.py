@@ -137,6 +137,25 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_compare_refuses_two_cells_of_one_key(self, tmp_path, capsys,
+                                                  no_training):
+        # one table cell per method and noise label: a second vanilla cell at
+        # 20% would overwrite the first, so it is refused before anything trains
+        raw = json.loads(write_config(tmp_path / "cfg.json").read_text())
+        del raw["method"], raw["noise"]
+        noise = {"kind": "uniform_random", "level": 0.2}
+        raw["experiments"] = [
+            {"method": "vanilla", "noise": noise},
+            {"method": "vanilla", "noise": noise,
+             "train": {"steps": 5, "eval_every": 5}}]
+        cfg = tmp_path / "compare.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: two compared configs are both vanilla at uniform_random 20%\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("ramp_steps", [150, 10_000])
     def test_train_refuses_tau_one_first(self, tmp_path, capsys, no_training,
                                          ramp_steps):
@@ -335,6 +354,19 @@ class TestWrongShapeInputs:
                      "--out-dir", str(out_dir)]) == 1
         assert capsys.readouterr().err.startswith("error: report ")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("ensemble, key", [
+        ({"members": 0}, "members"), ({"subset_fraction": 1.5}, "subset_fraction")],
+        ids=["members", "subset_fraction"])
+    def test_ensemble_settings_error_names_its_keys(self, tmp_path, capsys,
+                                                    ensemble, key):
+        cfg = write_config(tmp_path / "cfg.json", method="boosting",
+                           ensemble=ensemble)
+        out = tmp_path / "report.json"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{key}'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("experiments", [[1], ["vanilla"], [[]], {}])
     def test_compare_experiments_of_wrong_shape_is_one(self, tmp_path, capsys,
@@ -763,7 +795,7 @@ class TestGen:
     @pytest.mark.parametrize("name, corpus_seed, fmt", [
         ("separable", None, "jsonl"), ("yoruba_like", None, "jsonl"),
         ("hausa_like", None, "jsonl"), ("yoruba_like", 77, "jsonl"),
-        ("separable", None, "tsv")])
+        ("yoruba_like", None, "tsv")])
     def test_preset_files_equal_saved_clean_splits(self, tmp_path, name,
                                                    corpus_seed, fmt):
         cfg = write_config(tmp_path / "cfg.json", split=None, dataset={
@@ -813,12 +845,16 @@ class TestGen:
             encoding="utf-8").splitlines()
         rows[-1] = rows[-1].replace('"text": "', '"text": "tab\\there ', 1)
         corpus.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        cfg = write_config(tmp_path / "cfg.json", dataset={"path": str(corpus)})
-        out = tmp_path / "data"
-        assert main(["gen", "--config", str(cfg), "--out-dir", str(out),
-                     "--format", "tsv"]) == 1
-        assert capsys.readouterr().err.startswith("error: TSV cannot store")
-        assert not out.exists()
+        tab = write_config(tmp_path / "tab.json", dataset={"path": str(corpus)})
+        # separable's instances carry annotator labels, which TSV cannot store
+        annotated = write_config(tmp_path / "annotated.json", split=None,
+                                 dataset={"preset": "separable"})
+        for cfg in (tab, annotated):
+            out = tmp_path / f"{cfg.stem}-data"
+            assert main(["gen", "--config", str(cfg), "--out-dir", str(out),
+                         "--format", "tsv"]) == 1
+            assert capsys.readouterr().err.startswith("error: TSV cannot store")
+            assert not out.exists()
 
 
 class TestNoise:
@@ -829,6 +865,8 @@ class TestNoise:
     SYNTHETIC = {"synthetic": {"classes": 3, "instances": 240,
                                "vocab_per_class": 20, "seed": 7,
                                "annotators_per_instance": 2}}
+    # TSV cannot store annotator labels, so the TSV case's corpus has none
+    UNANNOTATED = {"synthetic": {**SYNTHETIC["synthetic"], "annotators_per_instance": 0}}
 
     @pytest.mark.parametrize("dataset, noise, fmt", [
         ({"preset": "yoruba_like"}, None, "jsonl"),
@@ -840,7 +878,7 @@ class TestNoise:
         (SYNTHETIC, {"kind": "feature_dependent", "fallback": "random", "seed": 3,
                      "rules": [{"keywords": ["tok0001"], "label": "class1"}]},
          "jsonl"),
-        (SYNTHETIC, {"kind": "uniform_random", "level": 0.3}, "tsv"),
+        (UNANNOTATED, {"kind": "uniform_random", "level": 0.3}, "tsv"),
         (SYNTHETIC, {"kind": "none"}, "jsonl"),
     ], ids=["yoruba_like", "hausa_like", "uniform_random", "pseudo_real_world",
             "feature_dependent", "tsv", "none"])

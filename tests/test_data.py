@@ -80,6 +80,18 @@ class TestLoadSave:
         save_dataset(d, out, "jsonl")
         assert load_dataset(out, "jsonl") == d
 
+    def test_tsv_refuses_annotator_labels_with_nothing_written(self, tmp_path):
+        corpus = generate_synthetic_corpus(3, 30, seed=1, annotators_per_instance=3)
+        # one instance with annotator labels among ones without is refused too
+        labels = LabelSet(("a", "b"))
+        one = Dataset(labels, (Instance("r1", "x", 0),
+                               Instance("r2", "y", 1, annotator_labels=(1, 0))))
+        for dataset in (corpus, one):
+            with pytest.raises(ValidationError,
+                               match="TSV cannot store annotator labels"):
+                save_dataset(dataset, tmp_path / "corpus.tsv", "tsv")
+            assert list(tmp_path.iterdir()) == []
+
     def test_save_load_save_byte_stable(self, tmp_path, small_splits):
         train = small_splits[0].with_split(None)
         for fmt in ("jsonl", "tsv"):

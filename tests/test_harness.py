@@ -1,5 +1,6 @@
 import copy
 import csv
+import functools
 import io
 import itertools
 import json
@@ -678,6 +679,36 @@ class TestCompareMethods:
         expected = (f"{100 * solo.accuracy_mean:.2f} ± "
                     f"{100 * solo.accuracy_std:.2f}")
         assert table.cells[("vanilla", "uniform_random 20%")] == expected
+
+    def test_every_report_matches_run_experiment(self):
+        # the cells and the clean row train on the one materialized dataset,
+        # and each equals its own run_experiment, which materializes anew
+        cfgs = [base_config(runs=1),
+                base_config(method="coteaching", runs=1,
+                            noise={"kind": "uniform_random", "level": 0.3}),
+                base_config(runs=1, noise={"kind": "none"},
+                            featurizer={"hash_dim": 512})]
+        table, reports = compare_methods(cfgs)
+        clean = replace(cfgs[0], method="vanilla", noise={"kind": "none"})
+        assert [r.to_json() for r in reports] == \
+            [run_experiment(cfg).to_json() for cfg in [clean, *cfgs]]
+        assert table.rows == ["vanilla (clean data)", "vanilla", "coteaching"]
+        assert table.columns == ["uniform_random 20%", "uniform_random 30%", "none"]
+        assert len(table.cells) == 3 + 3
+
+    def test_generates_the_corpus_once(self, monkeypatch):
+        real, calls = harness.generate_synthetic_corpus, []
+
+        @functools.wraps(real)  # checked_call reads the signature
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_synthetic_corpus", counted)
+        compare_methods([base_config(runs=1, train={"steps": 5, "eval_every": 5}),
+                         base_config(method="coteaching", runs=1,
+                                     train={"steps": 5, "eval_every": 5})])
+        assert len(calls) == 1
 
     def test_three_noise_levels_three_columns(self):
         cfgs = [base_config(runs=1,
