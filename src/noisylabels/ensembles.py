@@ -24,7 +24,7 @@ from .model import (
     TrainConfig,
     featurize_dataset,
     load_model,
-    predict_probs,
+    predict_members,
     save_model,
 )
 from .training import MEMBER_METHODS, CetaConfig, CoteachSchedule, Featurized, _train
@@ -237,7 +237,7 @@ def _predict_features(members: list[ModelParams], x, y: np.ndarray
                       ) -> tuple[float, EnsemblePredictions]:
     if x.shape[0] == 0:
         raise ValidationError("cannot evaluate an empty dataset")
-    member_probs = np.stack([predict_probs(m, x) for m in members])
+    member_probs = predict_members(members, x)
     averaged = member_probs.mean(axis=0)
     predicted = averaged.argmax(axis=1)
     accuracy = float(np.mean(predicted == y))

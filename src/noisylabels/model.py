@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import json
 import threading
+import tokenize
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -327,9 +329,9 @@ def init_params(
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -337,13 +339,26 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _encode(params: ModelParams, x: sparse.csr_array):
+class _SparseArrays(NamedTuple):
+    """A sparse matrix as its raw compressed arrays: the four attributes of a
+    csr_array that the model's kernels read, without a scipy object's
+    construction and format checks."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+
+def _encode(params: ModelParams, x: sparse.csr_array,
+            kernel=_sparsetools.csr_matvecs):
     """Pre-activations, before the ReLU and any dropout.
 
     x is a csr_array or a training batch with the same data, indices, indptr
     and shape; the product is scipy's CSR kernel, the one x @ encoder runs,
-    called on those arrays so a batch needs no scipy object of its own. The
-    encoder scale multiplies the product, not the encoder.
+    called on those arrays so a batch needs no scipy object of its own. With
+    kernel csc_matvecs, x holds the arrays of the matrix's CSC form instead.
+    The encoder scale multiplies the product, not the encoder.
     """
     n_rows, hidden = x.shape[0], params.encoder.shape[1]
     # the kernel reads encoder rows by feature index unchecked
@@ -351,8 +366,8 @@ def _encode(params: ModelParams, x: sparse.csr_array):
         raise ValidationError(f"features have {x.shape[1]} columns but the encoder "
                               f"has {params.encoder.shape[0]} rows")
     pre = np.zeros((n_rows, hidden))
-    _sparsetools.csr_matvecs(n_rows, x.shape[1], hidden, x.indptr, x.indices,
-                             x.data, params.encoder.ravel(), pre.ravel())
+    kernel(n_rows, x.shape[1], hidden, x.indptr, x.indices, x.data,
+           params.encoder.ravel(), pre.ravel())
     if params.encoder_scale != 1.0:
         pre *= params.encoder_scale
     return pre
@@ -509,13 +524,45 @@ def predict_probs(params: ModelParams, x: sparse.csr_array) -> np.ndarray:
     for a one-head model is that head's softmax exactly. A non-finite one
     (as from a NaN or +inf encoder entry a row of x touches) raises
     DivergenceError; params are checked when saved, loaded or trained."""
+    return _member_probs([params], [x])[0]
+
+
+def predict_members(members: list[ModelParams], x: sparse.csr_array) -> np.ndarray:
+    """members x rows x labels: each member's predict_probs on x, bit for bit.
+
+    x is read in CSC form, so each encoder row a request touches is read
+    once, in address order; over several cold encoders that beats the CSR
+    kernel's one random row read per stored entry. A row's terms are still
+    added in ascending feature index, which is why x's rows must be sorted
+    (as featurize_texts gives them): unsorted rows raise ValidationError.
+    """
+    if not members or len({m.n_labels for m in members}) != 1:
+        raise ValidationError("need at least one member, every one predicting "
+                              "the same number of labels")
+    if not x.has_sorted_indices:
+        raise ValidationError("feature rows must have sorted indices")
+    (n_rows, n_cols), nnz = x.shape, x.nnz
+    csc = _SparseArrays(np.empty(nnz, x.data.dtype), np.empty(nnz, x.indices.dtype),
+                        np.empty(n_cols + 1, x.indptr.dtype), x.shape)
+    _sparsetools.csr_tocsc(n_rows, n_cols, x.indptr, x.indices, x.data,
+                           csc.indptr, csc.indices, csc.data)
+    return np.stack(_member_probs(members, repeat(csc), _sparsetools.csc_matvecs))
+
+
+def _member_probs(members, xs, kernel=_sparsetools.csr_matvecs) -> list[np.ndarray]:
+    """Member i's mean head softmax on xs[i], from one softmax over every
+    head's logits; a non-finite probability raises DivergenceError."""
+    logits, spans = [], []
     with np.errstate(invalid="ignore", over="ignore"):  # checked below
-        hidden = np.maximum(_encode(params, x), 0.0)
-        probs = np.mean([_softmax(_head_logits(params, hidden, h))
-                         for h in range(params.n_heads)], axis=0)
+        for params, x in zip(members, xs):
+            hidden = np.maximum(_encode(params, x, kernel), 0.0)
+            spans.append(slice(len(logits), len(logits) + params.n_heads))
+            logits += [_head_logits(params, hidden, h) for h in range(params.n_heads)]
+        probs = _softmax(np.stack(logits))
+    # a mean of finite probabilities is finite
     if not np.isfinite(probs).all():
         raise DivergenceError("non-finite probabilities; parameters not finite")
-    return probs
+    return [probs[span].mean(axis=0) for span in spans]
 
 
 def evaluate_features(params: ModelParams, x: sparse.csr_array, y: np.ndarray
@@ -586,9 +633,10 @@ def load_model(path: str | Path) -> tuple[Featurizer, ModelParams]:
                                   "together, and drop_rate in [0, 1)")
     except OSError as exc:
         raise ValidationError(f"cannot read checkpoint {path}: {exc.strerror}") from None
-    # MemoryError: an array header may declare more floats than any memory holds
+    # MemoryError: an array header may declare more floats than any memory
+    # holds; TokenError: numpy's parser of a garbled .npy header raises it
     except (ValidationError, KeyError, TypeError, ValueError, OverflowError,
-            MemoryError) as exc:
+            MemoryError, tokenize.TokenError) as exc:
         what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ValidationError(f"checkpoint {path}: {what}") from None
     return feat, ModelParams(encoder, heads, drop_rate)

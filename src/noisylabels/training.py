@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
 
 from .data import Dataset
 from .errors import ConsensusCollapseError, ValidationError
-from .model import (Featurizer, ModelParams, TrainConfig, _encode, _forward,
-                    _mean_ce_and_grads, _row_losses, apply_grads,
+from .model import (Featurizer, ModelParams, TrainConfig, _SparseArrays, _encode,
+                    _forward, _mean_ce_and_grads, _row_losses, apply_grads,
                     backward_from_logit_grads, evaluate_features, featurize_dataset,
                     init_params, mean_ce_and_grads)
 from .util import derive_rng
@@ -59,18 +59,7 @@ class EarlyStopState:
         return False
 
 
-class _CSRRows(NamedTuple):
-    """Rows of a CSR matrix as its raw arrays: the four attributes of a
-    csr_array that the model's kernels read, without a scipy object's
-    construction and format checks."""
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    shape: tuple[int, int]
-
-
-def _take_rows(x, idx: np.ndarray) -> _CSRRows:
+def _take_rows(x, idx: np.ndarray) -> _SparseArrays:
     """x[idx] on the raw arrays: the rows at idx, in that order, each with
     its indices and values in order, as scipy's row take gives them."""
     starts = x.indptr[idx]
@@ -78,7 +67,7 @@ def _take_rows(x, idx: np.ndarray) -> _CSRRows:
     indptr = np.zeros(len(idx) + 1, dtype=x.indptr.dtype)
     np.cumsum(lengths, out=indptr[1:])
     pos = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-    return _CSRRows(x.data[pos], x.indices[pos], indptr, (len(idx), x.shape[1]))
+    return _SparseArrays(x.data[pos], x.indices[pos], indptr, (len(idx), x.shape[1]))
 
 
 class _Batcher:
@@ -96,7 +85,7 @@ class _Batcher:
         self.steps_per_epoch = max(1, x.shape[0] // self.batch_size)
         self._step = self.steps_per_epoch
 
-    def next(self) -> tuple[np.ndarray, _CSRRows, np.ndarray]:
+    def next(self) -> tuple[np.ndarray, _SparseArrays, np.ndarray]:
         """The next batch's row indexes into x, its rows and its labels."""
         if self._step == self.steps_per_epoch:
             self._perm = self.rng.permutation(self.x.shape[0])[
@@ -107,8 +96,8 @@ class _Batcher:
         self._step += 1
         x = self._x
         lo, hi = x.indptr[a], x.indptr[b]
-        rows = _CSRRows(x.data[lo:hi], x.indices[lo:hi], x.indptr[a:b + 1] - lo,
-                       (self.batch_size, x.shape[1]))
+        rows = _SparseArrays(x.data[lo:hi], x.indices[lo:hi],
+                             x.indptr[a:b + 1] - lo, (self.batch_size, x.shape[1]))
         return self._perm[a:b], rows, self._y[a:b]
 
 

@@ -349,6 +349,20 @@ class TestManifest:
         assert acc_orig == acc_loaded
         assert np.array_equal(pred_orig.averaged, pred_loaded.averaged)
 
+    def test_trained_members_predict_the_same_after_reload(
+            self, small_splits, tiny_featurizer, tmp_path, fast_config):
+        train, val, test = small_splits
+        spec = EnsembleSpec(kind="heterogeneous", member_methods=("vanilla", "ceta"),
+                            base_config=replace(fast_config, steps=60))
+        members = train_heterogeneous(train, val, spec, tiny_featurizer)
+        feat, loaded = load_ensemble(
+            save_ensemble(tmp_path / "ens", tiny_featurizer, members))
+        acc, pred = predict_ensemble(members, test, tiny_featurizer)
+        acc_loaded, pred_loaded = predict_ensemble(loaded, test, feat)
+        assert acc == acc_loaded
+        assert np.array_equal(pred.member_probs, pred_loaded.member_probs)
+        assert np.array_equal(pred.averaged, pred_loaded.averaged)
+
     @pytest.mark.parametrize("metadata, message", [
         ({"seeds": [np.int64(1), np.int64(2), np.int64(3)]}, "cannot be encoded"),
         ({"methods": ["vanilla"]}, "one entry per member"),

@@ -23,9 +23,8 @@ from noisylabels import (
 from noisylabels import DivergenceError, model
 from noisylabels.ensembles import _predict_features
 from noisylabels.model import Grads, ModelParams, _encode, _forward, \
-    _softmax, apply_grads, backward_from_logit_grads, evaluate_features, \
-    mean_ce_and_grads, predict_probs
-from noisylabels.training import _CSRRows
+    _softmax, _SparseArrays, apply_grads, backward_from_logit_grads, \
+    evaluate_features, mean_ce_and_grads, predict_members, predict_probs
 from noisylabels.util import stable_hash
 
 
@@ -766,7 +765,7 @@ class TestRawKernels:
         params = init_params(feat, n_labels=3, hidden_size=8, seed=1)
         x = random_csr(rng, n_rows, feat.hash_dim, index_dtype, empty_rows)
         assert x.indices.dtype == x.indptr.dtype == index_dtype
-        raw = _CSRRows(x.data, x.indices, x.indptr, x.shape)
+        raw = _SparseArrays(x.data, x.indices, x.indptr, x.shape)
         for batch in (raw, x):
             pre = _encode(params, batch)
             hidden, _, _ = _forward(params, pre, 1)
@@ -790,7 +789,7 @@ class TestRawKernels:
         # scipy's x @ W refused this; the raw kernel would read past the encoder
         params = init_params(Featurizer(hash_dim=64), n_labels=3, hidden_size=4)
         x = featurize_texts(Featurizer(hash_dim=128), ["a b c"])
-        for batch in (x, _CSRRows(x.data, x.indices, x.indptr, x.shape)):
+        for batch in (x, _SparseArrays(x.data, x.indices, x.indptr, x.shape)):
             with pytest.raises(ValidationError, match="128 columns but the encoder "
                                                       "has 64 rows"):
                 _encode(params, batch)
@@ -882,6 +881,95 @@ class TestEvaluate:
         x = featurize_texts(feat, [])
         with pytest.raises(ValidationError):
             evaluate_features(params, x, np.array([], dtype=np.int64))
+
+
+def mixed_members(feat, n_labels=12):
+    """Members mixing one and two heads, hidden sizes 64, 32 and 16, and one
+    encoder at scale 0.73, as mid-training."""
+    members = [init_params(feat, n_labels=n_labels, hidden_size=hidden,
+                           n_heads=heads, seed=seed)
+               for seed, (hidden, heads) in enumerate(
+                   [(64, 1), (32, 2), (16, 1), (64, 2)])]
+    members[2].encoder_scale = 0.73
+    return members
+
+
+def reference_probs(params, x):
+    """The mean of the heads' softmaxes, from scipy's own product."""
+    hidden = np.maximum((x @ params.encoder) * params.encoder_scale, 0.0)
+    return np.mean([_softmax(hidden @ h.weights + h.bias) for h in params.heads],
+                   axis=0)
+
+
+class TestPredictMembers:
+    """predict_members reads x in column order and must give the bits of
+    each member's predict_probs, which reads it in row order."""
+
+    def test_equals_each_members_predict_probs(self):
+        feat = Featurizer(hash_dim=256, hash_seed=3)
+        rng = np.random.default_rng(4)
+        texts = [" ".join(f"tok{t}" for t in rng.integers(0, 120, size=n))
+                 for n in rng.integers(1, 15, size=60)]
+        # 26 texts with no features, among the others
+        texts[10:10] = [""] * 26
+        x = featurize_texts(feat, texts)
+        for n_labels in (2, 12):
+            members = mixed_members(feat, n_labels)
+            probs = predict_members(members, x)
+            assert probs.shape == (4, 86, n_labels)
+            for reference in (predict_probs, reference_probs):
+                assert np.array_equal(
+                    probs, np.stack([reference(m, x) for m in members]))
+        assert np.array_equal(predict_members(members[:1], x)[0],
+                              predict_probs(members[0], x))
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_equals_on_either_index_dtype(self, index_dtype):
+        rng = np.random.default_rng(5)
+        feat = Featurizer(hash_dim=64)
+        x = random_csr(rng, 40, 64, index_dtype, empty_rows=(0, 7, 39))
+        members = mixed_members(feat, 3)
+        assert np.array_equal(predict_members(members, x),
+                              np.stack([reference_probs(m, x) for m in members]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_only_where_a_text_touches(self, bad):
+        feat = Featurizer(hash_dim=64, hash_seed=0)
+        members = mixed_members(feat, 3)
+        x = featurize_texts(feat, ["abc def", "ghi"])
+        reference = predict_members(members, x)
+        members[1].encoder[np.setdiff1d(np.arange(64), x.indices)] = bad
+        assert np.array_equal(predict_members(members, x), reference)
+        members[1].encoder[x.indices[-1], 1] = bad
+        with pytest.raises(DivergenceError, match="non-finite probabilities"):
+            predict_members(members, x)
+
+    def test_hash_dim_mismatch_names_both_sizes(self):
+        members = [init_params(Featurizer(hash_dim=64), n_labels=3, hidden_size=4)]
+        x = featurize_texts(Featurizer(hash_dim=128), ["a b c"])
+        with pytest.raises(ValidationError, match="128 columns but the encoder "
+                                                  "has 64 rows"):
+            predict_members(members, x)
+
+    def test_unsorted_row_refused(self):
+        feat = Featurizer(hash_dim=64)
+        members = mixed_members(feat, 3)
+        x = featurize_texts(feat, ["abc def ghi", "jkl mno"])
+        first = slice(x.indptr[0], x.indptr[1])
+        x = sparse.csr_array((x.data.copy(), x.indices.copy(), x.indptr.copy()),
+                             shape=x.shape)
+        x.indices[first] = x.indices[first][::-1]
+        with pytest.raises(ValidationError, match="sorted"):
+            predict_members(members, x)
+
+    def test_members_must_agree_on_labels(self):
+        feat = Featurizer(hash_dim=64)
+        x = featurize_texts(feat, ["abc"])
+        with pytest.raises(ValidationError):
+            predict_members([], x)
+        with pytest.raises(ValidationError, match="same number of labels"):
+            predict_members([init_params(feat, n_labels=k, hidden_size=4)
+                             for k in (2, 3)], x)
 
 
 class TestCheckpoints:

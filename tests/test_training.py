@@ -29,7 +29,7 @@ from noisylabels import training
 from noisylabels.model import _encode, _mean_ce_and_grads, _row_losses, \
     featurize_dataset, featurize_texts, instance_losses, mean_ce_and_grads
 from noisylabels.training import MEMBER_METHODS, EarlyStopState, Featurized, \
-    _Batcher, _coteaching_objective, _CSRRows, _take_rows, _train, \
+    _Batcher, _coteaching_objective, _SparseArrays, _take_rows, _train, \
     ceta_batch_objective
 from noisylabels.util import derive_rng
 from tests.test_model import assert_matches_central_differences, \
@@ -148,7 +148,7 @@ class TestGradsOwnTheirArrays:
                 for s in (0, 1)]
         dropout = [derive_rng(s, "dropout") for s in (0, 1)]
         objective = _coteaching_objective(CoteachSchedule(tau=0.3, ramp_steps=0))
-        raw = _CSRRows(x.data, x.indices, x.indptr, x.shape)
+        raw = _SparseArrays(x.data, x.indices, x.indptr, x.shape)
         _, grads = objective(1, nets, dropout, np.arange(10), raw, y, 1)
         assert len(grads) == 2 and grads[0].d_pre.shape == (7, 8)
         assert_share_no_memory(grad_arrays(grads[0]), grad_arrays(grads[1]))
@@ -207,7 +207,7 @@ class TestTakeRows:
     def test_equals_scipy_row_take(self, idx, tiny_featurizer):
         # rows 1 and 4 are empty
         x = featurize_texts(tiny_featurizer, ["a b c", "", "b d", "e", "", "a e f g"])
-        raw = _CSRRows(x.data, x.indices, x.indptr, x.shape)
+        raw = _SparseArrays(x.data, x.indices, x.indptr, x.shape)
         idx = np.array(idx, dtype=np.int64)
         taken, expected = _take_rows(raw, idx), x[idx]
         for attr in ("indptr", "indices", "data"):
