@@ -524,7 +524,7 @@ def predict_probs(params: ModelParams, x: sparse.csr_array) -> np.ndarray:
     for a one-head model is that head's softmax exactly. A non-finite one
     (as from a NaN or +inf encoder entry a row of x touches) raises
     DivergenceError; params are checked when saved, loaded or trained."""
-    return _member_probs([params], [x])[0]
+    return _member_probs([params], x)[0]
 
 
 def predict_members(members: list[ModelParams], x: sparse.csr_array) -> np.ndarray:
@@ -546,15 +546,15 @@ def predict_members(members: list[ModelParams], x: sparse.csr_array) -> np.ndarr
                         np.empty(n_cols + 1, x.indptr.dtype), x.shape)
     _sparsetools.csr_tocsc(n_rows, n_cols, x.indptr, x.indices, x.data,
                            csc.indptr, csc.indices, csc.data)
-    return np.stack(_member_probs(members, repeat(csc), _sparsetools.csc_matvecs))
+    return np.stack(_member_probs(members, csc, _sparsetools.csc_matvecs))
 
 
-def _member_probs(members, xs, kernel=_sparsetools.csr_matvecs) -> list[np.ndarray]:
-    """Member i's mean head softmax on xs[i], from one softmax over every
+def _member_probs(members, x, kernel=_sparsetools.csr_matvecs) -> list[np.ndarray]:
+    """Each member's mean head softmax on x, from one softmax over every
     head's logits; a non-finite probability raises DivergenceError."""
     logits, spans = [], []
     with np.errstate(invalid="ignore", over="ignore"):  # checked below
-        for params, x in zip(members, xs):
+        for params in members:
             hidden = np.maximum(_encode(params, x, kernel), 0.0)
             spans.append(slice(len(logits), len(logits) + params.n_heads))
             logits += [_head_logits(params, hidden, h) for h in range(params.n_heads)]
