@@ -1,7 +1,7 @@
 """Data model, corpus I/O, split management and a synthetic corpus generator.
 
 Datasets are immutable after construction: every transform returns a new
-Dataset, so they are safe to share across concurrent training runs.
+Dataset.
 """
 
 from __future__ import annotations
@@ -220,6 +220,13 @@ def load_dataset(path: str | Path, format: str = "jsonl") -> Dataset:
             raise DataFormatError(f"duplicate id {row_id!r}", line=line)
         seen_ids.add(row_id)
 
+    def key(value, field: str, line: int) -> str:
+        """A JSONL id or label: a string, or an integer as its decimal string."""
+        if isinstance(value, str) or type(value) is int:
+            return str(value)
+        raise DataFormatError(f"{field} must be a string or an integer, "
+                              f"got {json.dumps(value)}", line=line)
+
     with io.StringIO(_read_text(path), newline=None) as fh:
         if format == "jsonl":
             for line_no, raw in enumerate(fh, start=1):
@@ -239,20 +246,24 @@ def load_dataset(path: str | Path, format: str = "jsonl") -> Dataset:
                         or "label" not in obj:
                     raise DataFormatError("object must have id, text and label fields",
                                           line=line_no)
-                check_id(str(obj["id"]), line_no)
-                observed = labels.resolve(str(obj["label"]), line_no)
+                if not isinstance(obj["text"], str):
+                    raise DataFormatError("text must be a string", line=line_no)
+                row_id = key(obj["id"], "id", line_no)
+                check_id(row_id, line_no)
+                observed = labels.resolve(key(obj["label"], "label", line_no), line_no)
                 gold = None
                 if obj.get("gold_label") is not None:
-                    gold = labels.resolve(str(obj["gold_label"]), line_no)
+                    gold = labels.resolve(key(obj["gold_label"], "gold_label", line_no),
+                                          line_no)
                 annotators = obj.get("annotator_labels")
                 if annotators is not None:
                     if not isinstance(annotators, list):
                         raise DataFormatError("annotator_labels must be a list "
                                               "or null", line=line_no)
-                    annotators = tuple(labels.resolve(str(a), line_no)
-                                       for a in annotators)
-                rows.append(Instance(str(obj["id"]), str(obj["text"]), observed,
-                                     gold, annotators))
+                    annotators = tuple(labels.resolve(
+                        key(a, "annotator_labels entry", line_no), line_no)
+                        for a in annotators)
+                rows.append(Instance(row_id, obj["text"], observed, gold, annotators))
         else:
             header = fh.readline()
             columns = header.rstrip("\n").split("\t")

@@ -373,33 +373,25 @@ def _encode(params: ModelParams, x: sparse.csr_array,
     return pre
 
 
-def _dropout_scales(params: ModelParams, shape: tuple[int, ...], n: int,
-                    train_mode: bool, rng: np.random.Generator | None
-                    ) -> list[np.ndarray | None]:
-    """n independent inverted-dropout scales drawn in order from rng, or n
-    Nones when no dropout applies (evaluation mode or drop_rate 0)."""
-    if not train_mode or params.drop_rate <= 0.0:
-        return [None] * n
-    if rng is None:
-        raise ValidationError("train-mode forward with dropout needs an rng")
-    keep = 1.0 - params.drop_rate
-    return [(rng.random(shape) < keep) / keep for _ in range(n)]
-
-
 def _head_logits(params: ModelParams, hidden: np.ndarray, head: int) -> np.ndarray:
     h = params.heads[head]
     return hidden @ h.weights + h.bias
 
 
 def _forward(params: ModelParams, pre: np.ndarray, n_heads: int,
-             train_mode: bool = False, rng: np.random.Generator | None = None):
+             rng: np.random.Generator | None = None):
     """The forward pass every loss and gradient runs, from the pre-activations
     _encode gives: the hidden layer (their ReLU), then for each of the first
     n_heads heads its dropout scale (None for none) with the hidden layer
-    times it, and its log-probabilities; the scales are drawn from rng."""
+    times it, and its log-probabilities. Given a dropout stream rng, the pass
+    runs in train mode: at a positive drop_rate each head draws its own
+    inverted-dropout scale from rng, in head order."""
     hidden = np.maximum(pre, 0.0)
-    dropped = [(s, hidden if s is None else hidden * s)
-               for s in _dropout_scales(params, pre.shape, n_heads, train_mode, rng)]
+    scales = [None] * n_heads
+    if rng is not None and params.drop_rate > 0.0:
+        keep = 1.0 - params.drop_rate
+        scales = [(rng.random(pre.shape) < keep) / keep for _ in range(n_heads)]
+    dropped = [(s, hidden if s is None else hidden * s) for s in scales]
     logps = [_log_softmax(_head_logits(params, d, h))
              for h, (_, d) in enumerate(dropped)]
     return hidden, dropped, logps
@@ -453,18 +445,17 @@ def backward_from_logit_grads(
 
 
 def mean_ce_and_grads(params: ModelParams, x: sparse.csr_array, y: np.ndarray,
-                      scale_rng: np.random.Generator | None = None,
-                      train_mode: bool = False) -> tuple[float, Grads]:
+                      scale_rng: np.random.Generator | None = None
+                      ) -> tuple[float, Grads]:
     """Mean cross-entropy of head 0 over the batch, with its exact gradient.
-    In train mode the dropout mask is drawn from scale_rng."""
-    return _mean_ce_and_grads(params, x, _encode(params, x), y, scale_rng,
-                              train_mode)
+    Given scale_rng, it runs in train mode and draws the dropout mask from it."""
+    return _mean_ce_and_grads(params, x, _encode(params, x), y, scale_rng)
 
 
-def _mean_ce_and_grads(params, x, pre, y, scale_rng, train_mode):
+def _mean_ce_and_grads(params, x, pre, y, scale_rng):
     y = np.asarray(y, dtype=np.int64)
     b = x.shape[0]
-    hidden, dropped, [logp] = _forward(params, pre, 1, train_mode, scale_rng)
+    hidden, dropped, [logp] = _forward(params, pre, 1, scale_rng)
     rows = np.arange(b)
     g = np.exp(logp)
     g[rows, y] -= 1.0
@@ -524,34 +515,32 @@ def predict_probs(params: ModelParams, x: sparse.csr_array) -> np.ndarray:
     for a one-head model is that head's softmax exactly. A non-finite one
     (as from a NaN or +inf encoder entry a row of x touches) raises
     DivergenceError; params are checked when saved, loaded or trained."""
-    return _member_probs([params], x)[0]
+    return predict_members([params], x)[0]
 
 
 def predict_members(members: list[ModelParams], x: sparse.csr_array) -> np.ndarray:
-    """members x rows x labels: each member's predict_probs on x, bit for bit.
+    """members x rows x labels: each member's mean head softmax on x, from
+    one softmax over every head's logits.
 
-    x is read in CSC form, so each encoder row a request touches is read
-    once, in address order; over several cold encoders that beats the CSR
-    kernel's one random row read per stored entry. A row's terms are still
-    added in ascending feature index, which is why x's rows must be sorted
-    (as featurize_texts gives them): unsorted rows raise ValidationError.
+    One member reads x row by row with the CSR kernel. Several read one CSC
+    conversion of x, so each encoder row x touches is read once, in address
+    order, not once per stored entry at random. The column kernel adds a
+    row's terms in ascending feature index, as the row kernel does only on
+    sorted rows (as featurize_texts gives them), so it refuses unsorted ones.
     """
     if not members or len({m.n_labels for m in members}) != 1:
         raise ValidationError("need at least one member, every one predicting "
                               "the same number of labels")
-    if not x.has_sorted_indices:
-        raise ValidationError("feature rows must have sorted indices")
-    (n_rows, n_cols), nnz = x.shape, x.nnz
-    csc = _SparseArrays(np.empty(nnz, x.data.dtype), np.empty(nnz, x.indices.dtype),
-                        np.empty(n_cols + 1, x.indptr.dtype), x.shape)
-    _sparsetools.csr_tocsc(n_rows, n_cols, x.indptr, x.indices, x.data,
-                           csc.indptr, csc.indices, csc.data)
-    return np.stack(_member_probs(members, csc, _sparsetools.csc_matvecs))
-
-
-def _member_probs(members, x, kernel=_sparsetools.csr_matvecs) -> list[np.ndarray]:
-    """Each member's mean head softmax on x, from one softmax over every
-    head's logits; a non-finite probability raises DivergenceError."""
+    kernel = _sparsetools.csr_matvecs
+    if len(members) > 1:
+        if not x.has_sorted_indices:
+            raise ValidationError("feature rows must have sorted indices")
+        (n_rows, n_cols), nnz = x.shape, x.nnz
+        csc = _SparseArrays(np.empty(nnz, x.data.dtype), np.empty(nnz, x.indices.dtype),
+                            np.empty(n_cols + 1, x.indptr.dtype), x.shape)
+        _sparsetools.csr_tocsc(n_rows, n_cols, x.indptr, x.indices, x.data,
+                               csc.indptr, csc.indices, csc.data)
+        x, kernel = csc, _sparsetools.csc_matvecs
     logits, spans = [], []
     with np.errstate(invalid="ignore", over="ignore"):  # checked below
         for params in members:
@@ -562,7 +551,7 @@ def _member_probs(members, x, kernel=_sparsetools.csr_matvecs) -> list[np.ndarra
     # a mean of finite probabilities is finite
     if not np.isfinite(probs).all():
         raise DivergenceError("non-finite probabilities; parameters not finite")
-    return [probs[span].mean(axis=0) for span in spans]
+    return np.stack([probs[span].mean(axis=0) for span in spans])
 
 
 def evaluate_features(params: ModelParams, x: sparse.csr_array, y: np.ndarray

@@ -1,9 +1,8 @@
 """Label-noise injectors (uniform, rule-based, annotation-derived) and noise stats.
 
 All injectors are pure functions of (dataset, parameters, seed): they return a
-new Dataset whose observed labels are re-derived from gold, so applying them
-repeatedly or concurrently is safe. apply_noise maps a config's noise section
-to its injector.
+new Dataset whose observed labels are re-derived from gold. apply_noise maps
+a config's noise section to its injector.
 """
 
 from __future__ import annotations

@@ -197,8 +197,7 @@ def train_vanilla(train: Dataset, val: Dataset, cfg: TrainConfig,
 
 
 def _vanilla_objective(_, nets, dropout, __, xb, yb, ___):
-    loss, grads = mean_ce_and_grads(nets[0], xb, yb, scale_rng=dropout[0],
-                                    train_mode=True)
+    loss, grads = mean_ce_and_grads(nets[0], xb, yb, scale_rng=dropout[0])
     return {"train_batch_loss": loss}, [grads]
 
 
@@ -253,7 +252,7 @@ def _coteaching_objective(sched: CoteachSchedule) -> Callable:
         kept = [np.sort(np.argsort(_row_losses(net, pre, yb), kind="stable")[:keep])
                 for net, pre in zip(nets, pres)]
         losses, grads = zip(*(
-            _mean_ce_and_grads(net, _take_rows(xb, k), pre[k], yb[k], rng, True)
+            _mean_ce_and_grads(net, _take_rows(xb, k), pre[k], yb[k], rng)
             for net, pre, k, rng in zip(nets, pres, kept[::-1], dropout)))
         return {
             "train_batch_loss": losses[0],
@@ -301,22 +300,21 @@ def _tv_logit_grad(p_self: np.ndarray, p_other: np.ndarray,
 
 
 def ceta_batch_objective(params: ModelParams, x, y: np.ndarray, ceta: CetaConfig,
-                         scale_rng=None, train_mode: bool = False):
+                         scale_rng=None):
     """Consensus loss, its gradients, and the consensus mask for one batch.
 
     loss = mean over consensus instances of both heads' cross-entropy, plus
     lambda_w times the batch-mean total variation between the heads.
 
-    Dropout is drawn independently per head (not shared), which keeps the two
-    classifiers discrepant during training; without this the heads converge
-    and the consensus filter stops selecting anything.
+    Given scale_rng, dropout is drawn from it per head (not shared), which
+    keeps the two classifiers discrepant during training; without this the
+    heads converge and the consensus filter stops selecting anything.
     """
     if params.n_heads != 2:
         raise ValidationError("consensus training needs exactly 2 heads")
     y = np.asarray(y, dtype=np.int64)
     b = x.shape[0]
-    hidden, dropped, logps = _forward(params, _encode(params, x), 2, train_mode,
-                                      scale_rng)
+    hidden, dropped, logps = _forward(params, _encode(params, x), 2, scale_rng)
     probs = [np.exp(lp) for lp in logps]
 
     consensus = probs[0].argmax(axis=1) == probs[1].argmax(axis=1)
@@ -364,7 +362,7 @@ def _ceta_objective(ceta: CetaConfig) -> Callable:
     def objective(_, nets, dropout, __, xb, yb, steps_per_epoch):
         nonlocal empty_streak
         loss, grads, consensus, tv_mean = ceta_batch_objective(
-            nets[0], xb, yb, ceta, scale_rng=dropout[0], train_mode=True)
+            nets[0], xb, yb, ceta, scale_rng=dropout[0])
         empty_streak = 0 if consensus.any() else empty_streak + 1
         if empty_streak >= steps_per_epoch:
             raise ConsensusCollapseError(

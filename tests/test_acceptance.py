@@ -275,7 +275,7 @@ class TestCriterion7:
         x = featurize_texts(feat, ["aa bb cc", "dd ee", "ff gg hh ii"])
         y = np.array([0, 1, 2])
         _, _, consensus, tv_mean = ceta_batch_objective(
-            params, x, y, CetaConfig(), train_mode=False)
+            params, x, y, CetaConfig())
         assert consensus.all()
         assert tv_mean == 0.0
 

@@ -400,6 +400,39 @@ class TestWrongShapeInputs:
             "error: line 2: annotator_labels must be a list")
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("label", None, "label must be a string or an integer, got null"),
+        ("label", True, "label must be a string or an integer, got true"),
+        ("label", 1.5, "label must be a string or an integer, got 1.5"),
+        ("id", ["q"], 'id must be a string or an integer, got ["q"]'),
+        ("gold_label", {"k": 1}, 'gold_label must be a string or an integer, '
+                                 'got {"k": 1}'),
+        ("text", None, "text must be a string"),
+        ("text", ["q"], "text must be a string"),
+        ("text", 7, "text must be a string"),
+        ("annotator_labels", [None, 1], "annotator_labels entry must be a string "
+                                        "or an integer, got null"),
+        ("annotator_labels", ["l1", False], "annotator_labels entry must be a "
+                                            "string or an integer, got false"),
+    ], ids=["label-null", "label-bool", "label-float", "id-list", "gold-object",
+            "text-null", "text-list", "text-int", "annotator-null",
+            "annotator-bool"])
+    def test_field_of_the_wrong_json_type_is_one(self, tmp_path, capsys, field,
+                                                 value, message):
+        rows = [{"id": "a", "text": "x", "label": "l1"},
+                {"id": "b", "text": "y", "label": "l2", field: value}]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in rows),
+                          encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"^line 2: {re.escape(message)}$"):
+            load_dataset(corpus)
+        cfg = write_config(tmp_path / "cfg.json")
+        before = sorted(tmp_path.iterdir())
+        assert main(["noise", "--config", str(cfg), "--in", str(corpus),
+                     "--out", str(tmp_path / "noised.jsonl")]) == 1
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
+        assert sorted(tmp_path.iterdir()) == before
+
     # 2^40 hash rows of a 16-wide float64 encoder take 128 TiB, which no
     # allocator grants, so the request is refused at once; 2^61 or 2^62 hash
     # rows times a split's texts overflow the featurizer's 64-bit cell keys,

@@ -80,6 +80,19 @@ class TestLoadSave:
         save_dataset(d, out, "jsonl")
         assert load_dataset(out, "jsonl") == d
 
+    def test_jsonl_integer_ids_and_labels_load_as_decimal_strings(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        rows = [{"id": 7, "text": "t one", "label": 1, "gold_label": 0,
+                 "annotator_labels": [1, "0", 0]},
+                {"id": "8", "text": "t two", "label": "0"}]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n",
+                        encoding="utf-8")
+        d = load_dataset(path, "jsonl")
+        assert d.label_set.names == ("1", "0")
+        assert [i.id for i in d.instances] == ["7", "8"]
+        assert d.instances[0].gold_label == 1
+        assert d.instances[0].annotator_labels == (0, 1, 1)
+
     def test_tsv_refuses_annotator_labels_with_nothing_written(self, tmp_path):
         corpus = generate_synthetic_corpus(3, 30, seed=1, annotators_per_instance=3)
         # one instance with annotator labels among ones without is refused too

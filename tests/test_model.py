@@ -59,8 +59,7 @@ def assert_matches_central_differences(objective, arrays, probes, rng):
 
 def train_step(params, x, y, lr_effective, weight_decay=0.0, seed=0):
     """One train-mode SGD step of head 0, built from the public primitives."""
-    _, grads = mean_ce_and_grads(params, x, y, train_mode=True,
-                                 scale_rng=np.random.default_rng(seed))
+    _, grads = mean_ce_and_grads(params, x, y, scale_rng=np.random.default_rng(seed))
     apply_grads(params, grads, lr_effective, weight_decay)
 
 
@@ -350,19 +349,33 @@ class TestForward:
         y = np.array([0, 2])
 
         def train_loss(seed):
-            loss, _ = mean_ce_and_grads(params, x, y, train_mode=True,
+            loss, _ = mean_ce_and_grads(params, x, y,
                                         scale_rng=np.random.default_rng(seed))
             return loss
 
         assert train_loss(9) == train_loss(9)
         assert train_loss(9) != train_loss(10)
 
-    def test_train_mode_dropout_needs_rng(self):
-        params = init_params(self.feat, n_labels=3, hidden_size=4,
-                             drop_rate=0.5, seed=1)
-        x = featurize_texts(self.feat, ["one two"])
-        with pytest.raises(ValidationError, match="rng"):
-            mean_ce_and_grads(params, x, np.array([0]), train_mode=True)
+    def test_a_stream_at_drop_rate_zero_is_not_drawn_from(self):
+        params = init_params(self.feat, n_labels=3, hidden_size=8, n_heads=2, seed=1)
+        pre = _encode(params, featurize_texts(self.feat, ["one two", "three"]))
+        rng = np.random.default_rng(5)
+        _, dropped, logps = _forward(params, pre, 2, rng)
+        assert rng.random() == np.random.default_rng(5).random()
+        assert [scale for scale, _ in dropped] == [None, None]
+        for a, b in zip(logps, _forward(params, pre, 2)[2]):
+            assert np.array_equal(a, b)
+
+    def test_a_stream_gives_one_mask_per_head_in_head_order(self):
+        params = init_params(self.feat, n_labels=3, hidden_size=8, n_heads=2,
+                             drop_rate=0.25, seed=1)
+        pre = _encode(params, featurize_texts(self.feat, ["one two", "three"]))
+        rng, mirror = np.random.default_rng(5), np.random.default_rng(5)
+        hidden, dropped, _ = _forward(params, pre, 2, rng)
+        for scale, head_hidden in dropped:
+            assert np.array_equal(scale, (mirror.random(pre.shape) < 0.75) / 0.75)
+            assert np.array_equal(head_hidden, hidden * scale)
+        assert rng.random() == mirror.random()
 
     def test_prob_sums_property(self):
         # 1000 random parameter draws all produce normalized outputs
@@ -458,7 +471,7 @@ class TestGradients:
         y = np.array([0, 2, 1, 2])
 
         def train_mode(params):
-            return mean_ce_and_grads(params, x, y, train_mode=True,
+            return mean_ce_and_grads(params, x, y,
                                      scale_rng=np.random.default_rng(23))
 
         loss, grads = train_mode(params)
@@ -901,9 +914,20 @@ def reference_probs(params, x):
                    axis=0)
 
 
+def unsorted_rows(feat):
+    """Two featurized texts, the first with its indices reversed."""
+    x = featurize_texts(feat, ["abc def ghi", "jkl mno"])
+    first = slice(x.indptr[0], x.indptr[1])
+    x = sparse.csr_array((x.data.copy(), x.indices.copy(), x.indptr.copy()),
+                         shape=x.shape)
+    x.indices[first] = x.indices[first][::-1]
+    return x
+
+
 class TestPredictMembers:
-    """predict_members reads x in column order and must give the bits of
-    each member's predict_probs, which reads it in row order."""
+    """predict_members reads x in column order for several members and in
+    row order for one; either way it must give the bits of each member's
+    scipy product."""
 
     def test_equals_each_members_predict_probs(self):
         feat = Featurizer(hash_dim=256, hash_seed=3)
@@ -952,15 +976,29 @@ class TestPredictMembers:
             predict_members(members, x)
 
     def test_unsorted_row_refused(self):
-        feat = Featurizer(hash_dim=64)
-        members = mixed_members(feat, 3)
-        x = featurize_texts(feat, ["abc def ghi", "jkl mno"])
-        first = slice(x.indptr[0], x.indptr[1])
-        x = sparse.csr_array((x.data.copy(), x.indices.copy(), x.indptr.copy()),
-                             shape=x.shape)
-        x.indices[first] = x.indices[first][::-1]
+        members = mixed_members(Featurizer(hash_dim=64), 3)
         with pytest.raises(ValidationError, match="sorted"):
-            predict_members(members, x)
+            predict_members(members, unsorted_rows(Featurizer(hash_dim=64)))
+
+    def test_one_member_reads_unsorted_rows(self):
+        feat = Featurizer(hash_dim=64)
+        x = unsorted_rows(feat)
+        for member in mixed_members(feat, 3):
+            assert np.array_equal(predict_members([member], x)[0],
+                                  reference_probs(member, x))
+
+    def test_only_several_members_convert_to_columns(self, monkeypatch):
+        feat = Featurizer(hash_dim=64)
+        x = featurize_texts(feat, ["abc def", "ghi"])
+        members = mixed_members(feat, 3)
+        calls, convert = [], _sparsetools.csr_tocsc
+        monkeypatch.setattr(_sparsetools, "csr_tocsc",
+                            lambda *args: calls.append(args) or convert(*args))
+        predict_members(members[:1], x)
+        predict_probs(members[1], x)
+        assert len(calls) == 0
+        predict_members(members, x)
+        assert len(calls) == 1
 
     def test_members_must_agree_on_labels(self):
         feat = Featurizer(hash_dim=64)

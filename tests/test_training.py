@@ -136,7 +136,7 @@ class TestGradsOwnTheirArrays:
         y = np.array([0, 2, 1, 1])
         params = init_params(tiny_featurizer, 3, 8, drop_rate=0.2, seed=1)
         rng = derive_rng(2, "dropout")
-        (_, first), (_, second) = (mean_ce_and_grads(params, x, y, rng, True)
+        (_, first), (_, second) = (mean_ce_and_grads(params, x, y, rng)
                                    for _ in range(2))
         assert_share_no_memory(grad_arrays(first), grad_arrays(second))
 
@@ -343,9 +343,9 @@ class TestCoteaching:
                               instance_losses(net, xb, y[batch]))
         kept = np.sort(np.random.default_rng(1).choice(32, 20, replace=False))
         reused = _mean_ce_and_grads(net, _take_rows(xb, kept), pre[kept],
-                                    y[batch][kept], np.random.default_rng(4), True)
+                                    y[batch][kept], np.random.default_rng(4))
         fresh = mean_ce_and_grads(net, _take_rows(xb, kept), y[batch][kept],
-                                  scale_rng=np.random.default_rng(4), train_mode=True)
+                                  scale_rng=np.random.default_rng(4))
         assert reused[0] == fresh[0]
         assert np.array_equal(reused[1].d_pre, fresh[1].d_pre)
         for a, b in zip(reused[1].heads[0], fresh[1].heads[0]):
@@ -400,12 +400,12 @@ class TestCeta:
         x = featurize_dataset(tiny_featurizer, train)[:32]
         y = train.observed()[:32]
         _, _, consensus, tv_mean = ceta_batch_objective(
-            params, x, y, CetaConfig(), train_mode=False)
+            params, x, y, CetaConfig())
         assert consensus.all()
         assert tv_mean == 0.0
 
     @staticmethod
-    def probe_gradients(texts, drop_rate, train_mode, seed):
+    def probe_gradients(texts, drop_rate, seed):
         feat = Featurizer(hash_dim=64, hash_seed=0)
         params = init_params(feat, n_labels=3, hidden_size=8, n_heads=2,
                              drop_rate=drop_rate, seed=3)
@@ -415,7 +415,7 @@ class TestCeta:
 
         def objective():
             # a fresh generator per call fixes both heads' dropout masks
-            return ceta_batch_objective(params, x, y, ceta, train_mode=train_mode,
+            return ceta_batch_objective(params, x, y, ceta,
                                         scale_rng=np.random.default_rng(7))
 
         _, grads, consensus, _ = objective()
@@ -439,13 +439,13 @@ class TestCeta:
         # the consensus objective (cross-entropy + total-variation term)
         # against the finite-difference oracle
         self.probe_gradients(["aa bb", "cc dd ee", "ff", "gg hh"],
-                             drop_rate=0.0, train_mode=False, seed=6)
+                             drop_rate=0.0, seed=6)
 
     def test_gradient_through_per_head_dropout(self):
         # every text keeps some hidden units under the mask, so no head's
         # logits sit on an exact argmax tie
         self.probe_gradients(["aa bb cc", "cc dd ee", "ff gg hh", "gg hh ii jj"],
-                             drop_rate=0.5, train_mode=True, seed=7)
+                             drop_rate=0.5, seed=7)
 
     def test_heads_draw_separate_dropout_masks(self, small_splits,
                                                tiny_featurizer):
@@ -457,8 +457,7 @@ class TestCeta:
         x = featurize_dataset(tiny_featurizer, train)[:32]
         y = train.observed()[:32]
         _, _, _, tv_mean = ceta_batch_objective(
-            params, x, y, CetaConfig(), train_mode=True,
-            scale_rng=np.random.default_rng(0))
+            params, x, y, CetaConfig(), scale_rng=np.random.default_rng(0))
         assert tv_mean > 0.0
 
     def test_training_runs_and_early_stops(self, small_splits, tiny_featurizer,

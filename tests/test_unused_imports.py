@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private top-level name it defines is read somewhere in the package.
 
 __init__.py is skipped: its imports are the package's public names.
 """
@@ -28,6 +29,28 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def names_read(source: str) -> set[str]:
+    """Every name an expression reads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+            or isinstance(node, ast.Attribute)}
+
+
+def unread_private_names(source: str, read: set[str]) -> list[str]:
+    """The _-prefixed functions, classes and variables the module defines at
+    its top level that are not in read."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_") and name not in read]
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -40,3 +63,17 @@ def test_no_unused_imports(module):
 def test_an_unused_import_is_found():
     source = "import os\nfrom json import dumps, loads\nprint(loads('1'))\n"
     assert unused_imports(source) == ["os (line 1)", "dumps (line 2)"]
+
+
+def test_every_private_top_level_name_is_read():
+    read = set().union(*(names_read(p.read_text(encoding="utf-8"))
+                         for p in MODULES[0].parent.glob("*.py")))
+    assert [f"{module.name}: {name}" for module in MODULES
+            for name in unread_private_names(module.read_text(encoding="utf-8"), read)
+            ] == []
+
+
+def test_an_unread_private_name_is_found():
+    source = ("_CAP = 4\n_a, b = 1, 2\nclass _Kept: pass\n"
+              "def _left(): pass\ndef public(): return _CAP + _Kept.x\n")
+    assert unread_private_names(source, names_read(source)) == ["_a", "_left"]
